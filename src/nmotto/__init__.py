@@ -7,7 +7,6 @@ protocol, per-stroke energy bookkeeping including the interaction energy,
 and classifies the cycle's operating mode (engine, heater, heat pump).
 """
 
-from ._jit import NUMBA_ENABLED
 from .config import RunConfig, SweepRange, TimeBox, Tolerances, load_config, parse_config
 from .cycle import (
     CycleReport,

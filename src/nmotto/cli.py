@@ -46,7 +46,7 @@ def _apply_overrides(config, args):
     updates = {}
     if getattr(args, "dynamics", None):
         updates["dynamics"] = args.dynamics
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         if args.workers < 1:
             raise ConfigError("workers: expected an integer >= 1")
         updates["workers"] = args.workers
@@ -60,6 +60,8 @@ def main(argv=None) -> int:
         if args.command == "kernels":
             write_kernel_csv(config, args.out, args.bath)
         elif args.command == "stroke":
+            if not 0.0 <= args.rho00 <= 1.0:
+                raise ConfigError("rho00: expected a ground-state population in [0, 1]")
             write_trace_csv(config, args.out, args.bath, args.rho00)
         elif args.command == "cycle":
             require_scalar_times(config)

@@ -9,9 +9,9 @@ any sign within 1e-12 of zero is treated as indefinite rather than guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 from .limit_cycle import LimitCycleState
 
@@ -19,6 +19,8 @@ __all__ = [
     "Mode",
     "Flow",
     "CycleReport",
+    "REPORT_FIELDS",
+    "LABEL_FIELDS",
     "works",
     "classify_mode",
     "classify_flow",
@@ -73,15 +75,19 @@ class CycleReport:
     flow_c: Flow
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in ("t_h", "t_c", "dE_S_h", "dE_B_h", "dE_I_h", "dE_S_c", "dE_B_c",
-                     "dE_I_c", "W_adiab_h", "W_adiab_c", "W_detach_h", "W_detach_c",
-                     "W_total", "alpha_h", "alpha_c", "eta", "cop"):
-            out[name] = getattr(self, name)
-        out["mode"] = self.mode.value
-        out["flow_h"] = self.flow_h.value
-        out["flow_c"] = self.flow_c.value
+        out = {name: getattr(self, name) for name in REPORT_FIELDS}
+        for name in LABEL_FIELDS:
+            out[name] = out[name].value
         return out
+
+
+# The report schema: field order of the CSV columns and the JSON keys.
+# Label fields hold an Enum and are written as its value.
+REPORT_FIELDS = tuple(field.name for field in fields(CycleReport))
+LABEL_FIELDS = tuple(
+    name for name, hint in get_type_hints(CycleReport).items()
+    if isinstance(hint, type) and issubclass(hint, Enum)
+)
 
 
 def works(lc: LimitCycleState, omega_h: float, omega_c: float,

@@ -7,8 +7,9 @@ described by the ground-state population
     C(tau)     = int_0^tau b(s) exp(-A(s)) ds,
 
 with a, b, A tabulated on the stroke's KernelGrid.  C is accumulated with
-the same cumulative Simpson rule as the tables.  When |A| exceeds 500 the
-product b*exp(-A) is formed in log-compensated (per-segment) form instead.
+the same cumulative Simpson rule as the tables.  Where |A| would overflow
+exp (beyond 500), the stroke is solved in blocks, each with A rebased to its
+first node and chained through the block end values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from ._jit import compile_kernel
 from .errors import PositivityError
 from .kernels import KernelGrid
 from .special import cumulative_simpson
@@ -56,52 +56,43 @@ def _node_floor(step: float, t: float, n: int) -> int:
     return min(max(k, 0), n - 1)
 
 
-def _propagate_guarded_loop(b, big_a, step, rho_init):
-    # Segment-wise form of exp(A)*(rho0 - C); every exponent is a difference
-    # of A over at most one Simpson pair, so it never overflows.
-    n = b.shape[0]
-    out = np.empty(n)
-    out[0] = rho_init
-    if n == 1:
-        return out
-    if n == 2:
-        d = math.exp(big_a[1] - big_a[0])
-        out[1] = d * rho_init - 0.5 * step * (b[0] * d + b[1])
-        return out
-    d1 = math.exp(big_a[1] - big_a[0])
-    out[1] = d1 * out[0] - step / 12.0 * (
-        5.0 * b[0] * d1 + 8.0 * b[1] - b[2] * math.exp(big_a[1] - big_a[2])
-    )
-    j = 0
-    while j + 2 <= n - 1:
-        if j > 0:
-            d1 = math.exp(big_a[j + 1] - big_a[j])
-            out[j + 1] = d1 * out[j] - step / 12.0 * (
-                -b[j - 1] * math.exp(big_a[j + 1] - big_a[j - 1]) + 8.0 * b[j] * d1 + 5.0 * b[j + 1]
-            )
-        d2 = math.exp(big_a[j + 2] - big_a[j])
-        out[j + 2] = d2 * out[j] - step / 3.0 * (
-            b[j] * d2 + 4.0 * b[j + 1] * math.exp(big_a[j + 2] - big_a[j + 1]) + b[j + 2]
-        )
-        j += 2
-    if j == n - 2:
-        d = math.exp(big_a[n - 1] - big_a[n - 2])
-        out[n - 1] = d * out[n - 2] - step / 12.0 * (
-            -b[n - 3] * math.exp(big_a[n - 1] - big_a[n - 3]) + 8.0 * b[n - 2] * d + 5.0 * b[n - 1]
-        )
-    return out
-
-
-_propagate_guarded = compile_kernel(_propagate_guarded_loop)
-
-
 def _solve_full(grid: KernelGrid, initial: float) -> np.ndarray:
-    if np.max(np.abs(grid.A)) <= _EXP_GUARD:
-        c = cumulative_simpson(grid.b * np.exp(-grid.A), grid.step)
-        rho = np.exp(grid.A) * (initial - c)
-    else:
-        rho = _propagate_guarded(grid.b, grid.A, grid.step, float(initial))
-    return rho
+    # Blockwise exp(A)*(rho0 - C).  A block starts at an even node s and ends
+    # at the last even node before |A - A[s]| exceeds _EXP_GUARD (at least one
+    # Simpson pair on), so the pairs are those of the global rule.  In it the
+    # closed form runs with A rebased to A[s] and rho0 = rho[s]; its first odd
+    # node takes the backward quadratic through s-1, as the one-shot rule does.
+    # Since A[0] == 0, max|A| <= _EXP_GUARD is one block: the plain closed form.
+    big_a, b, step = grid.A, grid.b, grid.step
+    n = big_a.shape[0]
+    rho = np.empty(n)
+    start, rho_start = 0, float(initial)
+    # Where A alone drifts past the exp range within one Simpson pair, the
+    # grid is too coarse: raise FloatingPointError rather than return NaN.
+    with np.errstate(over="raise", invalid="raise"):
+        while True:
+            a_start = big_a[start]
+            over = np.abs(big_a[start:] - a_start) > _EXP_GUARD
+            if over.any():
+                end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
+            else:
+                end = n - 1
+            block = slice(start, end + 1)
+            y = a_start - big_a[block]
+            np.exp(y, out=y)
+            y *= b[block]
+            c = cumulative_simpson(y, step)
+            if start > 0:
+                c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
+                                      + 8.0 * y[0] + 5.0 * y[1])
+            del y  # free it before the next block-sized array: keeps the peak memory down
+            np.subtract(rho_start, c, out=c)
+            growth = big_a[block] - a_start
+            np.exp(growth, out=growth)
+            np.multiply(growth, c, out=rho[block])
+            if end == n - 1:
+                return rho
+            start, rho_start = end, float(rho[end])
 
 
 def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:

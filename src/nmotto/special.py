@@ -2,9 +2,9 @@
 
 Trigamma uses the classic scheme: upward recurrence psi'(z) = psi'(z+1) + 1/z^2
 until Re z >= 10, then the asymptotic series with Bernoulli numbers through
-B12.  Quadrature is composite Simpson; the cumulative-prefix variant returns
-the running integral at every node of a uniform grid and is shared by the
-kernel tables, so it exists in a jitted and a pure-numpy flavour.
+B12.  Both are vectorised numpy.  Quadrature is composite Simpson; the
+cumulative-prefix variant returns the running integral at every node of a
+uniform grid and is shared by the kernel tables and the stroke propagation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._jit import compile_kernel
 from .errors import PoleError, QuadratureError
 
 __all__ = [
@@ -38,26 +37,17 @@ _ASYMPTOTIC_RE = 10.0
 _POLE_TOL = 1e-12
 
 
-def _trigamma_fill_loop(z, out):
-    for i in range(z.shape[0]):
-        w = z[i]
-        acc = 0.0 + 0.0j
-        while w.real < _ASYMPTOTIC_RE:
-            acc += 1.0 / (w * w)
-            w += 1.0
-        r = 1.0 / w
-        r2 = r * r
-        poly = _B12
-        poly = _B10 + poly * r2
-        poly = _B8 + poly * r2
-        poly = _B6 + poly * r2
-        poly = _B4 + poly * r2
-        poly = _B2 + poly * r2
-        out[i] = acc + r + 0.5 * r2 + r * r2 * poly
-
-
-def _trigamma_fill_numpy(z, out):
-    w = z.copy()
+def trigamma_values(z) -> np.ndarray:
+    """psi'(z) = sum_{k>=0} 1/(z+k)^2 for an array of complex arguments."""
+    zc = np.asarray(z, dtype=np.complex128)
+    flat = np.ascontiguousarray(zc.ravel())
+    nearest = np.rint(flat.real)
+    at_pole = (nearest <= 0.0) & (np.abs(flat - nearest) < _POLE_TOL)
+    if at_pole.any():
+        bad = flat[at_pole][0]
+        raise PoleError(f"trigamma pole at z = {bad} (nonpositive integer)")
+    # Upward recurrence until Re w >= 10, then the asymptotic series.
+    w = flat.copy()
     acc = np.zeros_like(w)
     active = w.real < _ASYMPTOTIC_RE
     while active.any():
@@ -73,23 +63,7 @@ def _trigamma_fill_numpy(z, out):
     poly = _B6 + poly * r2
     poly = _B4 + poly * r2
     poly = _B2 + poly * r2
-    out[:] = acc + r + 0.5 * r2 + r * r2 * poly
-
-
-_trigamma_fill = compile_kernel(_trigamma_fill_loop, _trigamma_fill_numpy)
-
-
-def trigamma_values(z) -> np.ndarray:
-    """psi'(z) = sum_{k>=0} 1/(z+k)^2 for an array of complex arguments."""
-    zc = np.asarray(z, dtype=np.complex128)
-    flat = np.ascontiguousarray(zc.ravel())
-    nearest = np.rint(flat.real)
-    at_pole = (nearest <= 0.0) & (np.abs(flat - nearest) < _POLE_TOL)
-    if at_pole.any():
-        bad = flat[at_pole][0]
-        raise PoleError(f"trigamma pole at z = {bad} (nonpositive integer)")
-    out = np.empty_like(flat)
-    _trigamma_fill(flat, out)
+    out = acc + r + 0.5 * r2 + r * r2 * poly
     if not np.all(np.isfinite(out.view(np.float64))):
         raise PoleError("trigamma produced a non-finite value; argument too close to a pole")
     return out.reshape(zc.shape)
@@ -124,34 +98,21 @@ def simpson(y, step: float) -> float:
     return head + step / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
 
 
-def _cumulative_simpson_loop(y, step, out):
+def cumulative_simpson(y, step: float) -> np.ndarray:
+    """Running integral of uniformly sampled values at every grid node.
+
+    Interior pairs integrate the local quadratic interpolant, so the value
+    at even nodes coincides with composite Simpson; out[0] is 0.
+    """
+    y = np.ascontiguousarray(y)
+    step = float(step)
+    out = np.zeros_like(y)
     n = y.shape[0]
     if n < 2:
-        return
+        return out
     if n == 2:
         out[1] = 0.5 * step * (y[0] + y[1])
-        return
-    # Odd nodes integrate the backward-looking quadratic (forward at node 1,
-    # which has no left neighbour), matching the one-shot rule's tail so the
-    # prefix at any node equals the truncated composite rule.
-    out[1] = step / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    j = 0
-    while j + 2 <= n - 1:
-        if j > 0:
-            out[j + 1] = out[j] + step / 12.0 * (-y[j - 1] + 8.0 * y[j] + 5.0 * y[j + 1])
-        out[j + 2] = out[j] + step / 3.0 * (y[j] + 4.0 * y[j + 1] + y[j + 2])
-        j += 2
-    if j == n - 2:
-        out[n - 1] = out[n - 2] + step / 12.0 * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
-
-
-def _cumulative_simpson_numpy(y, step, out):
-    n = y.shape[0]
-    if n < 2:
-        return
-    if n == 2:
-        out[1] = 0.5 * step * (y[0] + y[1])
-        return
+        return out
     npairs = (n - 1) // 2
     y0 = y[0 : 2 * npairs - 1 : 2]
     y1 = y[1 : 2 * npairs : 2]
@@ -161,6 +122,9 @@ def _cumulative_simpson_numpy(y, step, out):
     even[0] = 0.0
     np.cumsum(pair, out=even[1:])
     out[0 : 2 * npairs + 1 : 2] = even
+    # Odd nodes integrate the backward-looking quadratic (forward at node 1,
+    # which has no left neighbour), matching the one-shot rule's tail so the
+    # prefix at any node equals the truncated composite rule.
     out[1] = step / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])
     if npairs > 1:
         out[3 : 2 * npairs : 2] = even[1:-1] + step / 12.0 * (
@@ -168,20 +132,6 @@ def _cumulative_simpson_numpy(y, step, out):
         )
     if (n - 1) % 2 == 1:
         out[n - 1] = out[n - 2] + step / 12.0 * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
-
-
-_cumulative_fill = compile_kernel(_cumulative_simpson_loop, _cumulative_simpson_numpy)
-
-
-def cumulative_simpson(y, step: float) -> np.ndarray:
-    """Running integral of uniformly sampled values at every grid node.
-
-    Interior pairs integrate the local quadratic interpolant, so the value
-    at even nodes coincides with composite Simpson; out[0] is 0.
-    """
-    y = np.ascontiguousarray(y)
-    out = np.zeros_like(y)
-    _cumulative_fill(y, float(step), out)
     return out
 
 

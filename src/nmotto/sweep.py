@@ -15,11 +15,12 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from . import energetics, limit_cycle
 from .config import RunConfig, require_scalar_times, sweep_axes
-from .cycle import CycleReport, assemble_report
+from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, assemble_report
 from .dynamics import propagate, transition_traces
 from .errors import ConfigError, NmottoError
 from .kernels import BathSpec, KernelGrid, build_kernel_grid
@@ -38,16 +39,19 @@ __all__ = [
     "PhaseDiagram",
 ]
 
-CSV_HEADER = (
-    "t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
-    "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
-    "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error"
-)
+CSV_HEADER = ",".join(REPORT_FIELDS + ("error",))
 PHASE_HEADER = "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
+_MODE_COLUMN = REPORT_FIELDS.index("mode")
 
 
 def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value, ".17g")
+
+
+# CycleReport lists its numeric fields first and its Enum labels last; a
+# label among the numbers would fail loudly in format().
+_NUMBER_VALUES = attrgetter(*REPORT_FIELDS[: -len(LABEL_FIELDS)])
+_LABEL_VALUES = attrgetter(*LABEL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -108,21 +112,20 @@ def run_cycle(config: RunConfig) -> CycleReport:
 
 
 def _report_row(report: CycleReport) -> list[str]:
-    return [
-        _fmt(report.t_h), _fmt(report.t_c),
-        _fmt(report.dE_S_h), _fmt(report.dE_B_h), _fmt(report.dE_I_h),
-        _fmt(report.dE_S_c), _fmt(report.dE_B_c), _fmt(report.dE_I_c),
-        _fmt(report.W_adiab_h), _fmt(report.W_adiab_c),
-        _fmt(report.W_detach_h), _fmt(report.W_detach_c), _fmt(report.W_total),
-        _fmt(report.alpha_h), _fmt(report.alpha_c), _fmt(report.eta), _fmt(report.cop),
-        report.mode.value, report.flow_h.value, report.flow_c.value, "",
-    ]
+    # Concatenation sizes the row exactly: sweeps hold every row in memory.
+    return (list(map(_fmt, _NUMBER_VALUES(report)))
+            + [label.value for label in _LABEL_VALUES(report)] + [""])
 
 
 def _error_row(t_h: float, t_c: float, exc: Exception) -> list[str]:
-    row = [_fmt(t_h), _fmt(t_c)] + [""] * 18
+    row = [_fmt(t_h), _fmt(t_c)] + [""] * (len(REPORT_FIELDS) - 2)
     row.append(f"{type(exc).__name__}: {exc}")
     return row
+
+
+# Failures of the physics at one parameter point; anything else is a bug and
+# propagates.
+_CELL_ERRORS = (NmottoError, ValueError, ArithmeticError)
 
 
 def _eval_cells(ctx: CycleContext, cells: list[tuple[int, float, float]]) -> list[tuple[int, list[str]]]:
@@ -130,7 +133,7 @@ def _eval_cells(ctx: CycleContext, cells: list[tuple[int, float, float]]) -> lis
     for idx, t_h, t_c in cells:
         try:
             out.append((idx, _report_row(evaluate_cycle(ctx, t_h, t_c))))
-        except Exception as exc:  # per-cell failure: record and continue
+        except _CELL_ERRORS as exc:  # per-cell failure: record and continue
             out.append((idx, _error_row(t_h, t_c, exc)))
     return out
 
@@ -214,10 +217,10 @@ def _phase_cell(config: RunConfig, r_omega: float, r_temp: float,
         for row in _parallel_rows(ctx, cells, workers):
             if row[-1]:
                 raise NmottoError(row[-1])
-            counts[row[17]] += 1
+            counts[row[_MODE_COLUMN]] += 1
         classification = "engine_only" if counts["Engine"] == len(cells) else "mixed"
         return PhaseCell(r_omega, r_temp, counts, classification, "")
-    except Exception as exc:
+    except _CELL_ERRORS as exc:
         return PhaseCell(r_omega, r_temp, counts, "", f"{type(exc).__name__}: {exc}")
 
 

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import nmotto as nm
 from nmotto.config import parse_config
@@ -22,13 +21,6 @@ from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H,
 
 def _report(number, name, elapsed):
     print(f"ACCEPTANCE {number:02d} {name}: PASS ({elapsed:.2f} s)")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_jit():
-    # first call pays the JIT compile; keep it out of the runtime budgets
-    nm.trigamma_values(np.array([1.0 + 1.0j]))
-    nm.cumulative_simpson(np.arange(8.0), 0.1)
 
 
 def test_criterion_01_kernel_oracle_equivalence():

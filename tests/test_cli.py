@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nmotto
 from nmotto.cli import main
 
 from conftest import base_config_dict
@@ -111,7 +115,38 @@ class TestErrorPaths:
         summary = json.loads(capsys.readouterr().err)
         assert summary["error"] == "SingularMapError"
 
+    def test_zero_workers_exits_2(self, tmp_path, capsys):
+        data = base_config_dict(t_h={"min": 30.0, "max": 60.0, "n": 2})
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "0"]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert "workers" in summary["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho00", ["1.5", "-0.1", "nan"])
+    def test_rho00_out_of_range_exits_2(self, config_path, tmp_path, capsys, rho00):
+        out = tmp_path / "trace.csv"
+        assert main(["stroke", "--config", config_path, "--out", str(out),
+                     "--rho00", rho00]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        summary = json.loads(err)
+        assert summary["error"] == "ConfigError"
+        assert "rho00" in summary["message"]
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["cycle", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_import_emits_no_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nmotto.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-W", "error", "-c", "import nmotto"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

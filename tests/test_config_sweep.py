@@ -180,8 +180,34 @@ class TestRunSweep:
             assert "SingularMapError" in row[-1]
             assert row[2] == ""
 
+    def test_program_bug_propagates(self, small_cfg, tmp_path, monkeypatch):
+        # a TypeError is a bug, not a per-cell physics failure
+        def broken(ctx, t_h, t_c):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", broken)
+        out = tmp_path / "bug.csv"
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_sweep(small_cfg, str(out), workers=1)
+        assert not out.exists()
+
 
 class TestRunPhase:
+    def test_program_bug_propagates(self, tmp_path, monkeypatch):
+        def broken(ctx, t_h, t_c):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", broken)
+        cfg = parse_config({
+            "omega_h": 1.0, "T_h": 1.0,
+            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
+            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
+            "t_box": {"t_max": 10.0, "n": 2},
+        })
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_phase(cfg, str(tmp_path / "bug.csv"), workers=1)
+
     def test_small_phase_diagram(self, tmp_path):
         cfg = parse_config({
             "omega_h": 1.0, "T_h": 1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nmotto as nm
-from nmotto.dynamics import _propagate_guarded, _solve_full
+from nmotto.dynamics import _solve_full
 from nmotto.errors import PositivityError
 
 from conftest import CUTOFF, LAMBDA, OMEGA_H
@@ -107,18 +107,80 @@ class TestTransitionPopulations:
         assert a[0] is b[0] and a[1] is b[1]
 
 
+def _propagate_segments(b, big_a, step, rho_init):
+    # Reference oracle: the segment-wise form of exp(A)*(rho0 - C).  Every
+    # exponent is a difference of A over at most one Simpson pair, so it
+    # never overflows.
+    n = b.shape[0]
+    out = np.empty(n)
+    out[0] = rho_init
+    if n == 1:
+        return out
+    if n == 2:
+        d = math.exp(big_a[1] - big_a[0])
+        out[1] = d * rho_init - 0.5 * step * (b[0] * d + b[1])
+        return out
+    d1 = math.exp(big_a[1] - big_a[0])
+    out[1] = d1 * out[0] - step / 12.0 * (
+        5.0 * b[0] * d1 + 8.0 * b[1] - b[2] * math.exp(big_a[1] - big_a[2])
+    )
+    j = 0
+    while j + 2 <= n - 1:
+        if j > 0:
+            d1 = math.exp(big_a[j + 1] - big_a[j])
+            out[j + 1] = d1 * out[j] - step / 12.0 * (
+                -b[j - 1] * math.exp(big_a[j + 1] - big_a[j - 1]) + 8.0 * b[j] * d1 + 5.0 * b[j + 1]
+            )
+        d2 = math.exp(big_a[j + 2] - big_a[j])
+        out[j + 2] = d2 * out[j] - step / 3.0 * (
+            b[j] * d2 + 4.0 * b[j + 1] * math.exp(big_a[j + 2] - big_a[j + 1]) + b[j + 2]
+        )
+        j += 2
+    if j == n - 2:
+        d = math.exp(big_a[n - 1] - big_a[n - 2])
+        out[n - 1] = d * out[n - 2] - step / 12.0 * (
+            -b[n - 3] * math.exp(big_a[n - 1] - big_a[n - 3]) + 8.0 * b[n - 2] * d + 5.0 * b[n - 1]
+        )
+    return out
+
+
+def _strong_damping_grid(t_max=14.0):
+    # strong damping pushes |A| past 500; the plain form would overflow
+    bath = nm.BathSpec("hot", 2.0, CUTOFF, 5.0)
+    return bath, nm.build_kernel_grid(bath, CUTOFF, t_max, 0.002)
+
+
 class TestGuardedPropagation:
     def test_matches_plain_form_on_mild_grids(self, hot_grid):
-        plain = _solve_full(hot_grid, 0.7)
-        guarded = _propagate_guarded(hot_grid.b, hot_grid.A, hot_grid.step, 0.7)
-        assert np.max(np.abs(plain - guarded)) < 1e-12
+        assert np.max(np.abs(hot_grid.A)) <= 500.0
+        c = nm.cumulative_simpson(hot_grid.b * np.exp(-hot_grid.A), hot_grid.step)
+        plain = np.exp(hot_grid.A) * (0.7 - c)
+        assert np.array_equal(_solve_full(hot_grid, 0.7), plain)
+        segments = _propagate_segments(hot_grid.b, hot_grid.A, hot_grid.step, 0.7)
+        assert np.max(np.abs(plain - segments)) < 1e-12
+
+    @pytest.mark.parametrize("t_max", [14.0, 14.002])
+    def test_blocks_match_segment_oracle(self, t_max):
+        # both parities of the node count; max|A| ~ 656 gives two blocks
+        _, grid = _strong_damping_grid(t_max)
+        assert np.max(np.abs(grid.A)) > 500.0
+        for initial in (1.0, 0.3, 0.0):
+            blocks = _solve_full(grid, initial)
+            segments = _propagate_segments(grid.b, grid.A, grid.step, initial)
+            assert np.max(np.abs(blocks - segments)) <= 1e-12
 
     def test_engages_beyond_exponent_guard(self):
-        # strong damping pushes |A| past 500; the plain form would overflow
-        bath = nm.BathSpec("hot", 2.0, CUTOFF, 5.0)
-        grid = nm.build_kernel_grid(bath, CUTOFF, 14.0, 0.002)
+        bath, grid = _strong_damping_grid()
         assert np.max(np.abs(grid.A)) > 500.0
         trace = nm.propagate(1.0, grid, 14.0)
         assert np.all(np.isfinite(trace.rho00))
         n = nm.bose_occupation(CUTOFF, bath.temperature)
         assert trace.value_at_t == pytest.approx((1.0 + n) / (1.0 + 2.0 * n), abs=5e-3)
+
+    def test_overflow_within_one_pair_raises(self):
+        # A drifts by more than the exp range over a single Simpson pair
+        bath = nm.BathSpec("hot", 400.0, CUTOFF, 50.0)
+        grid = nm.build_kernel_grid(bath, CUTOFF, 20.0, 0.4)
+        assert np.max(np.abs(np.diff(grid.A[::2]))) > 710.0
+        with pytest.raises(ArithmeticError):
+            nm.propagate(1.0, grid, 20.0)
