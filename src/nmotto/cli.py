@@ -80,7 +80,7 @@ def main(argv=None) -> int:
                    "context": {"config": args.config}}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (NmottoError, OSError) as exc:
+    except (NmottoError, ArithmeticError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc),
                    "context": {"config": args.config, "command": args.command}}, sys.stderr)
         sys.stderr.write("\n")

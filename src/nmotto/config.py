@@ -46,7 +46,6 @@ class TimeBox:
 @dataclass(frozen=True)
 class Tolerances:
     sign_zero: float = 1e-12
-    boundary_rtol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class RunConfig:
     h: Optional[float] = None
     dynamics: str = "tcl2"
     workers: int = 1
-    out: Optional[str] = None
     omega_ratio: Optional[SweepRange] = None
     T_ratio: Optional[SweepRange] = None
     t_box: Optional[TimeBox] = None
@@ -100,23 +98,18 @@ class RunConfig:
                 out[name] = value
         if self.h is not None:
             out["h"] = self.h
-        if self.out is not None:
-            out["out"] = self.out
         for name, rng in (("omega_ratio", self.omega_ratio), ("T_ratio", self.T_ratio)):
             if rng is not None:
                 out[name] = {"min": rng.lo, "max": rng.hi, "n": rng.n}
         if self.t_box is not None:
             out["t_box"] = {"t_max": self.t_box.t_max, "n": self.t_box.n}
-        out["tolerances"] = {
-            "sign_zero": self.tolerances.sign_zero,
-            "boundary_rtol": self.tolerances.boundary_rtol,
-        }
+        out["tolerances"] = {"sign_zero": self.tolerances.sign_zero}
         return out
 
 
 _TOP_KEYS = {
     "omega_h", "omega_c", "T_h", "T_c", "lambda_h", "lambda_c", "Omega_h", "Omega_c",
-    "t_h", "t_c", "h", "dynamics", "workers", "out", "omega_ratio", "T_ratio",
+    "t_h", "t_c", "h", "dynamics", "workers", "omega_ratio", "T_ratio",
     "t_box", "tolerances",
 }
 
@@ -200,22 +193,16 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ConfigError("workers: expected an integer >= 1")
 
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out: expected a string path")
-
     tolerances = Tolerances()
     if "tolerances" in data:
         tball = data["tolerances"]
         if not isinstance(tball, dict):
             raise ConfigError("tolerances: expected an object")
-        extra = set(tball) - {"sign_zero", "boundary_rtol"}
+        extra = set(tball) - {"sign_zero"}
         if extra:
             raise ConfigError(f"tolerances: unknown key(s) {sorted(extra)}")
-        tolerances = Tolerances(
-            sign_zero=_require_number(tball, "sign_zero") if "sign_zero" in tball else 1e-12,
-            boundary_rtol=_require_number(tball, "boundary_rtol") if "boundary_rtol" in tball else 1e-6,
-        )
+        if "sign_zero" in tball:
+            tolerances = Tolerances(sign_zero=_require_number(tball, "sign_zero"))
 
     t_box = None
     if "t_box" in data:
@@ -250,7 +237,6 @@ def parse_config(data: dict) -> RunConfig:
         h=_optional_number(data, "h"),
         dynamics=dynamics,
         workers=workers,
-        out=out,
         omega_ratio=_parse_range(data["omega_ratio"], "omega_ratio") if "omega_ratio" in data else None,
         T_ratio=_parse_range(data["T_ratio"], "T_ratio") if "T_ratio" in data else None,
         t_box=t_box,

@@ -2,10 +2,12 @@
 
 The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
 pair is built per sweep and shared read-only by every cell; with the flow
-prefix tables in place a cell evaluation is O(1).  Cells are partitioned
-statically over workers and reassembled in row-major order, so parallel runs
-are byte-identical to serial ones.  Per-cell failures land in the CSV error
-column and the run continues.
+prefix tables in place a cell evaluation is O(1).  Every batch is one ordered
+map (`_map`): a sweep maps over its (t_h, t_c) cells and a phase diagram over
+its (omega ratio, T ratio) cells, serially or across a process pool, and the
+results come back in input order, so parallel runs are byte-identical to
+serial ones.  Per-cell failures land in the CSV error column and the run
+continues.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import csv
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 from operator import attrgetter
 from typing import Optional
 
 from . import energetics, limit_cycle
 from .config import RunConfig, require_scalar_times, sweep_axes
-from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, assemble_report
+from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import propagate, transition_traces
 from .errors import ConfigError, NmottoError
 from .kernels import BathSpec, KernelGrid, build_kernel_grid
@@ -41,7 +45,6 @@ __all__ = [
 
 CSV_HEADER = ",".join(REPORT_FIELDS + ("error",))
 PHASE_HEADER = "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
-_MODE_COLUMN = REPORT_FIELDS.index("mode")
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -128,32 +131,24 @@ def _error_row(t_h: float, t_c: float, exc: Exception) -> list[str]:
 _CELL_ERRORS = (NmottoError, ValueError, ArithmeticError)
 
 
-def _eval_cells(ctx: CycleContext, cells: list[tuple[int, float, float]]) -> list[tuple[int, list[str]]]:
-    out = []
-    for idx, t_h, t_c in cells:
-        try:
-            out.append((idx, _report_row(evaluate_cycle(ctx, t_h, t_c))))
-        except _CELL_ERRORS as exc:  # per-cell failure: record and continue
-            out.append((idx, _error_row(t_h, t_c, exc)))
-    return out
+def _cell_row(ctx: CycleContext, cell: tuple[float, float]) -> list[str]:
+    t_h, t_c = cell
+    try:
+        return _report_row(evaluate_cycle(ctx, t_h, t_c))
+    except _CELL_ERRORS as exc:  # per-cell failure: record and continue
+        return _error_row(t_h, t_c, exc)
 
 
-def _parallel_rows(ctx, cells, workers: int) -> list[list[str]]:
-    if workers <= 1 or len(cells) < 2:
-        indexed = _eval_cells(ctx, cells)
-    else:
-        chunk = math.ceil(len(cells) / workers)
-        chunks = [cells[i : i + chunk] for i in range(0, len(cells), chunk)]
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-posix
-            mp_ctx = multiprocessing.get_context()
-        indexed = []
-        with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-            for part in pool.map(_eval_cells, [ctx] * len(chunks), chunks):
-                indexed.extend(part)
-    indexed.sort(key=lambda pair: pair[0])
-    return [row for _, row in indexed]
+def _map(fn, items: list, workers: int) -> list:
+    """`fn` over `items` in input order, across `workers` processes if > 1."""
+    if workers <= 1 or len(items) < 2:
+        return list(map(fn, items))
+    try:
+        mp_ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-posix
+        mp_ctx = multiprocessing.get_context()
+    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
+        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
 
 
 def _write_csv(path: str, header: str, rows: list[list[str]]) -> None:
@@ -167,13 +162,8 @@ def run_sweep(config: RunConfig, out_path: str, workers: Optional[int] = None) -
     """Row-major (t_h outer, t_c inner) sweep written as CSV; returns the rows."""
     t_h_values, t_c_values = sweep_axes(config)
     ctx = build_context(config, max(t_h_values), max(t_c_values))
-    cells = []
-    idx = 0
-    for t_h in t_h_values:
-        for t_c in t_c_values:
-            cells.append((idx, t_h, t_c))
-            idx += 1
-    rows = _parallel_rows(ctx, cells, workers if workers is not None else config.workers)
+    rows = _map(partial(_cell_row, ctx), list(product(t_h_values, t_c_values)),
+                workers if workers is not None else config.workers)
     _write_csv(out_path, CSV_HEADER, rows)
     return rows
 
@@ -194,46 +184,29 @@ class PhaseDiagram:
     cells: list[PhaseCell]
 
 
-def _phase_cell(config: RunConfig, r_omega: float, r_temp: float,
-                t_values: list[float], workers: int) -> PhaseCell:
-    from .cycle import Mode
-
+def _phase_cell(config: RunConfig, t_values: list[float],
+                ratios: tuple[float, float]) -> PhaseCell:
+    r_omega, r_temp = ratios
     counts = {mode.value: 0 for mode in Mode}
     try:
-        sub = RunConfig(
-            omega_h=config.omega_h, omega_c=r_omega * config.omega_h,
-            T_h=config.T_h, T_c=r_temp * config.T_h,
-            lambda_h=config.lambda_h, lambda_c=config.lambda_c,
-            Omega_h=config.Omega_h, Omega_c=config.Omega_c,
-            h=config.h, dynamics=config.dynamics, tolerances=config.tolerances,
-        )
-        ctx = build_context(sub, max(t_values), max(t_values))
-        cells = []
-        idx = 0
-        for t_h in t_values:
-            for t_c in t_values:
-                cells.append((idx, t_h, t_c))
-                idx += 1
-        for row in _parallel_rows(ctx, cells, workers):
-            if row[-1]:
-                raise NmottoError(row[-1])
-            counts[row[_MODE_COLUMN]] += 1
-        classification = "engine_only" if counts["Engine"] == len(cells) else "mixed"
-        return PhaseCell(r_omega, r_temp, counts, classification, "")
-    except _CELL_ERRORS as exc:
+        ctx = build_context(replace(config, omega_c=r_omega * config.omega_h,
+                                    T_c=r_temp * config.T_h),
+                            max(t_values), max(t_values))
+        for t_h, t_c in product(t_values, t_values):
+            counts[evaluate_cycle(ctx, t_h, t_c).mode.value] += 1
+    except _CELL_ERRORS as exc:  # the cell's first failure; counts so far stay
         return PhaseCell(r_omega, r_temp, counts, "", f"{type(exc).__name__}: {exc}")
+    classification = "engine_only" if counts["Engine"] == len(t_values) ** 2 else "mixed"
+    return PhaseCell(r_omega, r_temp, counts, classification, "")
 
 
 def run_phase(config: RunConfig, out_path: str, workers: Optional[int] = None) -> PhaseDiagram:
     """Classify each (omega_c/omega_h, T_c/T_h) cell over its stroke-time box."""
     if config.omega_ratio is None or config.T_ratio is None or config.t_box is None:
         raise ConfigError("phase runs require omega_ratio, T_ratio and t_box")
-    t_values = config.t_box.values()
-    n_workers = workers if workers is not None else config.workers
-    cells = []
-    for r_omega in config.omega_ratio.values():
-        for r_temp in config.T_ratio.values():
-            cells.append(_phase_cell(config, r_omega, r_temp, t_values, n_workers))
+    ratios = list(product(config.omega_ratio.values(), config.T_ratio.values()))
+    cells = _map(partial(_phase_cell, config, config.t_box.values()), ratios,
+                 workers if workers is not None else config.workers)
     rows = []
     for cell in cells:
         rows.append([
@@ -254,17 +227,21 @@ def write_cycle_csv(report: CycleReport, path: str) -> None:
     _write_csv(path, CSV_HEADER, [_report_row(report)])
 
 
-def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
-    """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
+def _stroke_bath(config: RunConfig, bath_label: str) -> tuple[BathSpec, float, float]:
+    """(bath, qubit frequency, longest stroke time) of the labelled stroke."""
     t_h_values, t_c_values = sweep_axes(config)
     if bath_label == "hot":
-        bath, omega, t_max = config.hot_bath(), config.omega_h, max(t_h_values)
-    elif bath_label == "cold":
+        return config.hot_bath(), config.omega_h, max(t_h_values)
+    if bath_label == "cold":
         if config.omega_c is None:
-            raise ConfigError("omega_c: required to dump the cold-bath kernels")
-        bath, omega, t_max = config.cold_bath(), config.omega_c, max(t_c_values)
-    else:
-        raise ConfigError(f"bath must be 'hot' or 'cold', got {bath_label!r}")
+            raise ConfigError("omega_c: required for the cold stroke")
+        return config.cold_bath(), config.omega_c, max(t_c_values)
+    raise ConfigError(f"bath must be 'hot' or 'cold', got {bath_label!r}")
+
+
+def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
+    """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
+    bath, omega, t_max = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t_max, config.h)
     rows = [
         [_fmt(float(grid.tau[i])), _fmt(float(grid.D1[i])), _fmt(float(grid.D2[i])),
@@ -276,15 +253,7 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
     """Dump tau, rho00 for one stroke's propagation."""
-    t_h_values, t_c_values = sweep_axes(config)
-    if bath_label == "hot":
-        bath, omega, t = config.hot_bath(), config.omega_h, max(t_h_values)
-    elif bath_label == "cold":
-        if config.omega_c is None:
-            raise ConfigError("omega_c: required to propagate the cold stroke")
-        bath, omega, t = config.cold_bath(), config.omega_c, max(t_c_values)
-    else:
-        raise ConfigError(f"bath must be 'hot' or 'cold', got {bath_label!r}")
+    bath, omega, t = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t, config.h)
     trace = propagate(initial_rho00, grid, t)
     rows = [

@@ -138,6 +138,19 @@ class TestErrorPaths:
         assert "rho00" in summary["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["stroke", "cycle", "sweep"])
+    def test_overflow_exits_1(self, tmp_path, capsys, command):
+        # strong hot damping on a coarse grid: A leaves the exp range within
+        # one Simpson pair, which config validation cannot foresee
+        data = base_config_dict(omega_h=0.4, omega_c=0.2, T_h=50.0, T_c=1.0,
+                                lambda_h=400.0, lambda_c=0.01, h=0.4, t_h=20.0, t_c=10.0)
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "FloatingPointError"
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["cycle", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2

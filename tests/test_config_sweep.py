@@ -27,6 +27,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="lambda_hot"):
             parse_config(base_config_dict(lambda_hot=0.01))
+        with pytest.raises(ConfigError, match="out"):
+            parse_config(base_config_dict(out="sweep.csv"))
 
     def test_missing_field_names_field(self):
         data = base_config_dict()
@@ -71,6 +73,8 @@ class TestConfigParsing:
         assert cfg.tolerances.sign_zero == 1e-10
         with pytest.raises(ConfigError, match="tolerances"):
             parse_config(base_config_dict(tolerances={"sgn": 1.0}))
+        with pytest.raises(ConfigError, match="boundary_rtol"):
+            parse_config(base_config_dict(tolerances={"boundary_rtol": 1e-6}))
 
     def test_scalar_axes(self):
         cfg = parse_config(base_config_dict())
@@ -193,7 +197,8 @@ class TestRunSweep:
 
 
 class TestRunPhase:
-    def test_program_bug_propagates(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_program_bug_propagates(self, tmp_path, monkeypatch, workers):
         def broken(ctx, t_h, t_c):
             raise TypeError("unsupported operand")
 
@@ -206,7 +211,7 @@ class TestRunPhase:
             "t_box": {"t_max": 10.0, "n": 2},
         })
         with pytest.raises(TypeError, match="unsupported operand"):
-            run_phase(cfg, str(tmp_path / "bug.csv"), workers=1)
+            run_phase(cfg, str(tmp_path / "bug.csv"), workers=workers)
 
     def test_small_phase_diagram(self, tmp_path):
         cfg = parse_config({
@@ -225,6 +230,39 @@ class TestRunPhase:
         assert by_ratio[0.8].mode_counts["Engine"] == 0
         header = (tmp_path / "phase.csv").read_text().splitlines()[0]
         assert header == "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        cfg = parse_config({
+            "omega_h": 1.0, "T_h": 1.0,
+            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+            "omega_ratio": {"min": 0.3, "max": 0.7, "n": 2},
+            "T_ratio": {"min": 0.2, "max": 0.6, "n": 2},
+            "t_box": {"t_max": 60.0, "n": 3},
+        })
+        p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        run_phase(cfg, str(p1), workers=1)
+        run_phase(cfg, str(p2), workers=2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_per_cell_failure_lands_in_error_column(self, tmp_path):
+        # a decoupled cycle has no unique fixed point: each ratio cell reports
+        # the singular map once, under its own type name
+        cfg = parse_config({
+            "omega_h": 1.0, "T_h": 1.0,
+            "lambda_h": 0.0, "lambda_c": 0.0, "Omega_h": 0.4, "Omega_c": 0.4,
+            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
+            "T_ratio": {"min": 0.2, "max": 0.4, "n": 2},
+            "t_box": {"t_max": 10.0, "n": 2},
+        })
+        out = tmp_path / "err.csv"
+        run_phase(cfg, str(out))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"].startswith("SingularMapError: ")
+            assert row["error"].count("Error: ") == 1
+            assert row["classification"] == ""
 
     def test_markov_phase_is_engine_only_when_otto_efficient(self, tmp_path):
         cfg = parse_config({
