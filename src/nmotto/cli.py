@@ -1,31 +1,42 @@
 """Command-line entry point.
 
 Subcommands: kernels | stroke | cycle | sweep | phase, each driven by a JSON
-config.  Exit code 0 on success; config errors exit 2, runtime errors exit 1,
-both with a JSON error summary on stderr.
+config.  Exit code 0 on success; usage and config errors exit 2, runtime
+errors exit 1, all with a JSON error summary on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from .config import load_config, require_scalar_times
+from .config import load_config, parse_config
 from .errors import ConfigError, NmottoError
 from .sweep import run_cycle, run_phase, run_sweep, write_cycle_csv, write_kernel_csv, write_trace_csv
 
 
+def _fail(summary: dict) -> None:
+    json.dump(summary, sys.stderr)
+    sys.stderr.write("\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors keep the CLI contract: exit 2 with JSON on stderr."""
+
+    def error(self, message):
+        _fail({"error": "UsageError", "message": message})
+        self.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nmotto",
-                                     description="Non-Markovian quantum Otto cycle simulator")
+    parser = _Parser(prog="nmotto", description="Non-Markovian quantum Otto cycle simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, bath=False):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--dynamics", choices=("tcl2", "markov"), help="override the config's dynamics")
+        p.add_argument("--dynamics", help="override the config's dynamics: tcl2 or markov")
         p.add_argument("--workers", type=int, help="override the config's worker count")
         if bath:
             p.add_argument("--bath", choices=("hot", "cold"), default="hot")
@@ -42,21 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    updates = {}
-    if getattr(args, "dynamics", None):
-        updates["dynamics"] = args.dynamics
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError("workers: expected an integer >= 1")
-        updates["workers"] = args.workers
-    return dataclasses.replace(config, **updates) if updates else config
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(args.config)
+        # Overrides go through the config's own parser and checks.
+        overrides = {key: getattr(args, key) for key in ("dynamics", "workers")
+                     if getattr(args, key) is not None}
+        config = parse_config({**config.to_dict(), **overrides})
         if args.command == "kernels":
             write_kernel_csv(config, args.out, args.bath)
         elif args.command == "stroke":
@@ -64,7 +68,6 @@ def main(argv=None) -> int:
                 raise ConfigError("rho00: expected a ground-state population in [0, 1]")
             write_trace_csv(config, args.out, args.bath, args.rho00)
         elif args.command == "cycle":
-            require_scalar_times(config)
             report = run_cycle(config)
             write_cycle_csv(report, args.out)
             if args.json_out:
@@ -76,14 +79,12 @@ def main(argv=None) -> int:
         elif args.command == "phase":
             run_phase(config, args.out)
     except ConfigError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc),
-                   "context": {"config": args.config}}, sys.stderr)
-        sys.stderr.write("\n")
+        _fail({"error": type(exc).__name__, "message": str(exc),
+               "context": {"config": args.config}})
         return 2
     except (NmottoError, ArithmeticError, OSError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc),
-                   "context": {"config": args.config, "command": args.command}}, sys.stderr)
-        sys.stderr.write("\n")
+        _fail({"error": type(exc).__name__, "message": str(exc),
+               "context": {"config": args.config, "command": args.command}})
         return 1
     return 0
 

@@ -1,5 +1,13 @@
 """Run configuration: strict JSON parsing and validation.
 
+The field list of `RunConfig` is the schema.  Each field declares the parser
+of its JSON key (`_key(parser)`), and a field with no default is a required
+key.  `parse_config`, its unknown-key check and `RunConfig.to_dict` all read
+that one list, so no key can be parsed but not echoed, or echoed but not
+parsed.  Nested objects (`SweepRange`, `TimeBox`, `Tolerances`) go through
+the same `_object` check, and every error names the full key path, e.g.
+`t_h.min` or `tolerances.sign_zero`.
+
 Unknown keys are errors; sweeps are expensive and a silently misspelled
 physics parameter is worse than a rejected file.
 """
@@ -8,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Union
 
 from .errors import ConfigError
@@ -31,6 +39,9 @@ class SweepRange:
         step = (self.hi - self.lo) / (self.n - 1)
         return [self.lo + i * step for i in range(self.n)]
 
+    def to_dict(self) -> dict:
+        return {"min": self.lo, "max": self.hi, "n": self.n}
+
 
 @dataclass(frozen=True)
 class TimeBox:
@@ -42,31 +53,124 @@ class TimeBox:
         step = self.t_max / self.n
         return [step * (i + 1) for i in range(self.n)]
 
+    def to_dict(self) -> dict:
+        return {"t_max": self.t_max, "n": self.n}
+
 
 @dataclass(frozen=True)
 class Tolerances:
     sign_zero: float = 1e-12
 
+    def to_dict(self) -> dict:
+        return {"sign_zero": self.sign_zero}
+
+
+# Parsers: `parse(value, path)` turns the JSON value found at `path` into the
+# field's value or raises a ConfigError that names `path`.
+
+def _number(value, path: str, positive: bool = True) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}: must be finite") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    if positive and value <= 0.0:
+        raise ConfigError(f"{path}: must be > 0")
+    if value < 0.0:
+        raise ConfigError(f"{path}: must be >= 0")
+    return value
+
+
+def _coupling(value, path: str) -> float:
+    return _number(value, path, positive=False)
+
+
+def _count(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{path}: expected an integer >= 1")
+    return value
+
+
+def _dynamics(value, path: str) -> str:
+    if value not in DYNAMICS:
+        raise ConfigError(f"{path}: must be one of {DYNAMICS}, got {value!r}")
+    return value
+
+
+def _object(value, path: str, required: dict, optional: dict) -> dict:
+    """Parse a JSON object whose keys map to parsers in `required`/`optional`."""
+    where = path or "config root"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = value.keys() - required.keys() - optional.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    parsed = {}
+    for key, parse in (*required.items(), *optional.items()):
+        key_path = f"{path}.{key}" if path else key
+        if key in value:
+            parsed[key] = parse(value[key], key_path)
+        elif key in required:
+            raise ConfigError(f"{key_path}: missing required value")
+    return parsed
+
+
+def _range(value, path: str) -> SweepRange:
+    keys = _object(value, path, {"min": _number, "max": _number, "n": _count}, {})
+    rng = SweepRange(lo=keys["min"], hi=keys["max"], n=keys["n"])
+    if rng.hi < rng.lo:
+        raise ConfigError(f"{path}: max must be >= min")
+    if rng.n == 1 and rng.hi != rng.lo:
+        raise ConfigError(f"{path}: n=1 requires min == max")
+    return rng
+
+
+def _time(value, path: str) -> Union[float, SweepRange]:
+    return _range(value, path) if isinstance(value, dict) else _number(value, path)
+
+
+def _ratio(value, path: str) -> SweepRange:
+    rng = _range(value, path)
+    if not rng.hi < 1.0:  # min > 0 is checked by _number
+        raise ConfigError(f"{path}: ratios must lie strictly inside (0, 1)")
+    return rng
+
+
+def _time_box(value, path: str) -> TimeBox:
+    return TimeBox(**_object(value, path, {"t_max": _number, "n": _count}, {}))
+
+
+def _tolerances(value, path: str) -> Tolerances:
+    return Tolerances(**_object(value, path, {}, {"sign_zero": _number}))
+
+
+def _key(parse, default=MISSING):
+    """A config key whose JSON value `parse(value, path)` turns into the field."""
+    return field(default=default, metadata={"parse": parse})
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    omega_h: float
-    T_h: float
-    lambda_h: float
-    lambda_c: float
-    Omega_h: float
-    Omega_c: float
-    omega_c: Optional[float] = None
-    T_c: Optional[float] = None
-    t_h: Union[float, SweepRange, None] = None
-    t_c: Union[float, SweepRange, None] = None
-    h: Optional[float] = None
-    dynamics: str = "tcl2"
-    workers: int = 1
-    omega_ratio: Optional[SweepRange] = None
-    T_ratio: Optional[SweepRange] = None
-    t_box: Optional[TimeBox] = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    omega_h: float = _key(_number)
+    T_h: float = _key(_number)
+    lambda_h: float = _key(_coupling)
+    lambda_c: float = _key(_coupling)
+    Omega_h: float = _key(_number)
+    Omega_c: float = _key(_number)
+    omega_c: Optional[float] = _key(_number, None)
+    T_c: Optional[float] = _key(_number, None)
+    t_h: Union[float, SweepRange, None] = _key(_time, None)
+    t_c: Union[float, SweepRange, None] = _key(_time, None)
+    h: Optional[float] = _key(_number, None)
+    dynamics: str = _key(_dynamics, "tcl2")
+    workers: int = _key(_count, 1)
+    omega_ratio: Optional[SweepRange] = _key(_ratio, None)
+    T_ratio: Optional[SweepRange] = _key(_ratio, None)
+    t_box: Optional[TimeBox] = _key(_time_box, None)
+    tolerances: Tolerances = _key(_tolerances, Tolerances())
 
     def hot_bath(self) -> BathSpec:
         return BathSpec("hot", self.lambda_h, self.Omega_h, self.T_h)
@@ -77,171 +181,26 @@ class RunConfig:
         return BathSpec("cold", self.lambda_c, self.Omega_c, self.T_c)
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "omega_h": self.omega_h,
-            "T_h": self.T_h,
-            "lambda_h": self.lambda_h,
-            "lambda_c": self.lambda_c,
-            "Omega_h": self.Omega_h,
-            "Omega_c": self.Omega_c,
-            "dynamics": self.dynamics,
-            "workers": self.workers,
-        }
-        if self.omega_c is not None:
-            out["omega_c"] = self.omega_c
-        if self.T_c is not None:
-            out["T_c"] = self.T_c
-        for name, value in (("t_h", self.t_h), ("t_c", self.t_c)):
-            if isinstance(value, SweepRange):
-                out[name] = {"min": value.lo, "max": value.hi, "n": value.n}
-            elif value is not None:
-                out[name] = value
-        if self.h is not None:
-            out["h"] = self.h
-        for name, rng in (("omega_ratio", self.omega_ratio), ("T_ratio", self.T_ratio)):
-            if rng is not None:
-                out[name] = {"min": rng.lo, "max": rng.hi, "n": rng.n}
-        if self.t_box is not None:
-            out["t_box"] = {"t_max": self.t_box.t_max, "n": self.t_box.n}
-        out["tolerances"] = {"sign_zero": self.tolerances.sign_zero}
+        """The config as JSON data, unset keys left out: parse_config inverts it."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = value.to_dict() if is_dataclass(value) else value
         return out
 
 
-_TOP_KEYS = {
-    "omega_h", "omega_c", "T_h", "T_c", "lambda_h", "lambda_c", "Omega_h", "Omega_c",
-    "t_h", "t_c", "h", "dynamics", "workers", "omega_ratio", "T_ratio",
-    "t_box", "tolerances",
-}
-
-
-def _require_number(data: dict, key: str, positive: bool = True) -> float:
-    if key not in data:
-        raise ConfigError(f"{key}: missing required value")
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite")
-    if positive and value <= 0.0:
-        raise ConfigError(f"{key}: must be > 0")
-    return value
-
-
-def _optional_number(data: dict, key: str, positive: bool = True) -> Optional[float]:
-    return _require_number(data, key, positive) if key in data else None
-
-
-def _parse_range(value, key: str) -> SweepRange:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected an object with min/max/n")
-    extra = set(value) - {"min", "max", "n"}
-    if extra:
-        raise ConfigError(f"{key}: unknown key(s) {sorted(extra)}")
-    lo = _require_number(value, "min")
-    hi = _require_number(value, "max")
-    n = value.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"{key}.n: expected an integer >= 1")
-    if hi < lo:
-        raise ConfigError(f"{key}: max must be >= min")
-    if n == 1 and hi != lo:
-        raise ConfigError(f"{key}: n=1 requires min == max")
-    return SweepRange(lo=lo, hi=hi, n=n)
-
-
-def _parse_time(data: dict, key: str) -> Union[float, SweepRange, None]:
-    if key not in data:
-        return None
-    value = data[key]
-    if isinstance(value, dict):
-        return _parse_range(value, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number or a min/max/n object")
-    t = float(value)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ConfigError(f"{key}: must be finite and > 0")
-    return t
+_REQUIRED = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.default is MISSING}
+_OPTIONAL = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def parse_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-
-    omega_h = _require_number(data, "omega_h")
-    t_hot = _require_number(data, "T_h")
-    omega_c = _optional_number(data, "omega_c")
-    t_cold = _optional_number(data, "T_c")
-    if omega_c is not None and not omega_h > omega_c:
+    config = RunConfig(**_object(data, "", _REQUIRED, _OPTIONAL))
+    if config.omega_c is not None and not config.omega_h > config.omega_c:
         raise ConfigError("omega_c: must satisfy omega_h > omega_c > 0")
-    if t_cold is not None and not t_hot > t_cold:
+    if config.T_c is not None and not config.T_h > config.T_c:
         raise ConfigError("T_c: must satisfy T_h > T_c > 0")
-
-    lambda_h = _require_number(data, "lambda_h", positive=False)
-    lambda_c = _require_number(data, "lambda_c", positive=False)
-    if lambda_h < 0.0 or lambda_c < 0.0:
-        raise ConfigError("coupling constants must be >= 0")
-
-    dynamics = data.get("dynamics", "tcl2")
-    if dynamics not in DYNAMICS:
-        raise ConfigError(f"dynamics: must be one of {DYNAMICS}, got {dynamics!r}")
-
-    workers = data.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError("workers: expected an integer >= 1")
-
-    tolerances = Tolerances()
-    if "tolerances" in data:
-        tball = data["tolerances"]
-        if not isinstance(tball, dict):
-            raise ConfigError("tolerances: expected an object")
-        extra = set(tball) - {"sign_zero"}
-        if extra:
-            raise ConfigError(f"tolerances: unknown key(s) {sorted(extra)}")
-        if "sign_zero" in tball:
-            tolerances = Tolerances(sign_zero=_require_number(tball, "sign_zero"))
-
-    t_box = None
-    if "t_box" in data:
-        box = data["t_box"]
-        if not isinstance(box, dict):
-            raise ConfigError("t_box: expected an object with t_max/n")
-        extra = set(box) - {"t_max", "n"}
-        if extra:
-            raise ConfigError(f"t_box: unknown key(s) {sorted(extra)}")
-        n = box.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError("t_box.n: expected an integer >= 1")
-        t_box = TimeBox(t_max=_require_number(box, "t_max"), n=n)
-
-    for key in ("omega_ratio", "T_ratio"):
-        if key in data:
-            rng = _parse_range(data[key], key)
-            if not (0.0 < rng.lo and rng.hi < 1.0):
-                raise ConfigError(f"{key}: ratios must lie strictly inside (0, 1)")
-
-    return RunConfig(
-        omega_h=omega_h,
-        omega_c=omega_c,
-        T_h=t_hot,
-        T_c=t_cold,
-        lambda_h=lambda_h,
-        lambda_c=lambda_c,
-        Omega_h=_require_number(data, "Omega_h"),
-        Omega_c=_require_number(data, "Omega_c"),
-        t_h=_parse_time(data, "t_h"),
-        t_c=_parse_time(data, "t_c"),
-        h=_optional_number(data, "h"),
-        dynamics=dynamics,
-        workers=workers,
-        omega_ratio=_parse_range(data["omega_ratio"], "omega_ratio") if "omega_ratio" in data else None,
-        T_ratio=_parse_range(data["T_ratio"], "T_ratio") if "T_ratio" in data else None,
-        t_box=t_box,
-        tolerances=tolerances,
-    )
+    return config
 
 
 def load_config(path: str) -> RunConfig:
@@ -250,7 +209,7 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 

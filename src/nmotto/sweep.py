@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -139,9 +140,21 @@ def _cell_row(ctx: CycleContext, cell: tuple[float, float]) -> list[str]:
         return _error_row(t_h, t_c, exc)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map(fn, items: list, workers: int) -> list:
-    """`fn` over `items` in input order, across `workers` processes if > 1."""
-    if workers <= 1 or len(items) < 2:
+    """`fn` over `items` in input order, across up to `workers` processes.
+
+    The pool is capped at the item count and the usable CPUs: a fork-context
+    pool starts all its processes up front, whatever `workers` asks for.
+    """
+    workers = min(workers, len(items), _usable_cpus())
+    if workers <= 1:
         return list(map(fn, items))
     try:
         mp_ctx = multiprocessing.get_context("fork")

@@ -156,6 +156,42 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("text", [
+        json.dumps(base_config_dict(t_c=10**400)),   # beyond the float range
+        '{"t_c": 1' + "0" * 5000 + "}",              # too many digits to read
+        b'{"omega_h": 1\xff}',                       # not UTF-8
+    ], ids=["huge_int", "long_int", "bad_utf8"])
+    def test_bad_json_value_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        assert main(["cycle", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ConfigError"
+
+    def test_unknown_dynamics_exits_2(self, config_path, tmp_path, capsys):
+        assert main(["cycle", "--config", config_path, "--out", str(tmp_path / "x.csv"),
+                     "--dynamics", "exact"]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert summary["message"].startswith("dynamics: ")
+
+    # argparse rejects these before any file is opened
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--config", "c.json", "--out", "x.csv", "--workers", "abc"],
+        ["cycle", "--out", "x.csv"],
+        ["cycle", "--config", "c.json", "--out", "x.csv", "--frobnicate"],
+        [],
+    ], ids=["workers_not_int", "no_config", "unknown_flag", "no_command"])
+    def test_usage_error_is_json(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
 
 def test_import_emits_no_warning():
     src = os.path.dirname(os.path.dirname(os.path.abspath(nmotto.__file__)))

@@ -1,8 +1,12 @@
 import csv
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nmotto as nm
 from nmotto.config import parse_config, sweep_axes
@@ -10,6 +14,30 @@ from nmotto.errors import ConfigError
 from nmotto.sweep import CSV_HEADER, run_cycle, run_phase, run_sweep, write_cycle_csv
 
 from conftest import base_config_dict
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+PHASE_WITH_TOLERANCES = {
+    "omega_h": 1.0, "T_h": 1.0,
+    "lambda_h": 0.01, "lambda_c": 0.0, "Omega_h": 0.4, "Omega_c": 0.4,
+    "omega_ratio": {"min": 0.3, "max": 0.7, "n": 3},
+    "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
+    "t_box": {"t_max": 60.0, "n": 4},
+    "h": 0.1, "dynamics": "markov", "workers": 3,
+    "tolerances": {"sign_zero": 1e-9},
+}
+
+# JSON-like values: numbers of every size (NaN, inf and integers far beyond
+# the float range included), strings, lists and objects with schema sub-keys.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=-10**400, max_value=10**400)
+                 | st.floats() | st.floats(min_value=0.0, max_value=2.0) | st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["min", "max", "n", "t_max", "sign_zero", "other"]), inner, max_size=4),
+    max_leaves=8)
+_CONFIG_KEYS = st.sampled_from([f.name for f in fields(nm.RunConfig)])
 
 
 class TestConfigParsing:
@@ -79,6 +107,47 @@ class TestConfigParsing:
     def test_scalar_axes(self):
         cfg = parse_config(base_config_dict())
         assert sweep_axes(cfg) == ([60.0], [10.0])
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("t_h", {"max": 5.0, "n": 3}, "t_h.min"),
+        ("t_box", {"t_max": -1.0, "n": 2}, "t_box.t_max"),
+        ("omega_ratio", {"min": 0.0, "max": 0.5, "n": 2}, "omega_ratio.min"),
+        ("tolerances", {"sign_zero": -1.0}, "tolerances.sign_zero"),
+        ("lambda_h", -1.0, "lambda_h"),
+    ], ids=["t_h.min", "t_box.t_max", "omega_ratio.min", "tolerances.sign_zero", "lambda_h"])
+    def test_error_names_full_key_path(self, key, value, path):
+        with pytest.raises(ConfigError, match="^" + re.escape(path + ": ")):
+            parse_config(base_config_dict(**{key: value}))
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("omega_h", 10**400, "omega_h"),
+        ("t_c", 10**400, "t_c"),
+        ("lambda_c", -10**400, "lambda_c"),
+        ("t_h", {"min": 1.0, "max": 10**400, "n": 2}, "t_h.max"),
+    ], ids=["omega_h", "t_c", "lambda_c", "t_h.max"])
+    def test_integer_beyond_float_range(self, key, value, path):
+        with pytest.raises(ConfigError, match="^" + re.escape(path + ": must be finite")):
+            parse_config(base_config_dict(**{key: value}))
+
+    @pytest.mark.parametrize("data", [
+        *(json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))),
+        PHASE_WITH_TOLERANCES,
+    ], ids=[*(path.name for path in sorted(CONFIGS.glob("*.json"))), "phase_with_tolerances"])
+    def test_echo_round_trip(self, data):
+        cfg = parse_config(data)
+        echo = cfg.to_dict()
+        assert data.items() <= echo.items()  # the echo drops no key
+        assert parse_config(echo) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(overrides=st.dictionaries(_CONFIG_KEYS, _JSON_SCALARS | _JSON_VALUES, max_size=4),
+           root=_JSON_VALUES)
+    def test_any_json_input_fails_only_as_config_error(self, overrides, root):
+        for data in (base_config_dict(**overrides), root):
+            try:
+                parse_config(data)
+            except ConfigError:
+                pass
 
 
 class TestRunCycle:
@@ -194,6 +263,37 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="unsupported operand"):
             run_sweep(small_cfg, str(out), workers=1)
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers, n_items, cpus, pool_size", [
+        (100000, 6, 4, 4),     # capped by the usable CPUs
+        (100000, 3, 64, 3),    # capped by the item count
+        (3, 6, 64, 3),         # as asked
+        (100000, 6, 1, None),  # one CPU: serial, no pool
+        (100000, 1, 64, None), # one item: serial, no pool
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, n_items, cpus, pool_size):
+        # a stand-in pool that maps serially: no process is ever started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(nm.sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(nm.sweep.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        items = list(range(-n_items, 0))
+        assert nm.sweep._map(abs, items, workers) == [abs(i) for i in items]
+        assert sizes == ([] if pool_size is None else [pool_size])
 
 
 class TestRunPhase:
