@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Union
 
 from .errors import ConfigError
-from .kernels import BathSpec
+from .kernels import MAX_GRID_NODES, BathSpec
 
 __all__ = ["SweepRange", "TimeBox", "Tolerances", "RunConfig", "parse_config", "load_config"]
 
@@ -89,8 +89,9 @@ def _coupling(value, path: str) -> float:
 
 
 def _count(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{path}: expected an integer >= 1")
+    # Bounded like a grid's node count: a larger count cannot be run anyway.
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_GRID_NODES:
+        raise ConfigError(f"{path}: expected an integer in [1, {MAX_GRID_NODES}]")
     return value
 
 

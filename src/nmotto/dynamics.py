@@ -34,21 +34,9 @@ _EXP_GUARD = 500.0
 class PopulationTrace:
     """Ground-state population over one stroke; rho11 is implicitly 1 - rho00."""
 
-    grid: KernelGrid
-    initial: float
-    t: float
     tau: np.ndarray
     rho00: np.ndarray
     value_at_t: float
-
-
-def _interp(values: np.ndarray, step: float, t: float) -> float:
-    pos = t / step
-    i = int(pos)
-    if i >= values.shape[0] - 1:
-        return float(values[-1])
-    frac = pos - i
-    return float((1.0 - frac) * values[i] + frac * values[i + 1])
 
 
 def _node_floor(step: float, t: float, n: int) -> int:
@@ -108,9 +96,24 @@ def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
 def _validate_t(grid: KernelGrid, t: float) -> float:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
-    if t > grid.t_max + 1e-9 * grid.step:
-        raise ValueError(f"t={t:g} exceeds grid t_max={grid.t_max:g}")
-    return min(t, grid.t_max)
+    t_max = grid.t_max
+    if t > t_max + 1e-9 * grid.step:
+        raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
+    return min(t, t_max)
+
+
+def _stroke_end(grid: KernelGrid, t: float, tables: tuple[np.ndarray, ...]) -> tuple[float, ...]:
+    """Each full-grid table of `tables` read at stroke time t.
+
+    The only off-node read: linear between the bracketing nodes, the last
+    node at and past t_max (t may exceed it by rounding, see _validate_t).
+    """
+    pos = _validate_t(grid, t) / grid.step
+    i = int(pos)
+    if i >= grid.n_points - 1:
+        return tuple([float(values[-1]) for values in tables])
+    frac = pos - i
+    return tuple([float((1.0 - frac) * values[i] + frac * values[i + 1]) for values in tables])
 
 
 def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTrace:
@@ -126,11 +129,10 @@ def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTra
     k = _node_floor(grid.step, t, grid.n_points)
     checked = min(k + 1, grid.n_points - 1)
     _check_positivity(full[: checked + 1], grid)
-    value = _interp(full, grid.step, t)
+    (value,) = _stroke_end(grid, t, (full,))
     rho = full[: k + 1]
     rho.setflags(write=False)
-    return PopulationTrace(grid=grid, initial=float(initial_rho00), t=t,
-                           tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)
+    return PopulationTrace(tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)
 
 
 _transition_cache: WeakKeyDictionary = WeakKeyDictionary()
@@ -153,6 +155,4 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def transition_populations(grid: KernelGrid, t: float) -> tuple[float, float]:
     """(rho_{0,00}(t), rho_{1,00}(t)): stroke-end populations from |0> and |1>."""
-    t = _validate_t(grid, t)
-    from_ground, from_excited = transition_traces(grid)
-    return _interp(from_ground, grid.step, t), _interp(from_excited, grid.step, t)
+    return _stroke_end(grid, t, transition_traces(grid))

@@ -32,7 +32,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .cycle import CycleReport, assemble_report
-from .dynamics import _interp, _validate_t, transition_traces
+from .dynamics import _stroke_end, _validate_t, transition_traces
 from .kernels import BathSpec, KernelGrid, bose_occupation, spectral_density
 from .limit_cycle import LimitCycleState, fixed_point_from_populations
 from .special import cumulative_simpson, simpson
@@ -101,13 +101,7 @@ def _bath_flow_tables(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
 def bath_energy_change(lc: LimitCycleState, label: str, omega: float,
                        grid: KernelGrid, t: float) -> float:
     """Bath energy change of one stroke, closing the balance with dE_S and dE_I."""
-    if not math.isclose(grid.omega0, omega, rel_tol=1e-12):
-        raise ValueError(f"grid was built for omega0={grid.omega0:g}, not {omega:g}")
-    t = _validate_t(grid, t)
-    p_enter, _, _ = _entry(lc, label)
-    base, pop = _bath_flow_tables(grid)
-    flow = _interp(base, grid.step, t) + p_enter * _interp(pop, grid.step, t)
-    return -qubit_energy_change(lc, label, omega) + flow
+    return stroke_energetics(lc, label, omega, grid, t).dE_B
 
 
 def interaction_energy_change(dE_S: float, dE_B: float) -> float:
@@ -137,9 +131,13 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid, t
 
 def stroke_energetics(lc: LimitCycleState, label: str, omega: float,
                       grid: KernelGrid, t: float) -> StrokeEnergetics:
-    """dE_S, dE_B, dE_I of one stroke as a unit."""
-    des = qubit_energy_change(lc, label, omega)
-    deb = bath_energy_change(lc, label, omega, grid, t)
+    """dE_S, dE_B, dE_I of one stroke as a unit: the only stroke balance."""
+    if not math.isclose(grid.omega0, omega, rel_tol=1e-12):
+        raise ValueError(f"grid was built for omega0={grid.omega0:g}, not {omega:g}")
+    p_enter, after, entering = _entry(lc, label)
+    base, pop = _stroke_end(grid, t, _bath_flow_tables(grid))
+    des = omega * (after - entering)
+    deb = -des + (base + p_enter * pop)
     return StrokeEnergetics(label=label, dE_S=des, dE_B=deb,
                             dE_I=interaction_energy_change(des, deb))
 

@@ -39,13 +39,6 @@ class LimitCycleState:
     rho00_c: float
     rho11_c: float
     p0: float
-    p_h: float
-    p_c: float
-    # Stroke-end transition populations, kept for the energetics integrals.
-    r0_h: float
-    r1_h: float
-    r0_c: float
-    r1_c: float
 
     @property
     def entering_rho11_h(self) -> float:
@@ -81,8 +74,7 @@ def fixed_point_from_populations(r0_h: float, r1_h: float, r0_c: float, r1_c: fl
         P_h=big_p_h, P_c=big_p_c,
         rho00_h=rho00_h, rho11_h=1.0 - rho00_h,
         rho00_c=rho00_c, rho11_c=1.0 - rho00_c,
-        p0=p0, p_h=p_h, p_c=p_c,
-        r0_h=r0_h, r1_h=r1_h, r0_c=r0_c, r1_c=r1_c,
+        p0=p0,
     )
 
 

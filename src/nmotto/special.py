@@ -1,10 +1,11 @@
 """Numerical primitives: complex trigamma and Simpson quadrature.
 
-Trigamma uses the classic scheme: upward recurrence psi'(z) = psi'(z+1) + 1/z^2
-until Re z >= 10, then the asymptotic series with Bernoulli numbers through
-B12.  Both are vectorised numpy.  Quadrature is composite Simpson; the
-cumulative-prefix variant returns the running integral at every node of a
-uniform grid and is shared by the kernel tables and the stroke propagation.
+Trigamma uses the classic scheme: upward recurrence psi'(z) = psi'(z+1) + 1/z^2,
+stepping every point until all have Re z >= 10, then the asymptotic series
+with Bernoulli numbers through B12.  Both are vectorised numpy.  Quadrature
+is composite Simpson; the cumulative-prefix variant returns the running
+integral at every node of a uniform grid and is shared by the kernel tables
+and the stroke propagation.
 """
 
 from __future__ import annotations
@@ -41,20 +42,21 @@ def trigamma_values(z) -> np.ndarray:
     """psi'(z) = sum_{k>=0} 1/(z+k)^2 for an array of complex arguments."""
     zc = np.asarray(z, dtype=np.complex128)
     flat = np.ascontiguousarray(zc.ravel())
+    if not np.isfinite(flat).all():
+        raise ValueError("trigamma arguments must be finite")
     nearest = np.rint(flat.real)
     at_pole = (nearest <= 0.0) & (np.abs(flat - nearest) < _POLE_TOL)
     if at_pole.any():
         bad = flat[at_pole][0]
         raise PoleError(f"trigamma pole at z = {bad} (nonpositive integer)")
-    # Upward recurrence until Re w >= 10, then the asymptotic series.
+    # Upward recurrence until every Re w >= 10, then the asymptotic series.
+    # All points step together: on a kernel grid Re z is one value, and a
+    # point already past 10 only gains exact recurrence terms.
     w = flat.copy()
     acc = np.zeros_like(w)
-    active = w.real < _ASYMPTOTIC_RE
-    while active.any():
-        zw = w[active]
-        acc[active] += 1.0 / (zw * zw)
-        w[active] = zw + 1.0
-        active = w.real < _ASYMPTOTIC_RE
+    while w.size and w.real.min() < _ASYMPTOTIC_RE:
+        acc += 1.0 / (w * w)
+        w += 1.0
     r = 1.0 / w
     r2 = r * r
     poly = _B12

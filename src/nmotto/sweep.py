@@ -164,11 +164,16 @@ def _map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
 
 
-def _write_csv(path: str, header: str, rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)
+
+
+def _write_columns(path: str, header: str, *columns) -> None:
+    """Equal-length float arrays as CSV columns, streamed row by row."""
+    _write_csv(path, header, (map(_fmt, row) for row in zip(*(c.tolist() for c in columns))))
 
 
 def run_sweep(config: RunConfig, out_path: str, workers: Optional[int] = None) -> list[list[str]]:
@@ -256,12 +261,7 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
     bath, omega, t_max = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t_max, config.h)
-    rows = [
-        [_fmt(float(grid.tau[i])), _fmt(float(grid.D1[i])), _fmt(float(grid.D2[i])),
-         _fmt(float(grid.a[i])), _fmt(float(grid.b[i])), _fmt(float(grid.A[i]))]
-        for i in range(grid.n_points)
-    ]
-    _write_csv(path, "tau,D1,D2,a,b,A", rows)
+    _write_columns(path, "tau,D1,D2,a,b,A", grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A)
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
@@ -269,8 +269,4 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
     bath, omega, t = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t, config.h)
     trace = propagate(initial_rho00, grid, t)
-    rows = [
-        [_fmt(float(trace.tau[i])), _fmt(float(trace.rho00[i]))]
-        for i in range(trace.tau.shape[0])
-    ]
-    _write_csv(path, "tau,rho00", rows)
+    _write_columns(path, "tau,rho00", trace.tau, trace.rho00)

@@ -37,16 +37,32 @@ _TRACE_TOL = 1e-12
 _EIGEN_TOL = 1e-10
 
 
+# The system, clock and storage bits of every basis index.
+_I = np.arange(DIM)
+_S = _I >> 2
+_C = (_I >> 1) & 1
+_W = _I & 1
+
+# The expansion quench as an involution of basis indices: at s=0 the clock
+# flips; at s=1, |100> <-> |111> books omega_h - omega_c in the storage and
+# |101>, |110> stay.
+_EXPANSION_PERM = _I ^ np.where(_S == 0, 0b010, np.where(_C == _W, 0b011, 0))
+
+
 def _index(s: int, c: int, w: int) -> int:
     return 4 * s + 2 * c + w
 
 
 def _storage_projector(w: int) -> np.ndarray:
-    diag = np.zeros(DIM)
-    for s in (0, 1):
-        for c in (0, 1):
-            diag[_index(s, c, w)] = 1.0
-    return np.diag(diag)
+    return np.diag((_W == w).astype(float))
+
+
+def _pre_quench(rho11: float, rho00: float, w0: int) -> np.ndarray:
+    """Diagonal qubit state, clock in |0>, storage in level w0."""
+    rho = np.zeros((DIM, DIM), dtype=np.complex128)
+    rho[_index(0, 0, w0), _index(0, 0, w0)] = rho00
+    rho[_index(1, 0, w0), _index(1, 0, w0)] = rho11
+    return rho
 
 
 @dataclass(frozen=True)
@@ -114,16 +130,9 @@ def build_hamiltonian(omega_h: float, omega_c: float, direction: str = EXPANSION
         raise ValueError("frequencies must satisfy omega_h > omega_c > 0")
     if direction not in (EXPANSION, COMPRESSION):
         raise ValueError(f"direction must be {EXPANSION!r} or {COMPRESSION!r}")
-    before = omega_h if direction == EXPANSION else omega_c
-    after = omega_c if direction == EXPANSION else omega_h
-    sc = np.zeros(DIM)
-    st = np.zeros(DIM)
-    for s in (0, 1):
-        for c in (0, 1):
-            for w in (0, 1):
-                i = _index(s, c, w)
-                sc[i] = s * (before if c == 0 else after)
-                st[i] = (omega_h - omega_c) * w
+    before, after = (omega_h, omega_c) if direction == EXPANSION else (omega_c, omega_h)
+    sc = _S * np.where(_C == 0, float(before), float(after))
+    st = float(omega_h - omega_c) * _W
     return TripartiteHamiltonian(omega_h=float(omega_h), omega_c=float(omega_c),
                                  direction=direction,
                                  system_clock=np.diag(sc), storage=np.diag(st))
@@ -135,29 +144,11 @@ def build_unitary(direction: str = EXPANSION) -> np.ndarray:
     Expansion pairs: |000><010|+h.c., |100><111|+h.c., |001><011|+h.c.,
     with |110> and |101> fixed.  Compression is the storage-flipped mirror.
     """
-    u = np.zeros((DIM, DIM))
-    pairs = [((0, 0, 0), (0, 1, 0)), ((1, 0, 0), (1, 1, 1)), ((0, 0, 1), (0, 1, 1))]
-    fixed = [(1, 1, 0), (1, 0, 1)]
-    for a, b in pairs:
-        u[_index(*b), _index(*a)] = 1.0
-        u[_index(*a), _index(*b)] = 1.0
-    for a in fixed:
-        u[_index(*a), _index(*a)] = 1.0
     if direction == EXPANSION:
-        return u
+        return np.eye(DIM)[_EXPANSION_PERM]
     if direction == COMPRESSION:
-        flip = _storage_flip()
-        return flip @ u @ flip
+        return np.eye(DIM)[_EXPANSION_PERM[_I ^ 1] ^ 1]
     raise ValueError(f"direction must be {EXPANSION!r} or {COMPRESSION!r}")
-
-
-def _storage_flip() -> np.ndarray:
-    x = np.zeros((DIM, DIM))
-    for s in (0, 1):
-        for c in (0, 1):
-            x[_index(s, c, 0), _index(s, c, 1)] = 1.0
-            x[_index(s, c, 1), _index(s, c, 0)] = 1.0
-    return x
 
 
 def apply_extraction(rho11: float, rho00: float, hamiltonian: TripartiteHamiltonian) -> TripartiteState:
@@ -170,10 +161,7 @@ def apply_extraction(rho11: float, rho00: float, hamiltonian: TripartiteHamilton
         raise ValueError("qubit populations must sum to 1")
     if rho11 < -_TRACE_TOL or rho00 < -_TRACE_TOL:
         raise ValueError("qubit populations must be nonnegative")
-    w0 = hamiltonian.initial_storage_level
-    rho = np.zeros((DIM, DIM), dtype=np.complex128)
-    rho[_index(0, 0, w0), _index(0, 0, w0)] = rho00
-    rho[_index(1, 0, w0), _index(1, 0, w0)] = rho11
+    rho = _pre_quench(rho11, rho00, hamiltonian.initial_storage_level)
     u = build_unitary(hamiltonian.direction)
     return TripartiteState(u @ rho @ u.conj().T)
 
@@ -231,11 +219,7 @@ def verify_conservation(hamiltonian: TripartiteHamiltonian, unitary: np.ndarray,
     level1_max = 0.0
     for rho11 in rho11_samples:
         state = apply_extraction(rho11, 1.0 - rho11, hamiltonian)
-        # Rebuild the pre-quench state for the balance.
-        w0 = hamiltonian.initial_storage_level
-        before = np.zeros((DIM, DIM), dtype=np.complex128)
-        before[_index(0, 0, w0), _index(0, 0, w0)] = 1.0 - rho11
-        before[_index(1, 0, w0), _index(1, 0, w0)] = rho11
+        before = _pre_quench(rho11, 1.0 - rho11, hamiltonian.initial_storage_level)
         outcome = measure_storage(state, hamiltonian)
         e_before = float(np.trace(h_sc @ before).real)
         e_after = float(np.trace(h_sc @ state.matrix).real)
@@ -248,10 +232,8 @@ def verify_conservation(hamiltonian: TripartiteHamiltonian, unitary: np.ndarray,
     w0 = hamiltonian.initial_storage_level
     sc_diag = np.diag(h_sc).real
     for s in (0, 1):
-        idx = _index(s, 0, w0)
-        h_x = sc_diag[idx]
-        pure = np.zeros((DIM, DIM), dtype=np.complex128)
-        pure[idx, idx] = 1.0
+        h_x = sc_diag[_index(s, 0, w0)]
+        pure = _pre_quench(float(s), 1.0 - s, w0)
         evolved = unitary @ pure @ unitary.conj().T
         for w in (0, 1):
             proj = _storage_projector(w)

@@ -151,6 +151,20 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == "FloatingPointError"
 
+    def test_huge_count_exits_2(self, tmp_path, capsys):
+        # a count beyond the float range used to escape as an OverflowError
+        data = base_config_dict(t_h={"min": 10.0, "max": 120.0, "n": 10**400})
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        summary = json.loads(err)
+        assert summary["error"] == "ConfigError"
+        assert summary["message"].startswith("t_h.n: ")
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["cycle", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2

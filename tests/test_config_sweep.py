@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import nmotto as nm
 from nmotto.config import parse_config, sweep_axes
 from nmotto.errors import ConfigError
+from nmotto.kernels import MAX_GRID_NODES
 from nmotto.sweep import CSV_HEADER, run_cycle, run_phase, run_sweep, write_cycle_csv
 
 from conftest import base_config_dict
@@ -114,10 +115,23 @@ class TestConfigParsing:
         ("omega_ratio", {"min": 0.0, "max": 0.5, "n": 2}, "omega_ratio.min"),
         ("tolerances", {"sign_zero": -1.0}, "tolerances.sign_zero"),
         ("lambda_h", -1.0, "lambda_h"),
-    ], ids=["t_h.min", "t_box.t_max", "omega_ratio.min", "tolerances.sign_zero", "lambda_h"])
+        ("t_h", {"min": 1.0, "max": 5.0, "n": 10**400}, "t_h.n"),
+        ("t_c", {"min": 1.0, "max": 5.0, "n": MAX_GRID_NODES + 1}, "t_c.n"),
+        ("omega_ratio", {"min": 0.3, "max": 0.7, "n": 10**400}, "omega_ratio.n"),
+        ("t_box", {"t_max": 120.0, "n": MAX_GRID_NODES + 1}, "t_box.n"),
+        ("workers", 10**400, "workers"),
+    ], ids=["t_h.min", "t_box.t_max", "omega_ratio.min", "tolerances.sign_zero", "lambda_h",
+            "t_h.n", "t_c.n", "omega_ratio.n", "t_box.n", "workers"])
     def test_error_names_full_key_path(self, key, value, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path + ": ")):
             parse_config(base_config_dict(**{key: value}))
+
+    def test_counts_are_bounded_by_the_grid_node_limit(self):
+        cfg = parse_config(base_config_dict(t_h={"min": 1.0, "max": 5.0, "n": MAX_GRID_NODES},
+                                            workers=MAX_GRID_NODES))
+        assert cfg.t_h.n == cfg.workers == MAX_GRID_NODES
+        with pytest.raises(ConfigError, match=re.escape("t_h.n: expected an integer in [1, 10000000]")):
+            parse_config(base_config_dict(t_h={"min": 1.0, "max": 5.0, "n": MAX_GRID_NODES + 1}))
 
     @pytest.mark.parametrize("key, value, path", [
         ("omega_h", 10**400, "omega_h"),

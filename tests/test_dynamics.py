@@ -101,6 +101,16 @@ class TestTransitionPopulations:
         residual = np.abs((from_ground - from_excited) - np.exp(hot_grid.A))
         assert residual.max() < 1e-10
 
+    def test_rounding_past_t_max_reads_t_max(self, hot_grid):
+        t_max, step = hot_grid.t_max, hot_grid.step
+        late = t_max + 0.5e-9 * step
+        assert late > t_max
+        assert nm.transition_populations(hot_grid, late) == nm.transition_populations(hot_grid, t_max)
+
+    def test_beyond_t_max_rejected(self, hot_grid):
+        with pytest.raises(ValueError, match="t_max"):
+            nm.transition_populations(hot_grid, hot_grid.t_max + 2e-9 * hot_grid.step)
+
     def test_traces_cached_per_grid(self, hot_grid):
         a = nm.transition_traces(hot_grid)
         b = nm.transition_traces(hot_grid)

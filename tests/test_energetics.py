@@ -50,6 +50,20 @@ class TestBathEnergyChange:
         with pytest.raises(ValueError):
             nm.bath_energy_change(lc, "hot", 2.0 * OMEGA_H, hot_grid, 10.0)
 
+    def test_rounding_past_t_max_reads_t_max(self, hot_grid, cold_grid):
+        t_max, step = cold_grid.t_max, cold_grid.step
+        late = t_max + 0.5e-9 * step
+        assert late > t_max
+        lc = nm.fixed_point(60.0, t_max, hot_grid, cold_grid)
+        assert nm.stroke_energetics(lc, "cold", OMEGA_C, cold_grid, late) == \
+            nm.stroke_energetics(lc, "cold", OMEGA_C, cold_grid, t_max)
+
+    @pytest.mark.parametrize("name", ["stroke_energetics", "bath_energy_change"])
+    def test_beyond_t_max_rejected(self, hot_grid, cold_grid, name):
+        lc = nm.fixed_point(60.0, cold_grid.t_max, hot_grid, cold_grid)
+        with pytest.raises(ValueError, match="t_max"):
+            getattr(nm, name)(lc, "cold", OMEGA_C, cold_grid, cold_grid.t_max + 2e-9 * cold_grid.step)
+
     def test_interaction_energy_converges_at_long_times(self, hot_grid, cold_grid):
         # tail bound from the kernel decay: |D1| <= c/tau^2 with
         # c = 2*lam*(cutoff^2 + 2*T*cutoff)/cutoff^2 ... evaluated directly below

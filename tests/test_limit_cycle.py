@@ -39,7 +39,8 @@ class TestFixedPoint:
         assert lc.rho00_h + lc.rho11_h == 1.0
         assert lc.rho00_c + lc.rho11_c == 1.0
         # state entering the hot stroke is the state leaving the cold one
-        entering_hot = lc.P_c * lc.r0_c + (1.0 - lc.P_c) * lc.r1_c
+        r0_c, r1_c = nm.transition_populations(cold_grid, 10.0)
+        entering_hot = lc.P_c * r0_c + (1.0 - lc.P_c) * r1_c
         assert abs(lc.P_h - entering_hot) < 1e-10
         assert lc.rho00_c == pytest.approx(lc.P_h, abs=1e-14)
         assert lc.rho00_h == pytest.approx(lc.P_c, abs=1e-14)

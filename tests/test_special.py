@@ -56,6 +56,28 @@ class TestTrigamma:
         value = nm.trigamma(-2.0 + 1e-6j)
         assert np.isfinite(value.real) and np.isfinite(value.imag)
 
+    @pytest.mark.parametrize("bad", [complex("-inf"), complex("inf"), complex(1.0, math.inf),
+                                     complex(math.nan, 0.0), complex(2.0, math.nan)],
+                             ids=["-inf", "inf", "inf_imag", "nan", "nan_imag"])
+    def test_non_finite_arguments_rejected(self, bad):
+        # -inf used to step the recurrence forever; NaN warned before failing
+        with pytest.raises(ValueError, match="finite"):
+            nm.trigamma_values(np.array([bad, 1.0 + 1.0j]))
+
+    def test_kernel_grid_argument_matches_scalar_bitwise(self, hot_bath):
+        # the argument noise_kernel passes: one real part at every node
+        x = hot_bath.cutoff * np.arange(2001) * 0.05
+        z = hot_bath.temperature * (1.0 + 1j * x) / hot_bath.cutoff
+        scalar = np.array([nm.trigamma(zi) for zi in z])
+        assert np.array_equal(nm.trigamma_values(z), scalar)
+
+    def test_mixed_real_parts_against_series_oracle(self):
+        z = np.array([0.5 + 1.0j, 3.0 + 0.2j, 9.99, 10.0 + 4.0j, 12.0 + 5.0j, 25.0 - 3.0j, 0.1 - 7.0j])
+        values = nm.trigamma_values(z)
+        for zi, value in zip(z, values):
+            oracle = trigamma_series_oracle(zi)
+            assert abs(value - oracle) < 1e-12 * abs(oracle)
+
 
 class TestIntegrateFinite:
     def test_sine_over_half_period(self):
