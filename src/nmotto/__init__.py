@@ -39,7 +39,6 @@ from .errors import (
     NmottoError,
     PoleError,
     PositivityError,
-    QuadratureError,
     SingularMapError,
 )
 from .kernels import (
@@ -53,14 +52,7 @@ from .kernels import (
     spectral_density,
 )
 from .limit_cycle import LimitCycleState, fixed_point, fixed_point_from_populations, iterate_map
-from .special import (
-    cumulative_simpson,
-    integrate_finite,
-    integrate_semi_infinite,
-    simpson,
-    trigamma,
-    trigamma_values,
-)
+from .special import cumulative_simpson, simpson, trigamma, trigamma_values
 from .sweep import (
     CSV_HEADER,
     CycleContext,

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error the package raises on purpose derives from NmottoError: a
+trigamma pole, a rejected grid, a population outside [0, 1], a singular
+cycle map and a bad configuration.
+"""
 
 
 class NmottoError(Exception):
@@ -7,10 +12,6 @@ class NmottoError(Exception):
 
 class PoleError(NmottoError, ValueError):
     """Trigamma evaluated at (or within 1e-12 of) a nonpositive integer."""
-
-
-class QuadratureError(NmottoError, RuntimeError):
-    """A quadrature routine failed to reach its tolerance."""
 
 
 class GridError(NmottoError, ValueError):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import nmotto as nm
 
@@ -50,6 +53,25 @@ def trigamma_series_oracle(z, terms=10**6):
     total = np.sum(1.0 / (z + k) ** 2)
     w = z + terms
     return total + 1.0 / w + 1.0 / (2.0 * w * w) + 1.0 / (6.0 * w ** 3)
+
+
+def noise_kernel_oracle(bath, tau):
+    """D1(tau) = int_0^inf 2 J(w) coth(w/2T) cos(w tau) dw by QUADPACK's QAWF."""
+    lam, cut, temp = bath.coupling, bath.cutoff, bath.temperature
+
+    def g(w):
+        if w == 0.0:  # w -> 0 limit of 2 J(w) coth(w/2T)
+            return 4.0 * lam * temp
+        return 2.0 * lam * w * math.exp(-w / cut) / math.tanh(w / (2.0 * temp))
+
+    return quad(g, 0.0, math.inf, weight="cos", wvar=tau, epsabs=1e-14)[0]
+
+
+def dissipation_kernel_oracle(bath, tau):
+    """D2(tau) = int_0^inf 2 J(w) sin(w tau) dw by QUADPACK's QAWF."""
+    lam, cut = bath.coupling, bath.cutoff
+    return quad(lambda w: 2.0 * lam * w * math.exp(-w / cut), 0.0, math.inf,
+                weight="sin", wvar=tau, epsabs=1e-14)[0]
 
 
 def base_config_dict(**overrides):

@@ -15,8 +15,8 @@ from nmotto.cycle import Flow, Mode
 from nmotto.sweep import evaluate_cycle, run_sweep
 from nmotto.work_extraction import DIM, _index
 
-from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H,
-                      base_config_dict, trigamma_series_oracle)
+from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H, base_config_dict,
+                      dissipation_kernel_oracle, noise_kernel_oracle, trigamma_series_oracle)
 
 
 def _report(number, name, elapsed):
@@ -29,33 +29,16 @@ def test_criterion_01_kernel_oracle_equivalence():
     temperatures = (0.2, 0.5, 1.0)
     for temp in temperatures:
         bath = nm.BathSpec("hot", LAMBDA, CUTOFF, temp)
-
-        def noise_integrand(tau):
-            def f(w):
-                w = np.asarray(w)
-                out = np.full(w.shape, 4.0 * LAMBDA * temp)
-                nz = w > 0.0
-                out[nz] = 2.0 * LAMBDA * w[nz] * np.exp(-w[nz] / CUTOFF) \
-                    / np.tanh(w[nz] / (2.0 * temp)) * np.cos(w[nz] * tau)
-                return out
-            return f
-
-        def dissipation_integrand(tau):
-            return lambda w: 2.0 * LAMBDA * w * np.exp(-w / CUTOFF) * np.sin(w * tau)
-
         for tau in taus:
             tau = float(tau)
             closed = nm.noise_kernel(tau, bath)
-            oracle = nm.integrate_semi_infinite(
-                noise_integrand(tau), CUTOFF, tol=max(1e-12, 2e-7 * abs(closed)))
-            assert abs(oracle - closed) < 1e-6 * abs(closed)
+            assert abs(noise_kernel_oracle(bath, tau) - closed) < 1e-10 * abs(closed)
             closed2 = nm.dissipation_kernel(tau, bath)
-            oracle2 = nm.integrate_semi_infinite(
-                dissipation_integrand(tau), CUTOFF, tol=max(1e-12, 2e-7 * abs(closed2)))
+            oracle2 = dissipation_kernel_oracle(bath, tau)
             if closed2 == 0.0:
                 assert oracle2 == 0.0
             else:
-                assert abs(oracle2 - closed2) < 1e-6 * abs(closed2)
+                assert abs(oracle2 - closed2) < 1e-10 * abs(closed2)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(1, "kernel closed forms match defining integrals", elapsed)

@@ -6,7 +6,8 @@ import pytest
 import nmotto as nm
 from nmotto.errors import GridError
 
-from conftest import CUTOFF, LAMBDA, OMEGA_H, T_H
+from conftest import (CUTOFF, LAMBDA, OMEGA_H, T_H, dissipation_kernel_oracle,
+                      noise_kernel_oracle)
 
 
 class TestBathSpec:
@@ -48,23 +49,6 @@ class TestSpectralDensity:
             nm.spectral_density(-0.1, hot_bath)
 
 
-def _noise_integrand(bath, tau):
-    lam, cut, temp = bath.coupling, bath.cutoff, bath.temperature
-    def f(w):
-        w = np.asarray(w)
-        out = np.full(w.shape, 4.0 * lam * temp)  # w -> 0 limit of 2 J coth
-        nz = w > 0.0
-        out[nz] = 2.0 * lam * w[nz] * np.exp(-w[nz] / cut) \
-            / np.tanh(w[nz] / (2.0 * temp)) * np.cos(w[nz] * tau)
-        return out
-    return f
-
-
-def _dissipation_integrand(bath, tau):
-    lam, cut = bath.coupling, bath.cutoff
-    return lambda w: 2.0 * lam * w * np.exp(-w / cut) * np.sin(w * tau)
-
-
 class TestKernelClosedForms:
     def test_noise_kernel_at_zero_from_recurrence(self, hot_bath):
         # recompute psi'(T/cutoff) = psi'(2.5) via two recurrence steps off psi'(0.5)
@@ -84,16 +68,12 @@ class TestKernelClosedForms:
         bath = nm.BathSpec("hot", LAMBDA, CUTOFF, temperature)
         for tau in (0.0, 0.8, 3.7, 12.0, 47.1):
             closed = nm.noise_kernel(tau, bath)
-            oracle = nm.integrate_semi_infinite(
-                _noise_integrand(bath, tau), CUTOFF, tol=max(1e-13, 1e-8 * abs(closed)))
-            assert abs(oracle - closed) <= 1e-6 * abs(closed)
+            assert abs(noise_kernel_oracle(bath, tau) - closed) <= 1e-10 * abs(closed)
 
     def test_dissipation_matches_defining_integral(self, hot_bath):
         for tau in (0.6, 2.5, 9.3, 30.0):
             closed = nm.dissipation_kernel(tau, hot_bath)
-            oracle = nm.integrate_semi_infinite(
-                _dissipation_integrand(hot_bath, tau), CUTOFF, tol=max(1e-13, 1e-8 * abs(closed)))
-            assert abs(oracle - closed) <= 1e-6 * abs(closed)
+            assert abs(dissipation_kernel_oracle(hot_bath, tau) - closed) <= 1e-10 * abs(closed)
 
     def test_linear_in_coupling(self):
         tau = np.linspace(0.0, 20.0, 101)

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import nmotto as nm
-from nmotto.errors import PoleError, QuadratureError
+from nmotto.errors import PoleError
 
-from conftest import trigamma_series_oracle
+from conftest import CUTOFF, T_C, T_H, trigamma_series_oracle
 
 PI2 = math.pi ** 2
 
@@ -70,6 +76,10 @@ class TestTrigamma:
         z = hot_bath.temperature * (1.0 + 1j * x) / hot_bath.cutoff
         scalar = np.array([nm.trigamma(zi) for zi in z])
         assert np.array_equal(nm.trigamma_values(z), scalar)
+        # points on both sides of |z| = 10 and of Re z = 0 share one batch
+        mixed = np.array([0.5 + 1.0j, 30.0 + 2.0j, 2.5, 12.0 - 5.0j, 10.5, -7.25 - 2.0j])
+        scalar = np.array([nm.trigamma(zi) for zi in mixed])
+        assert np.array_equal(nm.trigamma_values(mixed), scalar)
 
     def test_mixed_real_parts_against_series_oracle(self):
         z = np.array([0.5 + 1.0j, 3.0 + 0.2j, 9.99, 10.0 + 4.0j, 12.0 + 5.0j, 25.0 - 3.0j, 0.1 - 7.0j])
@@ -79,56 +89,51 @@ class TestTrigamma:
             assert abs(value - oracle) < 1e-12 * abs(oracle)
 
 
-class TestIntegrateFinite:
-    def test_sine_over_half_period(self):
-        assert nm.integrate_finite(np.sin, 0.0, math.pi, 1e-10) == pytest.approx(2.0, abs=1e-9)
+    def test_against_mpmath_oracle(self):
+        # kernel-grid arguments T(1 + i cutoff tau)/cutoff of the reference
+        # hot and cold baths, then random points with Re z > 0
+        rng = np.random.default_rng(3)
+        tau = np.concatenate([0.05 * np.arange(100), rng.uniform(5.0, 1000.0, 40)])
+        z = np.concatenate([
+            temp * (1.0 + 1j * CUTOFF * tau) / CUTOFF for temp in (T_H, T_C)
+        ] + [rng.uniform(0.01, 12.0, 60) + 1j * rng.uniform(-12.0, 12.0, 60),
+             rng.uniform(0.01, 60.0, 60) + 1j * rng.uniform(-1e3, 1e3, 60)])
+        assert _mpmath_relative_error(z).max() <= 2e-14
 
-    def test_empty_interval(self):
-        assert nm.integrate_finite(np.sin, 2.0, 2.0, 1e-10) == 0.0
+    def test_negative_and_near_pole_points_against_mpmath_oracle(self):
+        z = np.array([-7.25 - 2.0j, -50.3 + 0.5j, -2.0 + 1e-6j, -3.0 + 1e-11j, -0.3 - 400.0j, -0.5])
+        assert _mpmath_relative_error(z).max() <= 1e-13
 
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            nm.integrate_finite(np.sin, 1.0, 0.0, 1e-10)
+    def test_very_negative_argument_returns(self):
+        # bounded work per point: one recurrence step per unit of -Re z would not return
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nm.__file__)))
+        code = ("import numpy as np, nmotto as nm; "
+                "print(repr(complex(nm.trigamma_values(np.array([-1e9 + 0.5j, 1 + 1j]))[0])))")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        value = complex(done.stdout)
+        # reflection: psi'(z) = pi^2/sin^2(pi z) - psi'(1 - z), psi'(1e9 + 1 - 0.5i) ~ 1e-9
+        assert abs(value + PI2 / math.sinh(0.5 * math.pi) ** 2) < 2e-9
 
-    def test_oscillatory_decaying_against_richardson_oracle(self):
-        # step-halving trapezoid + Richardson, independent of Simpson code
-        def f(x):
-            return np.cos(5.0 * x) * np.exp(-x)
+    @settings(max_examples=300, deadline=None)
+    @given(re=st.floats(-60.0, 60.0), im=st.floats(-1e3, 1e3))
+    def test_recurrence_and_reflection_identities(self, re, im):
+        z = complex(re, im)
+        assume(abs(z - round(re)) > 1e-3)  # away from every pole of psi'(z), psi'(z+1), psi'(1-z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            here, up, mirror = nm.trigamma_values(np.array([z, z + 1.0, 1.0 - z]))
+        assert abs(here - up - 1.0 / z ** 2) <= 2e-14 * (abs(here) + abs(up) + abs(1.0 / z ** 2))
+        with mpmath.workdps(30):
+            reflection = complex(mpmath.pi ** 2 / mpmath.sin(mpmath.pi * mpmath.mpc(re, im)) ** 2)
+        assert abs(here + mirror - reflection) <= 2e-14 * (abs(here) + abs(mirror) + abs(reflection))
 
-        def trapezoid(n):
-            x = np.linspace(0.0, 10.0, n + 1)
-            y = f(x)
-            return 10.0 / n * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])
 
-        n, prev, oracle = 64, trapezoid(64), None
-        while True:
-            n *= 2
-            cur = trapezoid(n)
-            rich = (4.0 * cur - prev) / 3.0
-            if oracle is not None and abs(rich - oracle) < 1e-10:
-                oracle = rich
-                break
-            oracle, prev = rich, cur
-        frozen = 0.03845756275419048
-        assert oracle == pytest.approx(frozen, abs=1e-10)
-        assert nm.integrate_finite(f, 0.0, 10.0, 1e-10) == pytest.approx(oracle, abs=1e-9)
-
-    def test_cubic_polynomials_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            c = rng.uniform(-2.0, 2.0, 4)
-            a, b = sorted(rng.uniform(-3.0, 3.0, 2))
-            if b - a < 1e-3:
-                continue
-            exact = sum(c[k] / (k + 1) * (b ** (k + 1) - a ** (k + 1)) for k in range(4))
-            got = nm.integrate_finite(lambda x: c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3,
-                                      a, b, 1e-12)
-            assert abs(got - exact) < 1e-13 * max(1.0, b - a) * max(1.0, abs(exact))
-
-    def test_nonconvergence_raises(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(QuadratureError):
-            nm.integrate_finite(lambda x: rng.standard_normal(x.shape), 0.0, 1.0, 1e-14)
+def _mpmath_relative_error(z):
+    with mpmath.workdps(30):
+        oracle = np.array([complex(mpmath.psi(1, mpmath.mpc(zi.real, zi.imag))) for zi in z])
+    return np.abs(nm.trigamma_values(z) - oracle) / np.abs(oracle)
 
 
 class TestCumulativeSimpson:
@@ -167,23 +172,3 @@ class TestCumulativeSimpson:
         cum = nm.cumulative_simpson(y, x[1] - x[0])
         expected = (np.exp(1j * x) - 1.0) / 1j
         assert np.max(np.abs(cum - expected)) < 1e-9
-
-
-class TestSemiInfinite:
-    def test_exponential(self):
-        assert nm.integrate_semi_infinite(lambda x: np.exp(-x), 1.0, 1e-10) == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_integrand(self):
-        assert nm.integrate_semi_infinite(lambda x: 0.0 * x, 1.0, 1e-10) == 0.0
-
-    def test_matches_dissipation_closed_form(self, hot_bath):
-        # x e^{-x/cutoff} sin(x tau) transform, compared through the kernel
-        tau = 2.5
-        lam, cut = hot_bath.coupling, hot_bath.cutoff
-        oracle = nm.integrate_semi_infinite(
-            lambda w: 2.0 * lam * w * np.exp(-w / cut) * np.sin(w * tau), cut, 1e-12)
-        assert oracle == pytest.approx(nm.dissipation_kernel(tau, hot_bath), rel=1e-8)
-
-    def test_growing_integrand_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(QuadratureError):
-            nm.integrate_semi_infinite(lambda x: np.exp(0.01 * x), 1.0, 1e-8)
