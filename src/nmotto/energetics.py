@@ -54,7 +54,6 @@ __all__ = [
 class StrokeEnergetics:
     """Energy bookkeeping of one isochoric stroke; sums to zero exactly."""
 
-    label: str
     dE_S: float
     dE_B: float
     dE_I: float
@@ -138,8 +137,7 @@ def stroke_energetics(lc: LimitCycleState, label: str, omega: float,
     base, pop = _stroke_end(grid, t, _bath_flow_tables(grid))
     des = omega * (after - entering)
     deb = -des + (base + p_enter * pop)
-    return StrokeEnergetics(label=label, dE_S=des, dE_B=deb,
-                            dE_I=interaction_energy_change(des, deb))
+    return StrokeEnergetics(dE_S=des, dE_B=deb, dE_I=interaction_energy_change(des, deb))
 
 
 def markov_rate(bath: BathSpec, omega: float) -> float:
@@ -164,7 +162,7 @@ def markov_fixed_point(t_h: float, t_c: float, hot_bath: BathSpec, cold_bath: Ba
     r1_h = markov_population(0.0, hot_bath, omega_h, t_h)
     r0_c = markov_population(1.0, cold_bath, omega_c, t_c)
     r1_c = markov_population(0.0, cold_bath, omega_c, t_c)
-    return fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c, t_h=t_h, t_c=t_c)
+    return fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c)
 
 
 def markov_cycle(t_h: float, t_c: float, hot_bath: BathSpec, cold_bath: BathSpec,

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error the package raises on purpose derives from NmottoError: a
-trigamma pole, a rejected grid, a population outside [0, 1], a singular
-cycle map and a bad configuration.
+trigamma argument outside its domain, a rejected grid, a population outside
+[0, 1], a singular cycle map and a bad configuration.
 """
 
 
@@ -11,7 +11,10 @@ class NmottoError(Exception):
 
 
 class PoleError(NmottoError, ValueError):
-    """Trigamma evaluated at (or within 1e-12 of) a nonpositive integer."""
+    """Argument outside trigamma's domain: a pole or a non-finite value.
+
+    A pole is a nonpositive integer or a point within 1e-12 of one.
+    """
 
 
 class GridError(NmottoError, ValueError):

@@ -30,8 +30,6 @@ _SINGULAR_TOL = 1e-12
 class LimitCycleState:
     """Limit-cycle occupations: P^mu entering each stroke, rho^mu after it."""
 
-    t_h: float
-    t_c: float
     P_h: float
     P_c: float
     rho00_h: float
@@ -55,8 +53,8 @@ def _validate_times(t_h: float, t_c: float) -> None:
             raise ValueError(f"{name} must be finite and > 0 (the zero-time map is the identity)")
 
 
-def fixed_point_from_populations(r0_h: float, r1_h: float, r0_c: float, r1_c: float,
-                                 t_h: float, t_c: float) -> LimitCycleState:
+def fixed_point_from_populations(r0_h: float, r1_h: float,
+                                 r0_c: float, r1_c: float) -> LimitCycleState:
     """Closed-form limit cycle from the four stroke-end transition populations."""
     p0 = (r0_c - r1_c) * (r0_h - r1_h)
     if abs(1.0 - p0) < _SINGULAR_TOL:
@@ -70,7 +68,6 @@ def fixed_point_from_populations(r0_h: float, r1_h: float, r0_c: float, r1_c: fl
     rho00_h = big_p_h * r0_h + (1.0 - big_p_h) * r1_h
     rho00_c = big_p_c * r0_c + (1.0 - big_p_c) * r1_c
     return LimitCycleState(
-        t_h=t_h, t_c=t_c,
         P_h=big_p_h, P_c=big_p_c,
         rho00_h=rho00_h, rho11_h=1.0 - rho00_h,
         rho00_c=rho00_c, rho11_c=1.0 - rho00_c,
@@ -83,7 +80,7 @@ def fixed_point(t_h: float, t_c: float, hot_grid: KernelGrid, cold_grid: KernelG
     _validate_times(t_h, t_c)
     r0_h, r1_h = transition_populations(hot_grid, t_h)
     r0_c, r1_c = transition_populations(cold_grid, t_c)
-    return fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c, t_h=t_h, t_c=t_c)
+    return fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c)
 
 
 def iterate_map(p_initial: float, n: int, t_h: float, t_c: float,

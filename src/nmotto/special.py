@@ -59,7 +59,7 @@ def trigamma_values(z) -> np.ndarray:
     zc = np.asarray(z, dtype=np.complex128)
     flat = np.ascontiguousarray(zc.ravel())
     if not np.isfinite(flat).all():
-        raise ValueError("trigamma arguments must be finite")
+        raise PoleError("trigamma arguments must be finite")
     nearest = np.rint(flat.real)
     at_pole = (nearest <= 0.0) & (np.abs(flat - nearest) < _POLE_TOL)
     if at_pole.any():

@@ -6,7 +6,9 @@ prefix tables in place a cell evaluation is O(1).  Every batch is one ordered
 map (`_map`): a sweep maps over its (t_h, t_c) cells and a phase diagram over
 its (omega ratio, T ratio) cells, serially or across a process pool, and the
 results come back in input order, so parallel runs are byte-identical to
-serial ones.  Per-cell failures land in the CSV error column and the run
+serial ones.  Each cell maps to one CSV row, the file is the run's only
+result (the runners return nothing), and the pool size is the config's
+`workers`.  Per-cell failures land in the CSV error column and the run
 continues.
 """
 
@@ -41,7 +43,6 @@ __all__ = [
     "write_cycle_csv",
     "write_kernel_csv",
     "write_trace_csv",
-    "PhaseDiagram",
 ]
 
 CSV_HEADER = ",".join(REPORT_FIELDS + ("error",))
@@ -176,69 +177,40 @@ def _write_columns(path: str, header: str, *columns) -> None:
     _write_csv(path, header, (map(_fmt, row) for row in zip(*(c.tolist() for c in columns))))
 
 
-def run_sweep(config: RunConfig, out_path: str, workers: Optional[int] = None) -> list[list[str]]:
-    """Row-major (t_h outer, t_c inner) sweep written as CSV; returns the rows."""
+def run_sweep(config: RunConfig, out_path: str) -> None:
+    """Row-major (t_h outer, t_c inner) sweep written as CSV."""
     t_h_values, t_c_values = sweep_axes(config)
     ctx = build_context(config, max(t_h_values), max(t_c_values))
-    rows = _map(partial(_cell_row, ctx), list(product(t_h_values, t_c_values)),
-                workers if workers is not None else config.workers)
-    _write_csv(out_path, CSV_HEADER, rows)
-    return rows
+    _write_csv(out_path, CSV_HEADER,
+               _map(partial(_cell_row, ctx), list(product(t_h_values, t_c_values)),
+                    config.workers))
 
 
-@dataclass(frozen=True)
-class PhaseCell:
-    omega_ratio: float
-    T_ratio: float
-    mode_counts: dict
-    classification: str
-    error: str
-
-
-@dataclass(frozen=True)
-class PhaseDiagram:
-    omega_ratios: list[float]
-    T_ratios: list[float]
-    cells: list[PhaseCell]
-
-
-def _phase_cell(config: RunConfig, t_values: list[float],
-                ratios: tuple[float, float]) -> PhaseCell:
+def _phase_row(config: RunConfig, t_values: list[float],
+               ratios: tuple[float, float]) -> list[str]:
     r_omega, r_temp = ratios
-    counts = {mode.value: 0 for mode in Mode}
+    counts = dict.fromkeys(Mode, 0)  # Enum order is the CSV column order
+    classification = error = ""
     try:
         ctx = build_context(replace(config, omega_c=r_omega * config.omega_h,
                                     T_c=r_temp * config.T_h),
                             max(t_values), max(t_values))
         for t_h, t_c in product(t_values, t_values):
-            counts[evaluate_cycle(ctx, t_h, t_c).mode.value] += 1
+            counts[evaluate_cycle(ctx, t_h, t_c).mode] += 1
     except _CELL_ERRORS as exc:  # the cell's first failure; counts so far stay
-        return PhaseCell(r_omega, r_temp, counts, "", f"{type(exc).__name__}: {exc}")
-    classification = "engine_only" if counts["Engine"] == len(t_values) ** 2 else "mixed"
-    return PhaseCell(r_omega, r_temp, counts, classification, "")
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        classification = "engine_only" if counts[Mode.ENGINE] == len(t_values) ** 2 else "mixed"
+    return [_fmt(r_omega), _fmt(r_temp), *map(str, counts.values()), classification, error]
 
 
-def run_phase(config: RunConfig, out_path: str, workers: Optional[int] = None) -> PhaseDiagram:
-    """Classify each (omega_c/omega_h, T_c/T_h) cell over its stroke-time box."""
+def run_phase(config: RunConfig, out_path: str) -> None:
+    """Classify each (omega_c/omega_h, T_c/T_h) cell over its stroke-time box, as CSV."""
     if config.omega_ratio is None or config.T_ratio is None or config.t_box is None:
         raise ConfigError("phase runs require omega_ratio, T_ratio and t_box")
     ratios = list(product(config.omega_ratio.values(), config.T_ratio.values()))
-    cells = _map(partial(_phase_cell, config, config.t_box.values()), ratios,
-                 workers if workers is not None else config.workers)
-    rows = []
-    for cell in cells:
-        rows.append([
-            _fmt(cell.omega_ratio), _fmt(cell.T_ratio),
-            str(cell.mode_counts["Engine"]), str(cell.mode_counts["Heater"]),
-            str(cell.mode_counts["HeatPump"]), str(cell.mode_counts["Other"]),
-            cell.classification, cell.error,
-        ])
-    _write_csv(out_path, PHASE_HEADER, rows)
-    return PhaseDiagram(
-        omega_ratios=config.omega_ratio.values(),
-        T_ratios=config.T_ratio.values(),
-        cells=cells,
-    )
+    _write_csv(out_path, PHASE_HEADER,
+               _map(partial(_phase_row, config, config.t_box.values()), ratios, config.workers))
 
 
 def write_cycle_csv(report: CycleReport, path: str) -> None:

@@ -6,6 +6,7 @@ lines and timings.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -195,8 +196,8 @@ def test_criterion_09_determinism_and_parallel_safety(tmp_path):
         t_c={"min": 1.0, "max": 120.0, "n": 50},
     ))
     one, eight = tmp_path / "w1.csv", tmp_path / "w8.csv"
-    run_sweep(cfg50, str(one), workers=1)
-    run_sweep(cfg50, str(eight), workers=8)
+    run_sweep(replace(cfg50, workers=1), str(one))
+    run_sweep(replace(cfg50, workers=8), str(eight))
     assert one.read_bytes() == eight.read_bytes()
 
     cfg100 = parse_config(base_config_dict(

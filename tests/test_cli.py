@@ -1,8 +1,11 @@
 import csv
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,11 @@ import nmotto
 from nmotto.cli import main
 
 from conftest import base_config_dict
+
+REPO = Path(__file__).resolve().parents[1]
+SWEEP_HEADER = ("t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
+                "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
+                "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error")
 
 
 @pytest.fixture()
@@ -95,6 +103,30 @@ class TestPhaseCommand:
         assert out.read_text().splitlines()[0].startswith("omega_ratio,T_ratio")
 
 
+class TestReadmeCommands:
+    """Each command of the README's CLI block runs as written."""
+
+    @pytest.mark.parametrize("command, out, header", [
+        ("cycle", "cycle.csv", SWEEP_HEADER),
+        ("sweep", "sweep.csv", SWEEP_HEADER),
+        ("phase", "phase.csv",
+         "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"),
+        ("kernels", "kernels.csv", "tau,D1,D2,a,b,A"),
+        ("stroke", "trace.csv", "tau,rho00"),
+    ], ids=["cycle", "sweep", "phase", "kernels", "stroke"])
+    def test_command_runs(self, tmp_path, monkeypatch, command, out, header):
+        lines = [line for line in (REPO / "README.md").read_text().splitlines()
+                 if line.startswith(f"nmotto {command} ")]
+        assert len(lines) == 1
+        shutil.copytree(REPO / "configs", tmp_path / "configs")
+        monkeypatch.chdir(tmp_path)
+        assert main(shlex.split(lines[0])[1:]) == 0
+        assert (tmp_path / out).read_text().splitlines()[0] == header
+        if command == "cycle":  # the JSON report has the CSV's fields, keys sorted
+            report = json.loads((tmp_path / "cycle.json").read_text())
+            assert list(report) == sorted(header.split(",")[:-1])
+
+
 class TestErrorPaths:
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -150,6 +182,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"] == "FloatingPointError"
+
+    @pytest.mark.parametrize("command", ["cycle", "sweep"])
+    def test_non_finite_trigamma_argument_exits_1(self, tmp_path, command):
+        # T_h / Omega_h overflows to inf in the kernel grid.  numpy warns about
+        # the overflow, which the suite turns into an error, so the CLI runs in
+        # a subprocess here.
+        data = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
+        data.update(T_h=1e300, Omega_h=1e-300)
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-m", "nmotto.cli", command, "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stderr.splitlines()[-1])["error"] == "PoleError"
 
     def test_huge_count_exits_2(self, tmp_path, capsys):
         # a count beyond the float range used to escape as an OverflowError

@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -224,8 +224,8 @@ class TestRunSweep:
 
     def test_worker_count_does_not_change_bytes(self, small_cfg, tmp_path):
         p1, p4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        run_sweep(small_cfg, str(p1), workers=1)
-        run_sweep(small_cfg, str(p4), workers=4)
+        run_sweep(replace(small_cfg, workers=1), str(p1))
+        run_sweep(replace(small_cfg, workers=4), str(p4))
         assert p1.read_bytes() == p4.read_bytes()
 
     def test_single_cell_sweep_equals_cycle(self, tmp_path):
@@ -261,7 +261,9 @@ class TestRunSweep:
             t_h={"min": 1.0, "max": 2.0, "n": 2},
             t_c={"min": 1.0, "max": 2.0, "n": 2},
         ))
-        rows = run_sweep(cfg, str(tmp_path / "err.csv"))
+        run_sweep(cfg, str(tmp_path / "err.csv"))
+        with open(tmp_path / "err.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 4
         for row in rows:
             assert "SingularMapError" in row[-1]
@@ -275,7 +277,7 @@ class TestRunSweep:
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", broken)
         out = tmp_path / "bug.csv"
         with pytest.raises(TypeError, match="unsupported operand"):
-            run_sweep(small_cfg, str(out), workers=1)
+            run_sweep(replace(small_cfg, workers=1), str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize("workers, n_items, cpus, pool_size", [
@@ -325,7 +327,7 @@ class TestRunPhase:
             "t_box": {"t_max": 10.0, "n": 2},
         })
         with pytest.raises(TypeError, match="unsupported operand"):
-            run_phase(cfg, str(tmp_path / "bug.csv"), workers=workers)
+            run_phase(replace(cfg, workers=workers), str(tmp_path / "bug.csv"))
 
     def test_small_phase_diagram(self, tmp_path):
         cfg = parse_config({
@@ -336,12 +338,14 @@ class TestRunPhase:
             "t_box": {"t_max": 90.0, "n": 3},
             "dynamics": "tcl2",
         })
-        diagram = run_phase(cfg, str(tmp_path / "phase.csv"))
-        assert len(diagram.cells) == 2
-        by_ratio = {c.T_ratio: c for c in diagram.cells}
+        run_phase(cfg, str(tmp_path / "phase.csv"))
+        with open(tmp_path / "phase.csv", newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert len(cells) == 2
+        by_ratio = {float(c["T_ratio"]): c for c in cells}
         # efficient corner mixes modes; inverted corner cannot run as an engine
-        assert by_ratio[0.2].mode_counts["Engine"] > 0
-        assert by_ratio[0.8].mode_counts["Engine"] == 0
+        assert int(by_ratio[0.2]["engine"]) > 0
+        assert int(by_ratio[0.8]["engine"]) == 0
         header = (tmp_path / "phase.csv").read_text().splitlines()[0]
         assert header == "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
 
@@ -354,8 +358,8 @@ class TestRunPhase:
             "t_box": {"t_max": 60.0, "n": 3},
         })
         p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        run_phase(cfg, str(p1), workers=1)
-        run_phase(cfg, str(p2), workers=2)
+        run_phase(replace(cfg, workers=1), str(p1))
+        run_phase(replace(cfg, workers=2), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_per_cell_failure_lands_in_error_column(self, tmp_path):
@@ -378,6 +382,34 @@ class TestRunPhase:
             assert row["error"].count("Error: ") == 1
             assert row["classification"] == ""
 
+    def test_failure_keeps_the_counts_so_far(self, tmp_path, monkeypatch):
+        # the third of the cell's four (t_h, t_c) pairs fails: the two pairs
+        # counted before it stay, and the cell gets no classification
+        evaluate = nm.sweep.evaluate_cycle
+        calls = []
+
+        def third_fails(ctx, t_h, t_c):
+            calls.append((t_h, t_c))
+            if len(calls) == 3:
+                raise nm.SingularMapError("third pair")
+            return evaluate(ctx, t_h, t_c)
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", third_fails)
+        cfg = parse_config({
+            "omega_h": 1.0, "T_h": 1.0,
+            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
+            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
+            "t_box": {"t_max": 10.0, "n": 2},
+        })
+        out = tmp_path / "partial.csv"
+        run_phase(cfg, str(out))
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert sum(int(row[mode]) for mode in ("engine", "heater", "heat_pump", "other")) == 2
+        assert row["classification"] == ""
+        assert row["error"] == "SingularMapError: third pair"
+
     def test_markov_phase_is_engine_only_when_otto_efficient(self, tmp_path):
         cfg = parse_config({
             "omega_h": 1.0, "T_h": 1.0,
@@ -387,8 +419,10 @@ class TestRunPhase:
             "t_box": {"t_max": 90.0, "n": 4},
             "dynamics": "markov",
         })
-        diagram = run_phase(cfg, str(tmp_path / "mphase.csv"))
-        assert diagram.cells[0].classification == "engine_only"
+        run_phase(cfg, str(tmp_path / "mphase.csv"))
+        with open(tmp_path / "mphase.csv", newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert cells[0]["classification"] == "engine_only"
 
     def test_single_cell_phase_matches_sweep_summary(self, tmp_path):
         t_box = {"t_max": 80.0, "n": 4}
@@ -399,17 +433,20 @@ class TestRunPhase:
             "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
             "t_box": t_box,
         })
-        diagram = run_phase(phase_cfg, str(tmp_path / "cell.csv"))
+        run_phase(phase_cfg, str(tmp_path / "cell.csv"))
         times = nm.TimeBox(**t_box).values()
         sweep_cfg = parse_config(base_config_dict(
             t_h={"min": times[0], "max": times[-1], "n": len(times)},
             t_c={"min": times[0], "max": times[-1], "n": len(times)},
         ))
-        rows = run_sweep(sweep_cfg, str(tmp_path / "cell_sweep.csv"))
-        modes = [row[17] for row in rows]
-        counts = diagram.cells[0].mode_counts
-        for label in ("Engine", "Heater", "HeatPump", "Other"):
-            assert counts[label] == modes.count(label)
+        run_sweep(sweep_cfg, str(tmp_path / "cell_sweep.csv"))
+        with open(tmp_path / "cell_sweep.csv", newline="") as fh:
+            modes = [row[17] for row in list(csv.reader(fh))[1:]]
+        with open(tmp_path / "cell.csv", newline="") as fh:
+            counts = next(csv.DictReader(fh))
+        for label, column in (("Engine", "engine"), ("Heater", "heater"),
+                              ("HeatPump", "heat_pump"), ("Other", "other")):
+            assert int(counts[column]) == modes.count(label)
 
     def test_phase_requires_ratio_axes(self, tmp_path):
         cfg = parse_config(base_config_dict())
