@@ -12,6 +12,7 @@ from .cycle import (
     CycleReport,
     Flow,
     Mode,
+    StrokeEnergetics,
     assemble_report,
     bisect_sign_change,
     classify_flow,
@@ -23,14 +24,10 @@ from .cycle import (
 )
 from .dynamics import PopulationTrace, propagate, transition_populations, transition_traces
 from .energetics import (
-    StrokeEnergetics,
-    bath_energy_change,
     eq_interaction_integral,
-    interaction_energy_change,
     markov_cycle,
     markov_population,
     markov_rate,
-    qubit_energy_change,
     stroke_energetics,
 )
 from .errors import (

@@ -19,6 +19,7 @@ __all__ = [
     "Mode",
     "Flow",
     "CycleReport",
+    "StrokeEnergetics",
     "REPORT_FIELDS",
     "LABEL_FIELDS",
     "works",
@@ -47,6 +48,15 @@ class Flow(str, Enum):
     REVERSE = "ReverseEnergyFlow"
     NORMAL = "NormalEnergyFlow"
     UNDEFINED = "Undefined"
+
+
+@dataclass(frozen=True)
+class StrokeEnergetics:
+    """Energy bookkeeping of one isochoric stroke; sums to zero exactly."""
+
+    dE_S: float
+    dE_B: float
+    dE_I: float
 
 
 @dataclass(frozen=True)
@@ -151,40 +161,33 @@ def nonmarkov_index(dE_I_c: float, dE_B_c: float, dE_I_h: float, dE_S_c: float,
     return alpha_c, alpha_h
 
 
-def _eta_cop(w_total: float, dE_S_h: float, dE_S_c: float, mode: Mode,
-             eps: float = SIGN_EPS) -> tuple[Optional[float], Optional[float]]:
+def performance(w_total: float, dE_S_h: float, dE_S_c: float, mode: Mode,
+                eps: float = SIGN_EPS) -> tuple[Optional[float], Optional[float]]:
+    """(eta, cop) from the total work and the qubit heats; None where undefined."""
     eta = w_total / dE_S_h if (mode is Mode.ENGINE and dE_S_h > eps) else None
     cop = abs(dE_S_c) / abs(w_total) if abs(w_total) > eps else None
     return eta, cop
 
 
-def performance(report: CycleReport, eps: float = SIGN_EPS) -> tuple[Optional[float], Optional[float]]:
-    """(eta, cop) recomputed from a report's work and heat fields."""
-    return _eta_cop(report.W_total, report.dE_S_h, report.dE_S_c, report.mode, eps)
-
-
 def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
                     omega_h: float, omega_c: float,
-                    hot_energies: tuple[float, float, float],
-                    cold_energies: tuple[float, float, float],
+                    hot: StrokeEnergetics, cold: StrokeEnergetics,
                     eps: float = SIGN_EPS) -> CycleReport:
-    """Build the full report from one parameter point's energetics."""
-    des_h, deb_h, dei_h = hot_energies
-    des_c, deb_c, dei_c = cold_energies
-    w_ad_h, w_ad_c, w_de_h, w_de_c, total = works(lc, omega_h, omega_c, dei_h, dei_c)
-    mode = classify_mode(total, des_h, des_c, eps)
-    alpha_c, alpha_h = nonmarkov_index(dei_c, deb_c, dei_h, des_c, eps)
-    eta, cop = _eta_cop(total, des_h, des_c, mode, eps)
+    """Build the full report from the two strokes' energy balances."""
+    w_ad_h, w_ad_c, w_de_h, w_de_c, total = works(lc, omega_h, omega_c, hot.dE_I, cold.dE_I)
+    mode = classify_mode(total, hot.dE_S, cold.dE_S, eps)
+    alpha_c, alpha_h = nonmarkov_index(cold.dE_I, cold.dE_B, hot.dE_I, cold.dE_S, eps)
+    eta, cop = performance(total, hot.dE_S, cold.dE_S, mode, eps)
     return CycleReport(
         t_h=t_h, t_c=t_c,
-        dE_S_h=des_h, dE_B_h=deb_h, dE_I_h=dei_h,
-        dE_S_c=des_c, dE_B_c=deb_c, dE_I_c=dei_c,
+        dE_S_h=hot.dE_S, dE_B_h=hot.dE_B, dE_I_h=hot.dE_I,
+        dE_S_c=cold.dE_S, dE_B_c=cold.dE_B, dE_I_c=cold.dE_I,
         W_adiab_h=w_ad_h, W_adiab_c=w_ad_c,
         W_detach_h=w_de_h, W_detach_c=w_de_c, W_total=total,
         alpha_h=alpha_h, alpha_c=alpha_c, eta=eta, cop=cop,
         mode=mode,
-        flow_h=classify_flow(des_h, deb_h, "hot", eps),
-        flow_c=classify_flow(des_c, deb_c, "cold", eps),
+        flow_h=classify_flow(hot.dE_S, hot.dE_B, "hot", eps),
+        flow_c=classify_flow(cold.dE_S, cold.dE_B, "cold", eps),
     )
 
 

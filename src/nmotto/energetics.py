@@ -26,22 +26,17 @@ dE_B = -dE_S and dE_I = 0 identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .cycle import CycleReport, assemble_report
+from .cycle import CycleReport, StrokeEnergetics, assemble_report
 from .dynamics import _stroke_end, _validate_t, transition_traces
 from .kernels import BathSpec, KernelGrid, bose_occupation, spectral_density
 from .limit_cycle import LimitCycleState, fixed_point_from_populations
 from .special import cumulative_simpson, simpson
 
 __all__ = [
-    "StrokeEnergetics",
-    "qubit_energy_change",
-    "bath_energy_change",
-    "interaction_energy_change",
     "eq_interaction_integral",
     "stroke_energetics",
     "markov_population",
@@ -50,25 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrokeEnergetics:
-    """Energy bookkeeping of one isochoric stroke; sums to zero exactly."""
-
-    dE_S: float
-    dE_B: float
-    dE_I: float
-
-
 def _entry(lc: LimitCycleState, label: str) -> tuple[float, float, float]:
     """(P, rho11_after, rho11_entering) for the requested stroke."""
     if label == "hot":
-        return lc.P_h, lc.rho11_h, lc.entering_rho11_h
+        return lc.P_h, lc.rho11_h, 1.0 - lc.P_h
     if label == "cold":
-        return lc.P_c, lc.rho11_c, lc.entering_rho11_c
+        return lc.P_c, lc.rho11_c, 1.0 - lc.P_c
     raise ValueError(f"label must be 'hot' or 'cold', got {label!r}")
 
 
-def qubit_energy_change(lc: LimitCycleState, label: str, omega: float) -> float:
+def _dE_S(lc: LimitCycleState, label: str, omega: float) -> float:
     """omega * (population after the stroke minus population entering it)."""
     _, after, entering = _entry(lc, label)
     return omega * (after - entering)
@@ -97,17 +83,6 @@ def _bath_flow_tables(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def bath_energy_change(lc: LimitCycleState, label: str, omega: float,
-                       grid: KernelGrid, t: float) -> float:
-    """Bath energy change of one stroke, closing the balance with dE_S and dE_I."""
-    return stroke_energetics(lc, label, omega, grid, t).dE_B
-
-
-def interaction_energy_change(dE_S: float, dE_B: float) -> float:
-    """Exact negative sum, so that total energy is conserved by construction."""
-    return -dE_S - dE_B
-
-
 def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid, t: float) -> float:
     """Explicit-integral route for dE_I; independent of the prefix tables.
 
@@ -128,16 +103,13 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid, t
     return -float(simpson(integrand, grid.step))
 
 
-def stroke_energetics(lc: LimitCycleState, label: str, omega: float,
-                      grid: KernelGrid, t: float) -> StrokeEnergetics:
-    """dE_S, dE_B, dE_I of one stroke as a unit: the only stroke balance."""
-    if not math.isclose(grid.omega0, omega, rel_tol=1e-12):
-        raise ValueError(f"grid was built for omega0={grid.omega0:g}, not {omega:g}")
+def stroke_energetics(lc: LimitCycleState, label: str, grid: KernelGrid, t: float) -> StrokeEnergetics:
+    """dE_S, dE_B, dE_I of one stroke as a unit, at the grid's qubit frequency."""
     p_enter, after, entering = _entry(lc, label)
     base, pop = _stroke_end(grid, t, _bath_flow_tables(grid))
-    des = omega * (after - entering)
+    des = grid.omega0 * (after - entering)
     deb = -des + (base + p_enter * pop)
-    return StrokeEnergetics(dE_S=des, dE_B=deb, dE_I=interaction_energy_change(des, deb))
+    return StrokeEnergetics(dE_S=des, dE_B=deb, dE_I=-des - deb)
 
 
 def markov_rate(bath: BathSpec, omega: float) -> float:
@@ -169,9 +141,8 @@ def markov_cycle(t_h: float, t_c: float, hot_bath: BathSpec, cold_bath: BathSpec
                  omega_h: float, omega_c: float, sign_eps: float = 1e-12) -> CycleReport:
     """Full cycle report in the Markovian reference: dE_I = 0, no detachment work."""
     lc = markov_fixed_point(t_h, t_c, hot_bath, cold_bath, omega_h, omega_c)
-    des_h = qubit_energy_change(lc, "hot", omega_h)
-    des_c = qubit_energy_change(lc, "cold", omega_c)
+    des_h = _dE_S(lc, "hot", omega_h)
+    des_c = _dE_S(lc, "cold", omega_c)
     return assemble_report(t_h, t_c, lc, omega_h, omega_c,
-                           hot_energies=(des_h, -des_h, 0.0),
-                           cold_energies=(des_c, -des_c, 0.0),
-                           eps=sign_eps)
+                           StrokeEnergetics(des_h, -des_h, 0.0),
+                           StrokeEnergetics(des_c, -des_c, 0.0), sign_eps)

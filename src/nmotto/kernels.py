@@ -150,20 +150,27 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
         step = default_grid_step(omega0, bath.cutoff)
     if not (math.isfinite(step) and 0.0 < step <= t_max):
         raise GridError("step must satisfy 0 < step <= t_max")
-    n = int(math.ceil(t_max / step - 1e-12)) + 1
-    if n < 3:
-        n = 3
-    if n > MAX_GRID_NODES:
-        raise GridError(f"grid would need {n} nodes (> {MAX_GRID_NODES}); increase step or reduce t_max")
+    # Compared as a float, so that an infinite or huge count never reaches int().
+    intervals = t_max / step - 1e-12
+    if intervals > MAX_GRID_NODES - 1:
+        raise GridError(f"grid would need {intervals + 1:.3g} nodes (> {MAX_GRID_NODES}); "
+                        "increase step or reduce t_max")
+    n = max(int(math.ceil(intervals)) + 1, 3)
 
-    tau = np.arange(n, dtype=np.float64) * step
-    d1 = noise_kernel(tau, bath)
-    d2 = dissipation_kernel(tau, bath)
-    cos_w = np.cos(omega0 * tau)
-    sin_w = np.sin(omega0 * tau)
-    a = cumulative_simpson(-2.0 * d1 * cos_w, step)
-    b = cumulative_simpson(-(d1 * cos_w + d2 * sin_w), step)
-    big_a = cumulative_simpson(a, step)
+    # Extreme bath scales overflow the tables; that is reported once, below,
+    # and not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = np.arange(n, dtype=np.float64) * step
+        d1 = noise_kernel(tau, bath)
+        d2 = dissipation_kernel(tau, bath)
+        cos_w = np.cos(omega0 * tau)
+        sin_w = np.sin(omega0 * tau)
+        a = cumulative_simpson(-2.0 * d1 * cos_w, step)
+        b = cumulative_simpson(-(d1 * cos_w + d2 * sin_w), step)
+        big_a = cumulative_simpson(a, step)
+    # Any non-finite D1 or D2 value spreads into b, and D1's into A too.
+    if not (np.isfinite(b).all() and np.isfinite(big_a).all()):
+        raise GridError("kernel tables are not finite; the bath scales overflow float64")
 
     for arr in (tau, d1, d2, a, b, big_a):
         arr.setflags(write=False)

@@ -38,14 +38,6 @@ class LimitCycleState:
     rho11_c: float
     p0: float
 
-    @property
-    def entering_rho11_h(self) -> float:
-        return 1.0 - self.P_h
-
-    @property
-    def entering_rho11_c(self) -> float:
-        return 1.0 - self.P_c
-
 
 def _validate_times(t_h: float, t_c: float) -> None:
     for name, t in (("t_h", t_h), ("t_c", t_c)):

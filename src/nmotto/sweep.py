@@ -102,12 +102,9 @@ def evaluate_cycle(ctx: CycleContext, t_h: float, t_c: float) -> CycleReport:
         return energetics.markov_cycle(t_h, t_c, ctx.hot_bath, ctx.cold_bath,
                                        ctx.omega_h, ctx.omega_c, ctx.sign_eps)
     lc = limit_cycle.fixed_point(t_h, t_c, ctx.hot_grid, ctx.cold_grid)
-    hot = energetics.stroke_energetics(lc, "hot", ctx.omega_h, ctx.hot_grid, t_h)
-    cold = energetics.stroke_energetics(lc, "cold", ctx.omega_c, ctx.cold_grid, t_c)
-    return assemble_report(t_h, t_c, lc, ctx.omega_h, ctx.omega_c,
-                           hot_energies=(hot.dE_S, hot.dE_B, hot.dE_I),
-                           cold_energies=(cold.dE_S, cold.dE_B, cold.dE_I),
-                           eps=ctx.sign_eps)
+    hot = energetics.stroke_energetics(lc, "hot", ctx.hot_grid, t_h)
+    cold = energetics.stroke_energetics(lc, "cold", ctx.cold_grid, t_c)
+    return assemble_report(t_h, t_c, lc, ctx.omega_h, ctx.omega_c, hot, cold, ctx.sign_eps)
 
 
 def run_cycle(config: RunConfig) -> CycleReport:

@@ -103,8 +103,8 @@ def test_criterion_05_energy_conservation(hot_bath, cold_bath):
         t_h = gh.step * int(rng.integers(40, gh.n_points - 1))
         t_c = gc.step * int(rng.integers(40, gc.n_points - 1))
         lc = nm.fixed_point(t_h, t_c, gh, gc)
-        for label, omega, grid, t in (("hot", OMEGA_H, gh, t_h), ("cold", OMEGA_C, gc, t_c)):
-            stroke = nm.stroke_energetics(lc, label, omega, grid, t)
+        for label, grid, t in (("hot", gh, t_h), ("cold", gc, t_c)):
+            stroke = nm.stroke_energetics(lc, label, grid, t)
             assert abs(stroke.dE_S + stroke.dE_B + stroke.dE_I) < 1e-14
             explicit = nm.eq_interaction_integral(lc, label, grid, t)
             assert abs(stroke.dE_I - explicit) < 1e-10

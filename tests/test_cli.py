@@ -200,6 +200,29 @@ class TestErrorPaths:
         assert "Traceback" not in done.stderr
         assert json.loads(done.stderr.splitlines()[-1])["error"] == "PoleError"
 
+    @pytest.mark.parametrize("command", ["cycle", "sweep"])
+    @pytest.mark.parametrize("extreme, error", [
+        ({"T_h": 1e200}, "GridError"),  # T^2 overflows: the tables are not finite
+        ({"T_h": 1e300, "Omega_h": 1e-300}, "PoleError"),  # T / cutoff overflows
+    ], ids=["T_h_1e200", "T_h_over_Omega_h"])
+    def test_non_finite_kernel_grid_exits_1_with_one_json_line(self, tmp_path, command,
+                                                               extreme, error):
+        # A subprocess sees every line numpy would print to stderr.
+        data = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
+        data.update(extreme)
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-m", "nmotto.cli", command, "--config", str(cfg),
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not out.exists()
+
     def test_huge_count_exits_2(self, tmp_path, capsys):
         # a count beyond the float range used to escape as an OverflowError
         data = base_config_dict(t_h={"min": 10.0, "max": 120.0, "n": 10**400})

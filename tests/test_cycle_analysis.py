@@ -120,20 +120,20 @@ class TestNonmarkovIndex:
 class TestPerformance:
     def test_cop_arithmetic(self):
         rep = _stub_report(dE_S_c=-0.3, W_total=-0.1, mode=Mode.HEAT_PUMP)
-        eta, cop = nm.performance(rep)
+        eta, cop = nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode)
         assert eta is None
         assert cop == pytest.approx(3.0)
 
     def test_eta_only_for_engines(self):
         rep = _stub_report(W_total=0.05, dE_S_h=0.1, mode=Mode.ENGINE)
-        eta, cop = nm.performance(rep)
+        eta, cop = nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode)
         assert eta == pytest.approx(0.5)
         rep = _stub_report(W_total=0.05, dE_S_h=0.1, mode=Mode.OTHER)
-        assert nm.performance(rep)[0] is None
+        assert nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode)[0] is None
 
     def test_absent_on_zero_work(self):
         rep = _stub_report(W_total=0.0, dE_S_c=0.3)
-        assert nm.performance(rep) == (None, None)
+        assert nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode) == (None, None)
 
     def test_engine_efficiency_below_carnot_on_reproduction_line(self, reference_context):
         carnot = 1.0 - T_C / T_H

@@ -16,7 +16,7 @@ def _node_time(grid, t):
 class TestQubitEnergyChange:
     def test_short_cold_stroke_vanishes(self, hot_grid, cold_grid):
         lc = nm.fixed_point(60.0, 1e-4, hot_grid, cold_grid)
-        assert abs(nm.qubit_energy_change(lc, "cold", OMEGA_C)) < 1e-5
+        assert abs(nm.stroke_energetics(lc, "cold", cold_grid, 1e-4).dE_S) < 1e-5
 
     def test_ratio_identity(self, hot_grid, cold_grid):
         # populations are exchanged between strokes, so the heats are
@@ -26,8 +26,8 @@ class TestQubitEnergyChange:
             t_h = float(rng.uniform(1.0, 120.0))
             t_c = float(rng.uniform(1.0, 120.0))
             lc = nm.fixed_point(t_h, t_c, hot_grid, cold_grid)
-            des_h = nm.qubit_energy_change(lc, "hot", OMEGA_H)
-            des_c = nm.qubit_energy_change(lc, "cold", OMEGA_C)
+            des_h = nm.stroke_energetics(lc, "hot", hot_grid, t_h).dE_S
+            des_c = nm.stroke_energetics(lc, "cold", cold_grid, t_c).dE_S
             assert abs(des_h * OMEGA_C + des_c * OMEGA_H) < 1e-10
 
     def test_cold_heat_positive_at_short_times(self, reference_context):
@@ -42,27 +42,21 @@ class TestBathEnergyChange:
         grid = nm.build_kernel_grid(nm.BathSpec("hot", 0.0, CUTOFF, T_H), OMEGA_H, 10.0)
         cold = nm.build_kernel_grid(nm.BathSpec("cold", LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0)
         lc = nm.fixed_point(5.0, 5.0, grid, cold)
-        assert nm.bath_energy_change(lc, "hot", OMEGA_H, grid, 5.0) == pytest.approx(
-            -nm.qubit_energy_change(lc, "hot", OMEGA_H), abs=1e-18)
-
-    def test_wrong_frequency_rejected(self, hot_grid, cold_grid):
-        lc = nm.fixed_point(10.0, 10.0, hot_grid, cold_grid)
-        with pytest.raises(ValueError):
-            nm.bath_energy_change(lc, "hot", 2.0 * OMEGA_H, hot_grid, 10.0)
+        s = nm.stroke_energetics(lc, "hot", grid, 5.0)
+        assert s.dE_B == pytest.approx(-s.dE_S, abs=1e-18)
 
     def test_rounding_past_t_max_reads_t_max(self, hot_grid, cold_grid):
         t_max, step = cold_grid.t_max, cold_grid.step
         late = t_max + 0.5e-9 * step
         assert late > t_max
         lc = nm.fixed_point(60.0, t_max, hot_grid, cold_grid)
-        assert nm.stroke_energetics(lc, "cold", OMEGA_C, cold_grid, late) == \
-            nm.stroke_energetics(lc, "cold", OMEGA_C, cold_grid, t_max)
+        assert nm.stroke_energetics(lc, "cold", cold_grid, late) == \
+            nm.stroke_energetics(lc, "cold", cold_grid, t_max)
 
-    @pytest.mark.parametrize("name", ["stroke_energetics", "bath_energy_change"])
-    def test_beyond_t_max_rejected(self, hot_grid, cold_grid, name):
+    def test_beyond_t_max_rejected(self, hot_grid, cold_grid):
         lc = nm.fixed_point(60.0, cold_grid.t_max, hot_grid, cold_grid)
         with pytest.raises(ValueError, match="t_max"):
-            getattr(nm, name)(lc, "cold", OMEGA_C, cold_grid, cold_grid.t_max + 2e-9 * cold_grid.step)
+            nm.stroke_energetics(lc, "cold", cold_grid, cold_grid.t_max + 2e-9 * cold_grid.step)
 
     def test_interaction_energy_converges_at_long_times(self, hot_grid, cold_grid):
         # tail bound from the kernel decay: |D1| <= c/tau^2 with
@@ -71,7 +65,7 @@ class TestBathEnergyChange:
         values = {}
         for mult in (1, 2, 4):
             lc = nm.fixed_point(60.0, mult * t, hot_grid, cold_grid)
-            values[mult] = nm.stroke_energetics(lc, "cold", OMEGA_C, cold_grid, mult * t).dE_I
+            values[mult] = nm.stroke_energetics(lc, "cold", cold_grid, mult * t).dE_I
         c_tail = abs(nm.noise_kernel(t, nm.BathSpec("cold", LAMBDA, CUTOFF, T_C))) * t * t
         bound = 3.0 * 2.0 * c_tail / (OMEGA_C * t * t)
         assert abs(values[1] - values[2]) < bound
@@ -79,12 +73,6 @@ class TestBathEnergyChange:
 
 
 class TestInteractionEnergyChange:
-    def test_zero_inputs(self):
-        assert nm.interaction_energy_change(0.0, 0.0) == 0.0
-
-    def test_exact_negative_sum(self):
-        assert nm.interaction_energy_change(0.25, -0.1) == -0.15
-
     def test_adiabatic_work_shrinks_as_frequencies_merge(self, hot_bath, cold_bath):
         # W_adiab scales with (omega_h - omega_c) per excitation
         totals = []
@@ -101,9 +89,9 @@ class TestConservation:
             t_h = hot_grid.step * int(rng.integers(20, int(120.0 / hot_grid.step)))
             t_c = cold_grid.step * int(rng.integers(20, int(120.0 / cold_grid.step)))
             lc = nm.fixed_point(t_h, t_c, hot_grid, cold_grid)
-            for label, omega, grid, t in (("hot", OMEGA_H, hot_grid, t_h),
-                                          ("cold", OMEGA_C, cold_grid, t_c)):
-                s = nm.stroke_energetics(lc, label, omega, grid, t)
+            for label, grid, t in (("hot", hot_grid, t_h), ("cold", cold_grid, t_c)):
+                s = nm.stroke_energetics(lc, label, grid, t)
+                assert s.dE_I == -s.dE_S - s.dE_B
                 assert abs(s.dE_S + s.dE_B + s.dE_I) < 1e-14
                 explicit = nm.eq_interaction_integral(lc, label, grid, t)
                 assert abs(s.dE_I - explicit) < 1e-9
@@ -116,8 +104,8 @@ class TestConservation:
             t_h = gh.step * int(rng.integers(40, gh.n_points - 1))
             t_c = gc.step * int(rng.integers(40, gc.n_points - 1))
             lc = nm.fixed_point(t_h, t_c, gh, gc)
-            for label, omega, grid, t in (("hot", OMEGA_H, gh, t_h), ("cold", OMEGA_C, gc, t_c)):
-                s = nm.stroke_energetics(lc, label, omega, grid, t)
+            for label, grid, t in (("hot", gh, t_h), ("cold", gc, t_c)):
+                s = nm.stroke_energetics(lc, label, grid, t)
                 assert abs(s.dE_I - nm.eq_interaction_integral(lc, label, grid, t)) < 1e-10
 
     def test_interaction_energy_negative_on_reproduction_line(self, reference_context):
@@ -138,8 +126,8 @@ class TestConservation:
         gc = nm.build_kernel_grid(cold, OMEGA_C, t_c)
         lc = nm.fixed_point(t_h, t_c, gh, gc)
         markov = nm.markov_cycle(t_h, t_c, hot, cold, OMEGA_H, OMEGA_C)
-        des_h = nm.qubit_energy_change(lc, "hot", OMEGA_H)
-        des_c = nm.qubit_energy_change(lc, "cold", OMEGA_C)
+        des_h = nm.stroke_energetics(lc, "hot", gh, t_h).dE_S
+        des_c = nm.stroke_energetics(lc, "cold", gc, t_c).dE_S
         assert des_h == pytest.approx(markov.dE_S_h, rel=0.02)
         assert des_c == pytest.approx(markov.dE_S_c, rel=0.02)
 

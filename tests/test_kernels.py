@@ -5,6 +5,7 @@ import pytest
 
 import nmotto as nm
 from nmotto.errors import GridError
+from nmotto.kernels import MAX_GRID_NODES
 
 from conftest import (CUTOFF, LAMBDA, OMEGA_H, T_H, dissipation_kernel_oracle,
                       noise_kernel_oracle)
@@ -147,6 +148,20 @@ class TestKernelGrid:
     def test_node_budget_enforced(self, hot_bath):
         with pytest.raises(GridError):
             nm.build_kernel_grid(hot_bath, OMEGA_H, 1e6, step=1e-2)
+
+    @pytest.mark.parametrize("t_max, step, count", [
+        (60.0, 1e-320, "inf"),  # the count overflows: no int() of infinity
+        (1e300, 0.05, r"2e\+301"),  # no 300-digit integer in the message
+        (MAX_GRID_NODES * 0.5, 0.5, r"1e\+07"),  # one node past the budget
+    ], ids=["subnormal_step", "huge_t_max", "one_past_budget"])
+    def test_node_count_checked_as_a_float(self, hot_bath, t_max, step, count):
+        with pytest.raises(GridError, match=f"grid would need {count} nodes"):
+            nm.build_kernel_grid(hot_bath, OMEGA_H, t_max, step)
+
+    def test_non_finite_tables_rejected(self):
+        # T^2 overflows float64 in D1; numpy stays silent and the grid is refused
+        with pytest.raises(GridError, match="not finite"):
+            nm.build_kernel_grid(nm.BathSpec("hot", LAMBDA, CUTOFF, 1e200), OMEGA_H, 10.0)
 
     def test_default_step_rule(self):
         assert nm.default_grid_step(1.0, 0.4) == 0.05
