@@ -111,9 +111,9 @@ def _stroke_end(grid: KernelGrid, t: float, tables: tuple[np.ndarray, ...]) -> t
     pos = _validate_t(grid, t) / grid.step
     i = int(pos)
     if i >= grid.n_points - 1:
-        return tuple([float(values[-1]) for values in tables])
+        return tuple([values.item(-1) for values in tables])
     frac = pos - i
-    return tuple([float((1.0 - frac) * values[i] + frac * values[i + 1]) for values in tables])
+    return tuple([(1.0 - frac) * values.item(i) + frac * values.item(i + 1) for values in tables])
 
 
 def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTrace:

@@ -2,19 +2,24 @@
 
 The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
 pair is built per sweep and shared read-only by every cell; with the flow
-prefix tables in place a cell evaluation is O(1).  Every batch is one ordered
-map (`_map`): a sweep maps over its (t_h, t_c) cells and a phase diagram over
-its (omega ratio, T ratio) cells, serially or across a process pool, and the
-results come back in input order, so parallel runs are byte-identical to
-serial ones.  Each cell maps to one CSV row, the file is the run's only
-result (the runners return nothing), and the pool size is the config's
-`workers`.  Per-cell failures land in the CSV error column and the run
-continues.
+prefix tables in place a cell evaluation is O(1).  Every batch is one lazy
+ordered map (`_map`): a sweep maps over its t_h values, each to one block of
+CSV text holding that row's t_c cells, and a phase diagram over its
+(omega ratio, T ratio) cells, each to its CSV line.  The map runs serially or
+across a process pool; the text comes back in input order and is written as
+it arrives, so parallel runs are byte-identical to serial ones and a serial
+sweep holds one t_h row in memory.  Every file is written to `<out>.part` and
+renamed onto `<out>` once complete: a run that raises leaves `<out>` as it
+was.  The file is the run's only result (the runners return nothing), and
+the pool size is the config's `workers`.  Per-cell failures land in the CSV
+error column and the run continues.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 import multiprocessing
 import os
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import energetics, limit_cycle
 from .config import RunConfig, require_scalar_times, sweep_axes
@@ -53,10 +58,17 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-# CycleReport lists its numeric fields first and its Enum labels last; a
-# label among the numbers would fail loudly in format().
-_NUMBER_VALUES = attrgetter(*REPORT_FIELDS[: -len(LABEL_FIELDS)])
+# CycleReport lists its always-present numbers first, then the ones that may
+# be None (alpha, eta, cop: an empty field), then its Enum labels; a None or
+# a label among the first would fail loudly in the format.
+_OPTIONAL_FIELDS = tuple(name for name, hint in get_type_hints(CycleReport).items()
+                         if hint == Optional[float])
+_FLOAT_FIELDS = REPORT_FIELDS[: -len(_OPTIONAL_FIELDS) - len(LABEL_FIELDS)]
+_FLOAT_VALUES = attrgetter(*_FLOAT_FIELDS)
+_OPTIONAL_VALUES = attrgetter(*_OPTIONAL_FIELDS)
 _LABEL_VALUES = attrgetter(*LABEL_FIELDS)
+# "%.17g" % x is format(x, ".17g") byte for byte, nan, inf and -0 included.
+_FLOATS_FORMAT = ",".join(["%.17g"] * len(_FLOAT_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -113,16 +125,24 @@ def run_cycle(config: RunConfig) -> CycleReport:
     return evaluate_cycle(ctx, t_h, t_c)
 
 
-def _report_row(report: CycleReport) -> list[str]:
-    # Concatenation sizes the row exactly: sweeps hold every row in memory.
-    return (list(map(_fmt, _NUMBER_VALUES(report)))
-            + [label.value for label in _LABEL_VALUES(report)] + [""])
+def _report_line(report: CycleReport) -> str:
+    """One report's CSV line, error column empty."""
+    return ",".join([_FLOATS_FORMAT % _FLOAT_VALUES(report),
+                     *map(_fmt, _OPTIONAL_VALUES(report)),
+                     *[label.value for label in _LABEL_VALUES(report)], "\n"])
 
 
-def _error_row(t_h: float, t_c: float, exc: Exception) -> list[str]:
+def _csv_line(row: list[str]) -> str:
+    """One row through csv.writer: the only path that quotes (error texts)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+def _error_line(t_h: float, t_c: float, exc: Exception) -> str:
     row = [_fmt(t_h), _fmt(t_c)] + [""] * (len(REPORT_FIELDS) - 2)
     row.append(f"{type(exc).__name__}: {exc}")
-    return row
+    return _csv_line(row)
 
 
 # Failures of the physics at one parameter point; anything else is a bug and
@@ -130,12 +150,17 @@ def _error_row(t_h: float, t_c: float, exc: Exception) -> list[str]:
 _CELL_ERRORS = (NmottoError, ValueError, ArithmeticError)
 
 
-def _cell_row(ctx: CycleContext, cell: tuple[float, float]) -> list[str]:
-    t_h, t_c = cell
-    try:
-        return _report_row(evaluate_cycle(ctx, t_h, t_c))
-    except _CELL_ERRORS as exc:  # per-cell failure: record and continue
-        return _error_row(t_h, t_c, exc)
+def _sweep_chunk(ctx: CycleContext, t_c_values: list[float], t_h: float) -> str:
+    """The CSV text of one t_h row of the sweep, t_c in axis order."""
+    lines = []
+    for t_c in t_c_values:
+        try:
+            report = evaluate_cycle(ctx, t_h, t_c)
+        except _CELL_ERRORS as exc:  # per-cell failure: record and continue
+            lines.append(_error_line(t_h, t_c, exc))
+        else:
+            lines.append(_report_line(report))
+    return "".join(lines)
 
 
 def _usable_cpus() -> int:
@@ -145,46 +170,78 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map(fn, items: list, workers: int) -> list:
-    """`fn` over `items` in input order, across up to `workers` processes.
+def _map(fn, items: list, workers: int):
+    """Lazily yield `fn` over `items` in input order, across up to `workers` processes.
 
     The pool is capped at the item count and the usable CPUs: a fork-context
     pool starts all its processes up front, whatever `workers` asks for.
     """
     workers = min(workers, len(items), _usable_cpus())
     if workers <= 1:
-        return list(map(fn, items))
+        yield from map(fn, items)
+        return
     try:
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix
         mp_ctx = multiprocessing.get_context()
     with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
+        yield from pool.map(fn, items, chunksize=math.ceil(len(items) / workers))
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_text(path: str, header: str, blocks) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+        fh.writelines(blocks)
 
 
-def _write_columns(path: str, header: str, *columns) -> None:
-    """Equal-length float arrays as CSV columns, streamed row by row."""
-    _write_csv(path, header, (map(_fmt, row) for row in zip(*(c.tolist() for c in columns))))
+def _write_csv(path: str, header: str, blocks) -> None:
+    """The header and the ready CSV text of `blocks`, written as they come.
+
+    The text goes to `<path>.part`, renamed onto `path` once complete; on any
+    exception the part file is removed and `path` is left as it was.  A
+    symlinked `path` (such as /dev/stdout redirected to a file) is followed:
+    the part file sits next to the file it resolves to and replaces that
+    file, so the link stays.  A `path` that resolves to something other than
+    a regular file (a pipe or a device) is written in place: renaming onto
+    it would replace it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        _write_text(path, header, blocks)
+        return
+    target = os.path.realpath(path)
+    part = target + ".part"
+    try:
+        _write_text(part, header, blocks)
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
+# Rows per slice of a column dump: converting whole tables with tolist()
+# would hold a Python float per node.
+_DUMP_ROWS = 1 << 16
+
+
+def _column_blocks(*columns):
+    """Equal-length float arrays as the CSV text of their rows, slice by slice."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _DUMP_ROWS):
+        rows = zip(*(c[start:start + _DUMP_ROWS].tolist() for c in columns))
+        yield "".join([line % row for row in rows])
 
 
 def run_sweep(config: RunConfig, out_path: str) -> None:
-    """Row-major (t_h outer, t_c inner) sweep written as CSV."""
+    """Row-major (t_h outer, t_c inner) sweep written as CSV, one t_h row at a time."""
     t_h_values, t_c_values = sweep_axes(config)
     ctx = build_context(config, max(t_h_values), max(t_c_values))
     _write_csv(out_path, CSV_HEADER,
-               _map(partial(_cell_row, ctx), list(product(t_h_values, t_c_values)),
-                    config.workers))
+               _map(partial(_sweep_chunk, ctx, t_c_values), t_h_values, config.workers))
 
 
-def _phase_row(config: RunConfig, t_values: list[float],
-               ratios: tuple[float, float]) -> list[str]:
+def _phase_line(config: RunConfig, t_values: list[float],
+                ratios: tuple[float, float]) -> str:
     r_omega, r_temp = ratios
     counts = dict.fromkeys(Mode, 0)  # Enum order is the CSV column order
     classification = error = ""
@@ -198,7 +255,8 @@ def _phase_row(config: RunConfig, t_values: list[float],
         error = f"{type(exc).__name__}: {exc}"
     else:
         classification = "engine_only" if counts[Mode.ENGINE] == len(t_values) ** 2 else "mixed"
-    return [_fmt(r_omega), _fmt(r_temp), *map(str, counts.values()), classification, error]
+    return _csv_line([_fmt(r_omega), _fmt(r_temp), *map(str, counts.values()),
+                      classification, error])
 
 
 def run_phase(config: RunConfig, out_path: str) -> None:
@@ -207,11 +265,11 @@ def run_phase(config: RunConfig, out_path: str) -> None:
         raise ConfigError("phase runs require omega_ratio, T_ratio and t_box")
     ratios = list(product(config.omega_ratio.values(), config.T_ratio.values()))
     _write_csv(out_path, PHASE_HEADER,
-               _map(partial(_phase_row, config, config.t_box.values()), ratios, config.workers))
+               _map(partial(_phase_line, config, config.t_box.values()), ratios, config.workers))
 
 
 def write_cycle_csv(report: CycleReport, path: str) -> None:
-    _write_csv(path, CSV_HEADER, [_report_row(report)])
+    _write_csv(path, CSV_HEADER, [_report_line(report)])
 
 
 def _stroke_bath(config: RunConfig, bath_label: str) -> tuple[BathSpec, float, float]:
@@ -230,7 +288,8 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
     bath, omega, t_max = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t_max, config.h)
-    _write_columns(path, "tau,D1,D2,a,b,A", grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A)
+    _write_csv(path, "tau,D1,D2,a,b,A",
+               _column_blocks(grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A))
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
@@ -238,4 +297,4 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
     bath, omega, t = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t, config.h)
     trace = propagate(initial_rho00, grid, t)
-    _write_columns(path, "tau,rho00", trace.tau, trace.rho00)
+    _write_csv(path, "tau,rho00", _column_blocks(trace.tau, trace.rho00))

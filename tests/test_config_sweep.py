@@ -1,6 +1,10 @@
 import csv
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nmotto as nm
-from nmotto.config import parse_config, sweep_axes
+from nmotto.config import load_config, parse_config, sweep_axes
+from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS
 from nmotto.errors import ConfigError
 from nmotto.kernels import MAX_GRID_NODES
 from nmotto.sweep import CSV_HEADER, run_cycle, run_phase, run_sweep, write_cycle_csv
@@ -308,7 +313,7 @@ class TestRunSweep:
         monkeypatch.setattr(nm.sweep.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         items = list(range(-n_items, 0))
-        assert nm.sweep._map(abs, items, workers) == [abs(i) for i in items]
+        assert list(nm.sweep._map(abs, items, workers)) == [abs(i) for i in items]
         assert sizes == ([] if pool_size is None else [pool_size])
 
 
@@ -452,3 +457,189 @@ class TestRunPhase:
         cfg = parse_config(base_config_dict())
         with pytest.raises(ConfigError, match="omega_ratio"):
             run_phase(cfg, str(tmp_path / "x.csv"))
+
+
+_QUOTED_MESSAGE = 'a, "b"\nc'
+
+_SMALL_PHASE = {
+    "omega_h": 1.0, "T_h": 1.0,
+    "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+    "omega_ratio": {"min": 0.3, "max": 0.7, "n": 2},
+    "T_ratio": {"min": 0.2, "max": 0.4, "n": 2},
+    "t_box": {"t_max": 10.0, "n": 2},
+}
+
+
+def _rewritten(path) -> bytes:
+    """The file's rows parsed and written back by csv.writer."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvText:
+    def test_error_column_survives_quoting_in_a_sweep(self, small_cfg, tmp_path, monkeypatch):
+        evaluate = nm.sweep.evaluate_cycle
+        t_h_values, t_c_values = sweep_axes(small_cfg)
+
+        def one_cell_fails(ctx, t_h, t_c):
+            if (t_h, t_c) == (t_h_values[2], t_c_values[3]):
+                raise nm.SingularMapError(_QUOTED_MESSAGE)
+            return evaluate(ctx, t_h, t_c)
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", one_cell_fails)
+        out = tmp_path / "quoted.csv"
+        run_sweep(replace(small_cfg, workers=1), str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        errors = [row["error"] for row in rows if row["error"]]
+        assert errors == [f"SingularMapError: {_QUOTED_MESSAGE}"]
+        assert out.read_bytes() == _rewritten(out)
+
+    def test_error_column_survives_quoting_in_a_phase_diagram(self, tmp_path, monkeypatch):
+        evaluate = nm.sweep.evaluate_cycle
+
+        def one_ratio_fails(ctx, t_h, t_c):
+            if ctx.omega_c == 0.7:
+                raise nm.SingularMapError(_QUOTED_MESSAGE)
+            return evaluate(ctx, t_h, t_c)
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", one_ratio_fails)
+        out = tmp_path / "quoted_phase.csv"
+        run_phase(parse_config(dict(_SMALL_PHASE, workers=1)), str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["error"] for row in rows] == ["", ""] + [f"SingularMapError: {_QUOTED_MESSAGE}"] * 2
+        assert out.read_bytes() == _rewritten(out)
+
+    def test_numbers_round_trip_at_17_digits(self, tmp_path):
+        out = tmp_path / "small.csv"
+        run_sweep(load_config(str(CONFIGS / "sweep_small.json")), str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        n_numbers = len(REPORT_FIELDS) - len(LABEL_FIELDS)
+        numbers = [x for row in rows for x in row[:n_numbers] if x]
+        assert len(rows) == 144 and len(numbers) > 144 * (n_numbers - 4)
+        for x in numbers:
+            assert format(float(x), ".17g") == x
+        assert out.read_bytes() == _rewritten(out)
+
+    def test_report_line_matches_the_field_by_field_row(self, small_cfg):
+        # the one-format line against the csv.writer row of _fmt fields, on
+        # a real report and on reports with nan, inf, -0 and absent values
+        report = nm.evaluate_cycle(nm.build_context(small_cfg, 60.0, 10.0), 60.0, 10.0)
+        reports = [report, replace(report, dE_S_h=float("nan"), dE_B_h=float("inf"),
+                                   dE_I_h=float("-inf"), W_total=-0.0, t_c=5e-324),
+                   replace(report, eta=None), replace(report, alpha_h=None, cop=None)]
+        for rep in reports:
+            row = [nm.sweep._fmt(getattr(rep, name)) for name in REPORT_FIELDS
+                   if name not in LABEL_FIELDS]
+            row += [getattr(rep, name).value for name in LABEL_FIELDS] + [""]
+            assert nm.sweep._report_line(rep) == nm.sweep._csv_line(row)
+
+
+class TestOutputFile:
+    """`out` is replaced only by a complete file; a run that raises after
+    writing some rows leaves it as it was."""
+
+    @staticmethod
+    def _failing_run(kind, small_cfg, workers, monkeypatch, out):
+        evaluate = nm.sweep.evaluate_cycle
+        if kind == "sweep":
+            runner, config = run_sweep, replace(small_cfg, workers=workers)
+            t_h_values, t_c_values = sweep_axes(small_cfg)
+            last_cell = (t_h_values[-1], t_c_values[-1])
+
+            def is_late(ctx, t_h, t_c):
+                return (t_h, t_c) == last_cell
+        else:
+            runner, config = run_phase, parse_config(dict(_SMALL_PHASE, workers=workers))
+
+            def is_late(ctx, t_h, t_c):  # every cell of the last omega-ratio row
+                return ctx.omega_c == 0.7
+        part_sizes = []
+
+        def late_bug(ctx, t_h, t_c):
+            if is_late(ctx, t_h, t_c):
+                part_sizes.append(os.path.getsize(f"{os.path.realpath(out)}.part"))
+                raise TypeError("unsupported operand")
+            return evaluate(ctx, t_h, t_c)
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", late_bug)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            runner(config, str(out))
+        return part_sizes
+
+    @pytest.mark.parametrize("kind", ["sweep", "phase"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_output_and_no_part_file(self, small_cfg, tmp_path, monkeypatch, kind, workers):
+        out = tmp_path / "bug.csv"
+        part_sizes = self._failing_run(kind, small_cfg, workers, monkeypatch, out)
+        if workers == 1 and kind == "sweep":
+            # five of six rows were already on disk when the bug was raised
+            assert part_sizes[0] > len(CSV_HEADER) + 1
+        assert not out.exists()
+        assert not Path(f"{out}.part").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["sweep", "phase"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_existing_output_is_unchanged(self, small_cfg, tmp_path, monkeypatch, kind, workers):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"an earlier result\n")
+        self._failing_run(kind, small_cfg, workers, monkeypatch, out)
+        assert out.read_bytes() == b"an earlier result\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        # renaming a finished file onto a pipe (or /dev/stdout) would replace it
+        cfg = parse_config(base_config_dict())
+        report = run_cycle(cfg)
+        write_cycle_csv(report, str(tmp_path / "cycle.csv"))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_cycle_csv(report, str(pipe))
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert received == (tmp_path / "cycle.csv").read_bytes()
+        assert pipe.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cycle.csv", "pipe"]
+
+    def test_a_symlink_is_followed_and_kept(self, small_cfg, tmp_path, monkeypatch):
+        # the link's target gets the finished file; the link itself stays
+        cfg = parse_config(base_config_dict())
+        report = run_cycle(cfg)
+        write_cycle_csv(report, str(tmp_path / "cycle.csv"))
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"an earlier result\n")
+        link.symlink_to(target)
+        write_cycle_csv(report, str(link))
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == (tmp_path / "cycle.csv").read_bytes()
+        target.write_bytes(b"an earlier result\n")
+        self._failing_run("sweep", small_cfg, 1, monkeypatch, link)
+        assert link.is_symlink() and target.read_bytes() == b"an earlier result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cycle.csv", "link.csv", "target.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_redirected_to_a_file(self, tmp_path):
+        # `--out /dev/stdout > f.csv`: f.csv gets the file, /dev/stdout stays
+        cfg = str(CONFIGS / "reference_cycle.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        direct, redirected = tmp_path / "direct.csv", tmp_path / "redirected.csv"
+        stdout_was_link = os.path.islink("/dev/stdout")
+        subprocess.run([sys.executable, "-m", "nmotto.cli", "cycle", "--config", cfg,
+                        "--out", str(direct)], env=env, check=True)
+        with open(redirected, "wb") as fh:
+            subprocess.run([sys.executable, "-m", "nmotto.cli", "cycle", "--config", cfg,
+                            "--out", "/dev/stdout"], env=env, check=True, stdout=fh)
+        assert redirected.read_bytes() == direct.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "redirected.csv"]
+        assert os.path.islink("/dev/stdout") == stdout_was_link
+        assert not os.path.exists("/dev/stdout.part")
