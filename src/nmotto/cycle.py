@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache
 from typing import Callable, Optional, get_type_hints
 
 from .limit_cycle import LimitCycleState
@@ -221,30 +222,41 @@ def find_boundaries(evaluate: Callable[[float], CycleReport], t_c_min: float,
                     ) -> tuple[Optional[float], Optional[float]]:
     """(t0_c, t1_c): sign changes of the qubit heats and of the total work.
 
-    Scans t_c on a coarse grid for cheap bracketing, then refines each
-    bracket by bisection with fresh evaluations.  Missing crossings are
-    reported as None, not raised.
+    Walks the scan points t_c_min, t_c_min + step, ... (and t_c_max when the
+    steps miss it) in order, and stops at each observable's first scan point
+    that is an exact zero (returned as is) or that ends a sign change
+    (refined by bisection).  Missing crossings are reported as None, not
+    raised.
+
+    `evaluate` is called lazily, at most once per stroke time, through a
+    memo shared by both scans and their bisections: a stroke time the answer
+    never reads is never evaluated, so an evaluation that would raise beyond
+    both first brackets does not fail the search.
     """
-    if not (t_c_min > 0.0 and t_c_max > t_c_min and step > 0.0):
-        raise ValueError("scan range must satisfy 0 < t_c_min < t_c_max with step > 0")
-    n = int(math.floor((t_c_max - t_c_min) / step)) + 1
-    ts = [t_c_min + i * step for i in range(n)]
-    if ts[-1] < t_c_max:
-        ts.append(t_c_max)
-    reports = {t: evaluate(t) for t in ts}
+    if not (all(map(math.isfinite, (t_c_min, t_c_max, step)))
+            and 0.0 < t_c_min < t_c_max and step > 0.0):
+        raise ValueError("scan range must satisfy 0 < t_c_min < t_c_max with finite step > 0")
+    span = (t_c_max - t_c_min) / step
+    if not math.isfinite(span):
+        raise ValueError("scan range over step must be finite")
+    n = math.floor(span) + 1
+
+    def scan_points():
+        yield from (t_c_min + i * step for i in range(n))
+        if t_c_min + (n - 1) * step < t_c_max:
+            yield t_c_max
+
+    report = cache(evaluate)
 
     def refine(value_of: Callable[[CycleReport], float]) -> Optional[float]:
-        prev_t = ts[0]
-        prev_v = value_of(reports[prev_t])
-        for t in ts[1:]:
-            v = value_of(reports[t])
-            if prev_v == 0.0:
-                return prev_t
-            if v != 0.0 and (v > 0.0) != (prev_v > 0.0):
-                return bisect_sign_change(lambda x: value_of(evaluate(x)), prev_t, t, rtol)
+        prev_t = prev_v = None
+        for t in scan_points():
+            v = value_of(report(t))
+            if v == 0.0:
+                return t
+            if prev_v is not None and (v > 0.0) != (prev_v > 0.0):
+                return bisect_sign_change(lambda x: value_of(report(x)), prev_t, t, rtol)
             prev_t, prev_v = t, v
         return None
 
-    t0 = refine(lambda r: r.dE_S_h)
-    t1 = refine(lambda r: r.W_total)
-    return t0, t1
+    return refine(lambda r: r.dE_S_h), refine(lambda r: r.W_total)

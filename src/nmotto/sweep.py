@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -170,11 +169,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The callable a pool worker maps, set once per worker by its initializer.
+_worker_fn = None
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)
+
+
 def _map(fn, items: list, workers: int):
     """Lazily yield `fn` over `items` in input order, across up to `workers` processes.
 
     The pool is capped at the item count and the usable CPUs: a fork-context
     pool starts all its processes up front, whatever `workers` asks for.
+    Each worker receives `fn` once, through the pool initializer (a forked
+    worker inherits it unpickled), and the items go out one per task, so the
+    parent holds only the results not yet written, not a worker's whole share.
     """
     workers = min(workers, len(items), _usable_cpus())
     if workers <= 1:
@@ -184,8 +199,9 @@ def _map(fn, items: list, workers: int):
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix
         mp_ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-        yield from pool.map(fn, items, chunksize=math.ceil(len(items) / workers))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx,
+                             initializer=_set_worker_fn, initargs=(fn,)) as pool:
+        yield from pool.map(_call_worker_fn, items)
 
 
 def _write_text(path: str, header: str, blocks) -> None:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +298,10 @@ class TestRunSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
                 sizes.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -306,15 +309,40 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
         monkeypatch.setattr(nm.sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(nm.sweep, "_worker_fn", None)  # restored after the test
         monkeypatch.setattr(nm.sweep.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         items = list(range(-n_items, 0))
         assert list(nm.sweep._map(abs, items, workers)) == [abs(i) for i in items]
         assert sizes == ([] if pool_size is None else [pool_size])
+
+
+class _CountedPickles:
+    """A payload that counts how often this process pickles it."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return _CountedPickles, ()
+
+
+def _doubled(payload, x):
+    return 2 * x
+
+
+class TestPool:
+    def test_mapped_callable_reaches_workers_unpickled(self, monkeypatch):
+        monkeypatch.setattr(nm.sweep, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_CountedPickles, "pickles", 0)
+        items = list(range(9))
+        fn = partial(_doubled, _CountedPickles())
+        assert list(nm.sweep._map(fn, items, 2)) == [2 * x for x in items]
+        assert _CountedPickles.pickles == 0
 
 
 class TestRunPhase:

@@ -1,7 +1,11 @@
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmotto as nm
 from nmotto.cycle import CycleReport, Flow, Mode
@@ -146,7 +150,146 @@ class TestPerformance:
         assert seen_engine
 
 
+def _eager_find_boundaries(evaluate, t_c_min, t_c_max, step, rtol):
+    """The eager search: evaluate every scan point, then bisect with fresh calls.
+
+    It reads the same scan points and brackets as `find_boundaries`, and also
+    returns an exact zero at the last scan point.
+    """
+    n = int(math.floor((t_c_max - t_c_min) / step)) + 1
+    ts = [t_c_min + i * step for i in range(n)]
+    if ts[-1] < t_c_max:
+        ts.append(t_c_max)
+    reports = [evaluate(t) for t in ts]
+
+    def refine(value_of):
+        prev_t, prev_v = ts[0], value_of(reports[0])
+        for t, rep in zip(ts[1:], reports[1:]):
+            v = value_of(rep)
+            if prev_v == 0.0:
+                return prev_t
+            if v != 0.0 and (v > 0.0) != (prev_v > 0.0):
+                return nm.bisect_sign_change(lambda x: value_of(evaluate(x)), prev_t, t, rtol)
+            prev_t, prev_v = t, v
+        return prev_t if prev_v == 0.0 else None
+
+    return refine(lambda r: r.dE_S_h), refine(lambda r: r.W_total)
+
+
+def _piecewise_linear(knots, values):
+    """The broken line through (knots, values), constant beyond its ends."""
+    def f(t):
+        if t <= knots[0]:
+            return values[0]
+        for x0, y0, x1, y1 in zip(knots, values, knots[1:], values[1:]):
+            if t == x1:
+                return y1
+            if t < x1:
+                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+        return values[-1]
+    return f
+
+
+class _Unreadable(ArithmeticError):
+    pass
+
+
+@st.composite
+def _synthetic_searches(draw):
+    t_c_min = draw(st.floats(0.05, 10.0))
+    step = draw(st.floats(0.01, 3.0))
+    n = draw(st.integers(1, 80))
+    t_c_max = t_c_min + draw(st.floats(0.3, 1.0)) * n * step
+
+    def observable():
+        # knots on scan points make exact zeros there
+        knot = st.integers(0, n).map(lambda i: t_c_min + i * step) | st.floats(t_c_min, t_c_max)
+        knots = sorted(set(draw(st.lists(knot, min_size=2, max_size=6))))
+        values = draw(st.lists(st.floats(-2.0, 2.0),
+                               min_size=len(knots), max_size=len(knots)))
+        return _piecewise_linear(knots, values)
+
+    heat, work = observable(), observable()
+    rtol = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    return heat, work, t_c_min, t_c_max, step, rtol
+
+
 class TestFindBoundaries:
+    @settings(max_examples=300, deadline=None)
+    @given(_synthetic_searches())
+    def test_lazy_search_equals_eager_reference(self, search):
+        heat, work, t_c_min, t_c_max, step, rtol = search
+        calls = Counter()
+
+        def evaluate(t):
+            calls[t] += 1
+            return SimpleNamespace(dE_S_h=heat(t), W_total=work(t))
+
+        found = nm.find_boundaries(evaluate, t_c_min, t_c_max, step, rtol)
+        assert max(calls.values()) == 1
+        assert found == _eager_find_boundaries(evaluate, t_c_min, t_c_max, step, rtol)
+
+    def test_reference_search_evaluates_each_read_time_once(self, reference_context):
+        calls = Counter()
+
+        def evaluate(t_c):
+            calls[t_c] += 1
+            return evaluate_cycle(reference_context, 60.0, t_c)
+
+        found = nm.find_boundaries(evaluate, 0.5, 120.0, 0.5, rtol=1e-6)
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) <= 80  # the eager scan made 276 calls
+        assert found == _eager_find_boundaries(evaluate, 0.5, 120.0, 0.5, 1e-6)
+
+    def test_zero_at_the_last_scan_point(self):
+        ev = lambda t: SimpleNamespace(dE_S_h=t - 10.0, W_total=1.0)
+        assert nm.find_boundaries(ev, 0.5, 10.0, 0.5) == (10.0, None)
+
+    def test_zero_scan_point_returned_when_read(self):
+        seen = []
+
+        def evaluate(t):
+            seen.append(t)
+            return SimpleNamespace(dE_S_h=3.0 - t, W_total=3.0 - t)
+
+        assert nm.find_boundaries(evaluate, 1.0, 10.0, 1.0) == (3.0, 3.0)
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_failure_beyond_both_brackets_is_never_read(self):
+        def evaluate(t):
+            if t > 10.0:
+                raise _Unreadable(f"no report at {t}")
+            return SimpleNamespace(dE_S_h=5.2 - t, W_total=8.3 - t)
+
+        t0, t1 = nm.find_boundaries(evaluate, 0.5, 20.0, 0.5, rtol=1e-9)
+        assert t0 == pytest.approx(5.2, rel=1e-8)
+        assert t1 == pytest.approx(8.3, rel=1e-8)
+
+    def test_failure_at_a_read_time_propagates(self):
+        def evaluate(t):
+            if t == 6.0:  # past the heat bracket, before the work bracket
+                raise _Unreadable(f"no report at {t}")
+            return SimpleNamespace(dE_S_h=5.2 - t, W_total=8.3 - t)
+
+        with pytest.raises(_Unreadable, match="no report at 6.0"):
+            nm.find_boundaries(evaluate, 0.5, 20.0, 0.5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_arguments_rejected(self, position, value):
+        def evaluate(t):
+            raise AssertionError("a rejected range evaluates nothing")
+
+        args = [0.5, 10.0, 0.5]
+        args[position] = value
+        with pytest.raises(ValueError, match="scan range"):
+            nm.find_boundaries(evaluate, *args)
+
+    def test_scan_count_beyond_the_float_range_rejected(self):
+        ev = lambda t: SimpleNamespace(dE_S_h=1.0, W_total=1.0)
+        with pytest.raises(ValueError, match="scan range"):
+            nm.find_boundaries(ev, 0.5, 1e300, 1e-300)
+
     def test_reproduction_line_boundaries(self, reference_context):
         ev = lambda tc: evaluate_cycle(reference_context, 60.0, float(tc))
         t0, t1 = nm.find_boundaries(ev, 0.5, 120.0, 1.0)

@@ -41,5 +41,7 @@ def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
     for label, grid, t in (("hot", hot, t_h), ("cold", cold, t_c)):
         s = nm.stroke_energetics(lc, label, grid, t)
         assert s.dE_I == -s.dE_S - s.dE_B
+        # the prefix tables agree with the explicit integral on a node
+        assert abs(s.dE_I - nm.eq_interaction_integral(lc, label, grid, t)) <= 1e-12
         fields = tuple(getattr(rep, f"dE_{x}_{label[0]}") for x in "SBI")
         assert fields == (s.dE_S, s.dE_B, s.dE_I)
