@@ -24,8 +24,9 @@ from .cycle import (
 )
 from .dynamics import PopulationTrace, propagate, transition_populations, transition_traces
 from .energetics import (
+    MarkovStroke,
+    StrokeTables,
     eq_interaction_integral,
-    markov_cycle,
     markov_population,
     markov_rate,
     stroke_energetics,
@@ -58,6 +59,7 @@ from .sweep import (
     run_cycle,
     run_phase,
     run_sweep,
+    stroke_tables,
 )
 from .work_extraction import (
     COMPRESSION,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from typing import Protocol
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .errors import PositivityError
 from .kernels import KernelGrid
 from .special import cumulative_simpson
 
-__all__ = ["PopulationTrace", "propagate", "transition_populations", "transition_traces"]
+__all__ = ["PopulationTrace", "StrokeSource", "propagate", "transition_populations",
+           "transition_traces"]
 
 _POSITIVITY_TOL = 1e-9
 _EXP_GUARD = 500.0
@@ -37,6 +38,15 @@ class PopulationTrace:
     tau: np.ndarray
     rho00: np.ndarray
     value_at_t: float
+
+
+class StrokeSource(Protocol):
+    """One stroke as a cycle reads it: energetics.StrokeTables or energetics.MarkovStroke."""
+
+    omega0: float
+
+    def populations(self, t: float) -> tuple[float, float]: ...
+    def flow(self, t: float) -> tuple[float, float]: ...
 
 
 def _node_floor(step: float, t: float, n: int) -> int:
@@ -84,13 +94,11 @@ def _solve_full(grid: KernelGrid, initial: float) -> np.ndarray:
 
 
 def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
-    low = float(rho.min())
-    high = float(rho.max())
-    if low < -_POSITIVITY_TOL or high > 1.0 + _POSITIVITY_TOL:
-        raise PositivityError(
-            f"population left [0,1] (min={low:.3e}, max={high:.3e}); "
-            f"grid step {grid.step:g} too coarse or parameters outside the weak-coupling regime"
-        )
+    low, high = int(rho.argmin()), int(rho.argmax())
+    if rho[low] < -_POSITIVITY_TOL or rho[high] > 1.0 + _POSITIVITY_TOL:
+        below, above = -float(rho[low]), float(rho[high]) - 1.0
+        peak = low if below > above else high
+        raise PositivityError(max(below, above), float(grid.tau[peak]))
 
 
 def _validate_t(grid: KernelGrid, t: float) -> float:
@@ -135,24 +143,15 @@ def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTra
     return PopulationTrace(tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)
 
 
-_transition_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Full-grid populations from the two pure initial states (rho00 = 1, 0)."""
-    cached = _transition_cache.get(grid)
-    if cached is None:
-        rho_from_ground = _solve_full(grid, 1.0)
-        rho_from_excited = _solve_full(grid, 0.0)
-        _check_positivity(rho_from_ground, grid)
-        _check_positivity(rho_from_excited, grid)
-        rho_from_ground.setflags(write=False)
-        rho_from_excited.setflags(write=False)
-        cached = (rho_from_ground, rho_from_excited)
-        _transition_cache[grid] = cached
-    return cached
+    """Full-grid populations from the two pure initial states (rho00 = 1, 0); solved per call."""
+    traces = (_solve_full(grid, 1.0), _solve_full(grid, 0.0))
+    for rho in traces:
+        _check_positivity(rho, grid)
+        rho.setflags(write=False)
+    return traces
 
 
-def transition_populations(grid: KernelGrid, t: float) -> tuple[float, float]:
+def transition_populations(stroke: StrokeSource, t: float) -> tuple[float, float]:
     """(rho_{0,00}(t), rho_{1,00}(t)): stroke-end populations from |0> and |1>."""
-    return _stroke_end(grid, t, transition_traces(grid))
+    return stroke.populations(t)

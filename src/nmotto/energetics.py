@@ -15,34 +15,29 @@ transition traces with the limit-cycle weight P, and
 
     dE_I = -dE_S - dE_B
 
-closes the balance exactly.  The integral is linear in P, so each grid
-carries two cumulative prefix tables and a stroke evaluation is O(1).
-The explicit-integral route for dE_I survives separately as a cross-check.
+closes the balance exactly.  The integral is linear in P, so each stroke's
+StrokeTables carries two cumulative prefix tables and a stroke evaluation is
+O(1).  The explicit-integral route for dE_I survives as a cross-check.
 
-The Markovian reference (detailed-balance rates, long-time limit) has
-dE_B = -dE_S and dE_I = 0 identically.
+The Markovian reference (detailed-balance rates, long-time limit) is the
+stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
 """
 
 from __future__ import annotations
 
 import math
-from weakref import WeakKeyDictionary
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cycle import CycleReport, StrokeEnergetics, assemble_report
-from .dynamics import _stroke_end, _validate_t, transition_traces
+from .cycle import StrokeEnergetics
+from .dynamics import StrokeSource, _stroke_end, _validate_t, transition_traces
 from .kernels import BathSpec, KernelGrid, bose_occupation, spectral_density
-from .limit_cycle import LimitCycleState, fixed_point_from_populations
+from .limit_cycle import LimitCycleState
 from .special import cumulative_simpson, simpson
 
-__all__ = [
-    "eq_interaction_integral",
-    "stroke_energetics",
-    "markov_population",
-    "markov_rate",
-    "markov_cycle",
-]
+__all__ = ["MarkovStroke", "StrokeTables", "bath_flow_tables", "eq_interaction_integral",
+           "stroke_energetics", "markov_population", "markov_rate"]
 
 
 def _entry(lc: LimitCycleState, label: str) -> tuple[float, float, float]:
@@ -54,41 +49,46 @@ def _entry(lc: LimitCycleState, label: str) -> tuple[float, float, float]:
     raise ValueError(f"label must be 'hot' or 'cold', got {label!r}")
 
 
-def _dE_S(lc: LimitCycleState, label: str, omega: float) -> float:
-    """omega * (population after the stroke minus population entering it)."""
-    _, after, entering = _entry(lc, label)
-    return omega * (after - entering)
-
-
-_flow_tables: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _bath_flow_tables(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative prefixes of the counting-statistics integrand.
-
-    base(t) collects the P-independent part, pop(t) the coefficient of P;
-    the stroke integral is base(t) + P * pop(t).
+@dataclass(frozen=True, eq=False)
+class StrokeTables(KernelGrid):
+    """One TCL2 stroke: its grid's tables, the transition traces from |0> and
+    |1>, and the flow prefixes base and pop; every array read-only.
     """
-    cached = _flow_tables.get(grid)
-    if cached is None:
-        from_ground, from_excited = transition_traces(grid)
-        sin_w = np.sin(grid.omega0 * grid.tau)
-        cos_w = np.cos(grid.omega0 * grid.tau)
-        base = cumulative_simpson((2.0 * from_excited - 1.0) * grid.D1 * sin_w + grid.D2 * cos_w, grid.step)
-        pop = cumulative_simpson(2.0 * (from_ground - from_excited) * grid.D1 * sin_w, grid.step)
-        base.setflags(write=False)
-        pop.setflags(write=False)
-        cached = (base, pop)
-        _flow_tables[grid] = cached
-    return cached
+
+    from_ground: np.ndarray
+    from_excited: np.ndarray
+    base: np.ndarray
+    pop: np.ndarray
+
+    def populations(self, t: float) -> tuple[float, float]:
+        return _stroke_end(self, t, (self.from_ground, self.from_excited))
+
+    def flow(self, t: float) -> tuple[float, float]:
+        return _stroke_end(self, t, (self.base, self.pop))
+
+
+def bath_flow_tables(grid: KernelGrid, from_ground: np.ndarray,
+                     from_excited: np.ndarray) -> StrokeTables:
+    """The stroke's tables: `grid`'s, its two traces and the cumulative prefixes
+    of the counting-statistics integrand.  base(t) collects the P-independent
+    part, pop(t) the coefficient of P; the stroke integral is base + P * pop.
+    """
+    sin_w = np.sin(grid.omega0 * grid.tau)
+    cos_w = np.cos(grid.omega0 * grid.tau)
+    base = cumulative_simpson((2.0 * from_excited - 1.0) * grid.D1 * sin_w + grid.D2 * cos_w, grid.step)
+    pop = cumulative_simpson(2.0 * (from_ground - from_excited) * grid.D1 * sin_w, grid.step)
+    base.setflags(write=False)
+    pop.setflags(write=False)
+    return StrokeTables(**{f.name: getattr(grid, f.name) for f in fields(KernelGrid)},
+                        from_ground=from_ground, from_excited=from_excited, base=base, pop=pop)
 
 
 def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid, t: float) -> float:
-    """Explicit-integral route for dE_I; independent of the prefix tables.
+    """Explicit-integral route for dE_I; independent of the stroke tables.
 
-    Rebuilds the full integrand with the limit-cycle weight applied pointwise
-    and integrates it with the one-shot composite rule.  t is expected to sit
-    on a grid node.
+    Re-solves the traces from the grid, applies the limit-cycle weight
+    pointwise and integrates with the one-shot composite rule.  t is expected
+    to sit on a grid node.
     """
     t = _validate_t(grid, t)
     p_enter, _, _ = _entry(lc, label)
@@ -103,11 +103,11 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid, t
     return -float(simpson(integrand, grid.step))
 
 
-def stroke_energetics(lc: LimitCycleState, label: str, grid: KernelGrid, t: float) -> StrokeEnergetics:
-    """dE_S, dE_B, dE_I of one stroke as a unit, at the grid's qubit frequency."""
+def stroke_energetics(lc: LimitCycleState, label: str, stroke: StrokeSource, t: float) -> StrokeEnergetics:
+    """dE_S, dE_B, dE_I of one stroke as a unit, at the stroke's qubit frequency."""
     p_enter, after, entering = _entry(lc, label)
-    base, pop = _stroke_end(grid, t, _bath_flow_tables(grid))
-    des = grid.omega0 * (after - entering)
+    base, pop = stroke.flow(t)
+    des = stroke.omega0 * (after - entering)
     deb = -des + (base + p_enter * pop)
     return StrokeEnergetics(dE_S=des, dE_B=deb, dE_I=-des - deb)
 
@@ -127,22 +127,16 @@ def markov_population(initial_rho00: float, bath: BathSpec, omega: float, t: flo
     return stationary + (initial_rho00 - stationary) * math.exp(-markov_rate(bath, omega) * t)
 
 
-def markov_fixed_point(t_h: float, t_c: float, hot_bath: BathSpec, cold_bath: BathSpec,
-                       omega_h: float, omega_c: float) -> LimitCycleState:
-    """Limit cycle of the Markovian reference (closed-form populations)."""
-    r0_h = markov_population(1.0, hot_bath, omega_h, t_h)
-    r1_h = markov_population(0.0, hot_bath, omega_h, t_h)
-    r0_c = markov_population(1.0, cold_bath, omega_c, t_c)
-    r1_c = markov_population(0.0, cold_bath, omega_c, t_c)
-    return fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c)
+@dataclass(frozen=True)
+class MarkovStroke:
+    """One stroke of the Markovian reference: closed-form populations, no flow term."""
 
+    bath: BathSpec
+    omega0: float
 
-def markov_cycle(t_h: float, t_c: float, hot_bath: BathSpec, cold_bath: BathSpec,
-                 omega_h: float, omega_c: float, sign_eps: float = 1e-12) -> CycleReport:
-    """Full cycle report in the Markovian reference: dE_I = 0, no detachment work."""
-    lc = markov_fixed_point(t_h, t_c, hot_bath, cold_bath, omega_h, omega_c)
-    des_h = _dE_S(lc, "hot", omega_h)
-    des_c = _dE_S(lc, "cold", omega_c)
-    return assemble_report(t_h, t_c, lc, omega_h, omega_c,
-                           StrokeEnergetics(des_h, -des_h, 0.0),
-                           StrokeEnergetics(des_c, -des_c, 0.0), sign_eps)
+    def populations(self, t: float) -> tuple[float, float]:
+        return (markov_population(1.0, self.bath, self.omega0, t),
+                markov_population(0.0, self.bath, self.omega0, t))
+
+    def flow(self, t: float) -> tuple[float, float]:
+        return 0.0, 0.0

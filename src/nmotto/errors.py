@@ -24,9 +24,16 @@ class GridError(NmottoError, ValueError):
 class PositivityError(NmottoError, RuntimeError):
     """A propagated population left [0, 1] beyond tolerance.
 
-    Signals a grid that is too coarse or parameters outside the validity
-    of the second-order time-convolutionless expansion.
+    `excursion` is how far it went outside [0, 1] at its peak, and `tau` the
+    stroke time of that peak.
     """
+
+    def __init__(self, excursion: float, tau: float):
+        super().__init__(excursion, tau)
+        self.excursion, self.tau = excursion, tau
+
+    def __str__(self) -> str:
+        return f"population left [0, 1] by {self.excursion:.4e} at tau={self.tau:g}"
 
 
 class SingularMapError(NmottoError, RuntimeError):

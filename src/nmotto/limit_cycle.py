@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import transition_populations
+from .dynamics import StrokeSource, transition_populations
 from .errors import SingularMapError
-from .kernels import KernelGrid
 
 __all__ = ["LimitCycleState", "fixed_point", "fixed_point_from_populations", "iterate_map"]
 
@@ -67,8 +66,8 @@ def fixed_point_from_populations(r0_h: float, r1_h: float,
     )
 
 
-def fixed_point(t_h: float, t_c: float, hot_grid: KernelGrid, cold_grid: KernelGrid) -> LimitCycleState:
-    """Limit-cycle state for stroke durations (t_h, t_c) on the given grids."""
+def fixed_point(t_h: float, t_c: float, hot_grid: StrokeSource, cold_grid: StrokeSource) -> LimitCycleState:
+    """Limit-cycle state for stroke durations (t_h, t_c) of the given stroke sources."""
     _validate_times(t_h, t_c)
     r0_h, r1_h = transition_populations(hot_grid, t_h)
     r0_c, r1_c = transition_populations(cold_grid, t_c)
@@ -76,7 +75,7 @@ def fixed_point(t_h: float, t_c: float, hot_grid: KernelGrid, cold_grid: KernelG
 
 
 def iterate_map(p_initial: float, n: int, t_h: float, t_c: float,
-                hot_grid: KernelGrid, cold_grid: KernelGrid) -> float:
+                hot_grid: StrokeSource, cold_grid: StrokeSource) -> float:
     """P^h after n full cycles of the raw map; the oracle for fixed_point."""
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -1,11 +1,12 @@
 """Batch runners: single cycles, (t_h, t_c) sweeps, ratio phase diagrams.
 
 The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
-pair is built per sweep and shared read-only by every cell; with the flow
-prefix tables in place a cell evaluation is O(1).  Every batch is one lazy
-ordered map (`_map`): a sweep maps over its t_h values, each to one block of
-CSV text holding that row's t_c cells, and a phase diagram over its
-(omega ratio, T ratio) cells, each to its CSV line.  The map runs serially or
+pair is built per sweep, each with its stroke's traces and flow prefixes
+(`stroke_tables`), and shared read-only by every cell; a cell evaluation is
+O(1), under TCL2 and Markov dynamics alike.  Every batch is one lazy ordered
+map (`_map`): a sweep maps over its t_h values, each to one block of CSV
+text holding that row's t_c cells, and a phase diagram over its (omega
+ratio, T ratio) cells, each to its CSV line.  The map runs serially or
 across a process pool; the text comes back in input order and is written as
 it arrives, so parallel runs are byte-identical to serial ones and a serial
 sweep holds one t_h row in memory.  Every file is written to `<out>.part` and
@@ -32,7 +33,7 @@ from typing import Optional, get_type_hints
 from . import energetics, limit_cycle
 from .config import RunConfig, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
-from .dynamics import propagate, transition_traces
+from .dynamics import StrokeSource, propagate, transition_traces
 from .errors import ConfigError, NmottoError
 from .kernels import BathSpec, KernelGrid, build_kernel_grid
 
@@ -44,6 +45,7 @@ __all__ = [
     "run_cycle",
     "run_sweep",
     "run_phase",
+    "stroke_tables",
     "write_cycle_csv",
     "write_kernel_csv",
     "write_trace_csv",
@@ -72,46 +74,43 @@ _FLOATS_FORMAT = ",".join(["%.17g"] * len(_FLOAT_FIELDS))
 
 @dataclass(frozen=True)
 class CycleContext:
-    """Everything one parameter point needs; immutable and picklable."""
+    """Everything one parameter point needs; immutable and picklable, tables included.
+
+    `hot_grid` and `cold_grid` hold the strokes' sources (StrokeTables, or
+    MarkovStroke under Markov dynamics); perfbench/checks.py reads these names.
+    """
 
     omega_h: float
     omega_c: float
-    hot_bath: BathSpec
-    cold_bath: BathSpec
-    hot_grid: Optional[KernelGrid]
-    cold_grid: Optional[KernelGrid]
-    dynamics: str
+    hot_grid: StrokeSource
+    cold_grid: StrokeSource
     sign_eps: float
 
 
+def stroke_tables(grid: KernelGrid) -> energetics.StrokeTables:
+    """One TCL2 stroke's tables: the grid's, its transition traces (solved once) and flow prefixes."""
+    return energetics.bath_flow_tables(grid, *transition_traces(grid))
+
+
 def build_context(config: RunConfig, t_max_h: float, t_max_c: float) -> CycleContext:
-    """Build (and warm) the shared kernel grids for the requested box."""
+    """Build the two stroke sources of the configured dynamics for the requested box."""
     if config.omega_c is None or config.T_c is None:
         raise ConfigError("omega_c and T_c: required for cycle evaluation")
-    hot = config.hot_bath()
-    cold = config.cold_bath()
+    hot, cold = config.hot_bath(), config.cold_bath()
     if config.dynamics == "markov":
-        hot_grid = cold_grid = None
+        hot_stroke = energetics.MarkovStroke(hot, config.omega_h)
+        cold_stroke = energetics.MarkovStroke(cold, config.omega_c)
     else:
         hot_grid = build_kernel_grid(hot, config.omega_h, t_max_h, config.h)
         cold_grid = build_kernel_grid(cold, config.omega_c, t_max_c, config.h)
-        transition_traces(hot_grid)
-        transition_traces(cold_grid)
-        energetics._bath_flow_tables(hot_grid)
-        energetics._bath_flow_tables(cold_grid)
-    return CycleContext(
-        omega_h=config.omega_h, omega_c=config.omega_c,
-        hot_bath=hot, cold_bath=cold,
-        hot_grid=hot_grid, cold_grid=cold_grid,
-        dynamics=config.dynamics, sign_eps=config.tolerances.sign_zero,
-    )
+        hot_stroke, cold_stroke = stroke_tables(hot_grid), stroke_tables(cold_grid)
+    return CycleContext(omega_h=config.omega_h, omega_c=config.omega_c,
+                        hot_grid=hot_stroke, cold_grid=cold_stroke,
+                        sign_eps=config.tolerances.sign_zero)
 
 
 def evaluate_cycle(ctx: CycleContext, t_h: float, t_c: float) -> CycleReport:
-    """One full cycle report at (t_h, t_c)."""
-    if ctx.dynamics == "markov":
-        return energetics.markov_cycle(t_h, t_c, ctx.hot_bath, ctx.cold_bath,
-                                       ctx.omega_h, ctx.omega_c, ctx.sign_eps)
+    """One full cycle report at (t_h, t_c), whatever the strokes' dynamics."""
     lc = limit_cycle.fixed_point(t_h, t_c, ctx.hot_grid, ctx.cold_grid)
     hot = energetics.stroke_energetics(lc, "hot", ctx.hot_grid, t_h)
     cold = energetics.stroke_energetics(lc, "cold", ctx.cold_grid, t_c)

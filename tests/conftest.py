@@ -29,22 +29,44 @@ def cold_bath():
 
 @pytest.fixture(scope="session")
 def hot_grid(hot_bath):
-    return nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0)
+    return nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0))
 
 
 @pytest.fixture(scope="session")
 def cold_grid(cold_bath):
-    return nm.build_kernel_grid(cold_bath, OMEGA_C, 130.0)
+    return nm.stroke_tables(nm.build_kernel_grid(cold_bath, OMEGA_C, 130.0))
 
 
 @pytest.fixture(scope="session")
-def reference_context(hot_bath, cold_bath, hot_grid, cold_grid):
-    return nm.CycleContext(
-        omega_h=OMEGA_H, omega_c=OMEGA_C,
-        hot_bath=hot_bath, cold_bath=cold_bath,
-        hot_grid=hot_grid, cold_grid=cold_grid,
-        dynamics="tcl2", sign_eps=1e-12,
-    )
+def reference_context(hot_grid, cold_grid):
+    return nm.CycleContext(omega_h=OMEGA_H, omega_c=OMEGA_C,
+                           hot_grid=hot_grid, cold_grid=cold_grid, sign_eps=1e-12)
+
+
+def markov_context_of(**overrides):
+    """The reference config's context under Markov dynamics, keys overridden."""
+    config = nm.parse_config(base_config_dict(dynamics="markov", **overrides))
+    return nm.build_context(config, config.t_h, config.t_c)
+
+
+@pytest.fixture(scope="session")
+def markov_context():
+    return markov_context_of()
+
+
+def markov_reference_cycle(t_h, t_c, hot_bath, cold_bath, omega_h, omega_c):
+    """The Markovian reference cycle written out on its own: four closed-form
+    populations, the closed-form fixed point, then dE_B = -dE_S and dE_I = 0."""
+    r0_h = nm.markov_population(1.0, hot_bath, omega_h, t_h)
+    r1_h = nm.markov_population(0.0, hot_bath, omega_h, t_h)
+    r0_c = nm.markov_population(1.0, cold_bath, omega_c, t_c)
+    r1_c = nm.markov_population(0.0, cold_bath, omega_c, t_c)
+    lc = nm.fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c)
+    des_h = omega_h * (lc.rho11_h - (1.0 - lc.P_h))
+    des_c = omega_c * (lc.rho11_c - (1.0 - lc.P_c))
+    return nm.assemble_report(t_h, t_c, lc, omega_h, omega_c,
+                              nm.StrokeEnergetics(des_h, -des_h, 0.0),
+                              nm.StrokeEnergetics(des_c, -des_c, 0.0), 1e-12)
 
 
 def trigamma_series_oracle(z, terms=10**6):

@@ -96,8 +96,8 @@ def test_criterion_04_limit_cycle_oracle(hot_grid, cold_grid):
 
 def test_criterion_05_energy_conservation(hot_bath, cold_bath):
     start = time.perf_counter()
-    gh = nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0, 0.025)
-    gc = nm.build_kernel_grid(cold_bath, OMEGA_C, 40.0, 0.025)
+    gh = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0, 0.025))
+    gc = nm.stroke_tables(nm.build_kernel_grid(cold_bath, OMEGA_C, 40.0, 0.025))
     rng = np.random.default_rng(55)
     for _ in range(20):
         t_h = gh.step * int(rng.integers(40, gh.n_points - 1))
@@ -131,11 +131,11 @@ def test_criterion_06_work_extraction_verifiers():
     _report(6, "work-extraction conservation verifiers", time.perf_counter() - start)
 
 
-def test_criterion_07_markovian_reference(hot_bath, cold_bath):
+def test_criterion_07_markovian_reference(markov_context):
     start = time.perf_counter()
     for t_h in np.linspace(3.0, 120.0, 20):
         for t_c in np.linspace(3.0, 120.0, 20):
-            rep = nm.markov_cycle(float(t_h), float(t_c), hot_bath, cold_bath, OMEGA_H, OMEGA_C)
+            rep = evaluate_cycle(markov_context, float(t_h), float(t_c))
             assert rep.dE_I_h == 0.0 and rep.dE_I_c == 0.0
             assert rep.mode is Mode.ENGINE
             assert abs(rep.eta - (1.0 - OMEGA_C / OMEGA_H)) < 1e-12

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -197,6 +198,33 @@ class TestRunCycle:
         cfg = parse_config(base_config_dict(t_h={"min": 1.0, "max": 2.0, "n": 2}))
         with pytest.raises(ConfigError, match="t_h"):
             run_cycle(cfg)
+
+
+class TestCycleContext:
+    def test_pickled_context_carries_its_tables(self, monkeypatch):
+        cfg = parse_config(base_config_dict())
+        ctx = nm.build_context(cfg, 60.0, 10.0)
+        expected = nm.evaluate_cycle(ctx, 60.0, 10.0)
+
+        def no_solve(grid, initial):
+            raise AssertionError("an unpickled context solves no stroke")
+
+        monkeypatch.setattr(nm.dynamics, "_solve_full", no_solve)
+        assert nm.evaluate_cycle(pickle.loads(pickle.dumps(ctx)), 60.0, 10.0) == expected
+
+    @pytest.mark.parametrize("t_h", [0.0, float("nan"), float("inf"), -1.0])
+    def test_markov_context_validates_stroke_times(self, markov_context, t_h):
+        with pytest.raises(ValueError, match="t_h"):
+            nm.evaluate_cycle(markov_context, t_h, 10.0)
+
+    def test_a_bare_grid_is_not_a_stroke(self, hot_bath, cold_bath):
+        # a program error: it propagates rather than being read as physics
+        ctx = nm.CycleContext(omega_h=1.0, omega_c=0.5, sign_eps=1e-12,
+                              hot_grid=nm.build_kernel_grid(hot_bath, 1.0, 20.0),
+                              cold_grid=nm.build_kernel_grid(cold_bath, 0.5, 20.0))
+        with pytest.raises(AttributeError):
+            nm.evaluate_cycle(ctx, 10.0, 10.0)
+        assert not issubclass(AttributeError, nm.sweep._CELL_ERRORS)
 
 
 @pytest.fixture(scope="module")

@@ -305,8 +305,8 @@ class TestFindBoundaries:
         t0, t1 = nm.find_boundaries(ev, 40.0, 110.0, 5.0)
         assert t0 is None and t1 is None
 
-    def test_markov_reference_has_no_boundaries(self, hot_bath, cold_bath):
-        ev = lambda tc: nm.markov_cycle(60.0, float(tc), hot_bath, cold_bath, OMEGA_H, OMEGA_C)
+    def test_markov_reference_has_no_boundaries(self, markov_context):
+        ev = lambda tc: evaluate_cycle(markov_context, 60.0, float(tc))
         t0, t1 = nm.find_boundaries(ev, 0.5, 120.0, 2.0)
         assert t0 is None and t1 is None
 

@@ -111,10 +111,14 @@ class TestTransitionPopulations:
         with pytest.raises(ValueError, match="t_max"):
             nm.transition_populations(hot_grid, hot_grid.t_max + 2e-9 * hot_grid.step)
 
-    def test_traces_cached_per_grid(self, hot_grid):
-        a = nm.transition_traces(hot_grid)
-        b = nm.transition_traces(hot_grid)
-        assert a[0] is b[0] and a[1] is b[1]
+    def test_stroke_tables_are_read_only(self, hot_bath):
+        stroke = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 20.0))
+        for name in ("tau", "D1", "D2", "a", "b", "A", "from_ground", "from_excited", "base", "pop"):
+            table = getattr(stroke, name)
+            assert table.shape == (stroke.n_points,)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
 
 def _propagate_segments(b, big_a, step, rho_init):

@@ -6,7 +6,7 @@ import pytest
 import nmotto as nm
 from nmotto.sweep import evaluate_cycle
 
-from conftest import CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H
+from conftest import CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H, markov_context_of
 
 
 def _node_time(grid, t):
@@ -39,8 +39,8 @@ class TestQubitEnergyChange:
 
 class TestBathEnergyChange:
     def test_decoupled_bath_moves_nothing(self):
-        grid = nm.build_kernel_grid(nm.BathSpec("hot", 0.0, CUTOFF, T_H), OMEGA_H, 10.0)
-        cold = nm.build_kernel_grid(nm.BathSpec("cold", LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0)
+        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec("hot", 0.0, CUTOFF, T_H), OMEGA_H, 10.0))
+        cold = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec("cold", LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0))
         lc = nm.fixed_point(5.0, 5.0, grid, cold)
         s = nm.stroke_energetics(lc, "hot", grid, 5.0)
         assert s.dE_B == pytest.approx(-s.dE_S, abs=1e-18)
@@ -73,11 +73,11 @@ class TestBathEnergyChange:
 
 
 class TestInteractionEnergyChange:
-    def test_adiabatic_work_shrinks_as_frequencies_merge(self, hot_bath, cold_bath):
+    def test_adiabatic_work_shrinks_as_frequencies_merge(self):
         # W_adiab scales with (omega_h - omega_c) per excitation
         totals = []
         for omega_c in (0.5, 0.8, 0.95):
-            rep = nm.markov_cycle(40.0, 40.0, hot_bath, cold_bath, OMEGA_H, omega_c)
+            rep = evaluate_cycle(markov_context_of(omega_c=omega_c), 40.0, 40.0)
             totals.append(rep.W_adiab_h + rep.W_adiab_c)
         assert totals[0] > totals[1] > totals[2] > 0.0
 
@@ -97,8 +97,8 @@ class TestConservation:
                 assert abs(s.dE_I - explicit) < 1e-9
 
     def test_independent_route_tight_on_fine_grids(self, hot_bath, cold_bath):
-        gh = nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0, 0.025)
-        gc = nm.build_kernel_grid(cold_bath, OMEGA_C, 40.0, 0.025)
+        gh = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0, 0.025))
+        gc = nm.stroke_tables(nm.build_kernel_grid(cold_bath, OMEGA_C, 40.0, 0.025))
         rng = np.random.default_rng(17)
         for _ in range(10):
             t_h = gh.step * int(rng.integers(40, gh.n_points - 1))
@@ -122,10 +122,10 @@ class TestConservation:
         rate_h = nm.markov_rate(hot, OMEGA_H)
         rate_c = nm.markov_rate(cold, OMEGA_C)
         t_h, t_c = 50.0 / rate_h, 50.0 / rate_c
-        gh = nm.build_kernel_grid(hot, OMEGA_H, t_h)
-        gc = nm.build_kernel_grid(cold, OMEGA_C, t_c)
+        gh = nm.stroke_tables(nm.build_kernel_grid(hot, OMEGA_H, t_h))
+        gc = nm.stroke_tables(nm.build_kernel_grid(cold, OMEGA_C, t_c))
         lc = nm.fixed_point(t_h, t_c, gh, gc)
-        markov = nm.markov_cycle(t_h, t_c, hot, cold, OMEGA_H, OMEGA_C)
+        markov = evaluate_cycle(markov_context_of(lambda_h=lam, lambda_c=lam), t_h, t_c)
         des_h = nm.stroke_energetics(lc, "hot", gh, t_h).dE_S
         des_c = nm.stroke_energetics(lc, "cold", gc, t_c).dE_S
         assert des_h == pytest.approx(markov.dE_S_h, rel=0.02)
@@ -149,10 +149,10 @@ class TestMarkovReference:
         frozen_cold = nm.BathSpec("hot", LAMBDA, CUTOFF, 1e-4)
         assert nm.markov_population(0.3, frozen_cold, OMEGA_H, 1e9) == pytest.approx(1.0, abs=1e-9)
 
-    def test_cycle_has_no_interaction_energy(self, hot_bath, cold_bath):
+    def test_cycle_has_no_interaction_energy(self, markov_context):
         for t_h in (5.0, 40.0, 120.0):
             for t_c in (3.0, 66.0):
-                rep = nm.markov_cycle(t_h, t_c, hot_bath, cold_bath, OMEGA_H, OMEGA_C)
+                rep = evaluate_cycle(markov_context, t_h, t_c)
                 assert rep.dE_I_h == 0.0 and rep.dE_I_c == 0.0
                 assert rep.W_detach_h == 0.0 and rep.W_detach_c == 0.0
                 assert rep.dE_B_h == -rep.dE_S_h
@@ -160,9 +160,9 @@ class TestMarkovReference:
                 assert rep.mode is nm.Mode.ENGINE
                 assert rep.alpha_h == 0.0 and rep.alpha_c == 0.0
 
-    def test_engine_efficiency_is_frequency_ratio(self, hot_bath, cold_bath):
+    def test_engine_efficiency_is_frequency_ratio(self, markov_context):
         for t_h, t_c in ((10.0, 7.0), (80.0, 33.0)):
-            rep = nm.markov_cycle(t_h, t_c, hot_bath, cold_bath, OMEGA_H, OMEGA_C)
+            rep = evaluate_cycle(markov_context, t_h, t_c)
             assert rep.eta == pytest.approx(1.0 - OMEGA_C / OMEGA_H, abs=1e-12)
             assert rep.W_total == pytest.approx(
                 (OMEGA_H - OMEGA_C) * (rep.dE_S_h / OMEGA_H), rel=1e-10)

@@ -1,9 +1,12 @@
 """Properties of the cycle over random weak-coupling baths on ~1000-node grids."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
+
+from conftest import markov_reference_cycle
 
 STEP = 0.05
 NODES = 1000
@@ -13,20 +16,41 @@ cutoffs = st.floats(0.2, 2.0)
 temperatures = st.floats(0.1, 2.0)
 frequencies = st.floats(0.3, 1.5)
 node_counts = st.integers(20, NODES)  # a stroke time is a node: k * STEP
+stroke_times = st.floats(1e-3, 1e4)
 
 
-def _grid(label, coupling, cutoff, temperature, omega):
-    return nm.build_kernel_grid(nm.BathSpec(label, coupling, cutoff, temperature),
-                                omega, NODES * STEP, STEP)
+def _strokes(label, coupling, cutoff, temperature, omega, step=STEP):
+    bath = nm.BathSpec(label, coupling, cutoff, temperature)
+    return nm.stroke_tables(nm.build_kernel_grid(bath, omega, NODES * STEP, step))
+
+
+def _strokes_or_model_limit(label, *bath):
+    """The stroke's tables, or None where its population leaves [0, 1].
+
+    Such an excursion must be the TCL2 model's, not the grid's: the same
+    bath on a 4x finer grid leaves [0, 1] too, by the same amount within 1%.
+    """
+    try:
+        return _strokes(label, *bath)
+    except nm.PositivityError as coarse:
+        with pytest.raises(nm.PositivityError) as fine:
+            _strokes(label, *bath, step=STEP / 4)
+        assert fine.value.excursion == pytest.approx(coarse.excursion, rel=0.01)
+        return None
 
 
 @settings(max_examples=50, deadline=None)
 @given(couplings, cutoffs, temperatures, frequencies, node_counts,
        couplings, cutoffs, temperatures, frequencies, node_counts)
+# A high cutoff, a low temperature and a high frequency: the hot population
+# from |0> rises to 1 + 2.2e-7 by tau = 50, at h and at h/4 alike.
+@example(0.048828125, 2.0, 0.109375, 1.5, 20, 0.03125, 1.0, 1.0, 1.0, 20)
 def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
                                         lam_c, cut_c, temp_c, omega_c, k_c):
-    hot = _grid("hot", lam_h, cut_h, temp_h, omega_h)
-    cold = _grid("cold", lam_c, cut_c, temp_c, omega_c)
+    hot = _strokes_or_model_limit("hot", lam_h, cut_h, temp_h, omega_h)
+    cold = _strokes_or_model_limit("cold", lam_c, cut_c, temp_c, omega_c)
+    if hot is None or cold is None:
+        return
     t_h, t_c = k_h * STEP, k_c * STEP
     lc = nm.fixed_point(t_h, t_c, hot, cold)
     for p in (lc.P_h, lc.P_c, lc.rho00_h, lc.rho11_h, lc.rho00_c, lc.rho11_c):
@@ -35,8 +59,7 @@ def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
     assert abs(nm.iterate_map(lc.P_h, 1, t_h, t_c, hot, cold) - lc.P_h) < 1e-12
 
     ctx = nm.CycleContext(omega_h=omega_h, omega_c=omega_c,
-                          hot_bath=hot.bath, cold_bath=cold.bath,
-                          hot_grid=hot, cold_grid=cold, dynamics="tcl2", sign_eps=1e-12)
+                          hot_grid=hot, cold_grid=cold, sign_eps=1e-12)
     rep = nm.evaluate_cycle(ctx, t_h, t_c)
     for label, grid, t in (("hot", hot, t_h), ("cold", cold, t_c)):
         s = nm.stroke_energetics(lc, label, grid, t)
@@ -45,3 +68,22 @@ def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
         assert abs(s.dE_I - nm.eq_interaction_integral(lc, label, grid, t)) <= 1e-12
         fields = tuple(getattr(rep, f"dE_{x}_{label[0]}") for x in "SBI")
         assert fields == (s.dE_S, s.dE_B, s.dE_I)
+
+
+@settings(max_examples=100, deadline=None)
+@given(couplings, cutoffs, temperatures, frequencies, stroke_times,
+       couplings, cutoffs, temperatures, frequencies, stroke_times)
+def test_markov_context_matches_the_reference_cycle(lam_h, cut_h, temp_h, omega_h, t_h,
+                                                    lam_c, cut_c, temp_c, omega_c, t_c):
+    hot = nm.BathSpec("hot", lam_h, cut_h, temp_h)
+    cold = nm.BathSpec("cold", lam_c, cut_c, temp_c)
+    ctx = nm.CycleContext(omega_h=omega_h, omega_c=omega_c,
+                          hot_grid=nm.MarkovStroke(hot, omega_h),
+                          cold_grid=nm.MarkovStroke(cold, omega_c), sign_eps=1e-12)
+    try:
+        expected = markov_reference_cycle(t_h, t_c, hot, cold, omega_h, omega_c)
+    except nm.SingularMapError:
+        with pytest.raises(nm.SingularMapError):
+            nm.evaluate_cycle(ctx, t_h, t_c)
+        return
+    assert nm.evaluate_cycle(ctx, t_h, t_c) == expected
