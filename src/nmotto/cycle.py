@@ -51,7 +51,7 @@ class Flow(str, Enum):
     UNDEFINED = "Undefined"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrokeEnergetics:
     """Energy bookkeeping of one isochoric stroke; sums to zero exactly."""
 
@@ -60,7 +60,7 @@ class StrokeEnergetics:
     dE_I: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleReport:
     """All per-cycle observables at one (t_h, t_c) parameter point."""
 
@@ -179,16 +179,12 @@ def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
     mode = classify_mode(total, hot.dE_S, cold.dE_S, eps)
     alpha_c, alpha_h = nonmarkov_index(cold.dE_I, cold.dE_B, hot.dE_I, cold.dE_S, eps)
     eta, cop = performance(total, hot.dE_S, cold.dE_S, mode, eps)
+    # Positional, in REPORT_FIELDS order.
     return CycleReport(
-        t_h=t_h, t_c=t_c,
-        dE_S_h=hot.dE_S, dE_B_h=hot.dE_B, dE_I_h=hot.dE_I,
-        dE_S_c=cold.dE_S, dE_B_c=cold.dE_B, dE_I_c=cold.dE_I,
-        W_adiab_h=w_ad_h, W_adiab_c=w_ad_c,
-        W_detach_h=w_de_h, W_detach_c=w_de_c, W_total=total,
-        alpha_h=alpha_h, alpha_c=alpha_c, eta=eta, cop=cop,
-        mode=mode,
-        flow_h=classify_flow(hot.dE_S, hot.dE_B, "hot", eps),
-        flow_c=classify_flow(cold.dE_S, cold.dE_B, "cold", eps),
+        t_h, t_c, hot.dE_S, hot.dE_B, hot.dE_I, cold.dE_S, cold.dE_B, cold.dE_I,
+        w_ad_h, w_ad_c, w_de_h, w_de_c, total, alpha_h, alpha_c, eta, cop, mode,
+        classify_flow(hot.dE_S, hot.dE_B, "hot", eps),
+        classify_flow(cold.dE_S, cold.dE_B, "cold", eps),
     )
 
 

@@ -102,26 +102,31 @@ def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
 
 
 def _validate_t(grid: KernelGrid, t: float) -> float:
+    t_max = grid.tau.item(-1)
+    if 0.0 <= t <= t_max:
+        return t
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
-    t_max = grid.t_max
     if t > t_max + 1e-9 * grid.step:
         raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
-    return min(t, t_max)
+    return t_max
 
 
-def _stroke_end(grid: KernelGrid, t: float, tables: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-    """Each full-grid table of `tables` read at stroke time t.
+def _stroke_end(grid: KernelGrid, t: float, first: np.ndarray,
+                second: np.ndarray) -> tuple[float, float]:
+    """Two full-grid tables of the stroke read at stroke time t.
 
     The only off-node read: linear between the bracketing nodes, the last
     node at and past t_max (t may exceed it by rounding, see _validate_t).
     """
     pos = _validate_t(grid, t) / grid.step
     i = int(pos)
-    if i >= grid.n_points - 1:
-        return tuple([values.item(-1) for values in tables])
+    if i >= grid.tau.shape[0] - 1:
+        return first.item(-1), second.item(-1)
     frac = pos - i
-    return tuple([(1.0 - frac) * values.item(i) + frac * values.item(i + 1) for values in tables])
+    rest = 1.0 - frac
+    return (rest * first.item(i) + frac * first.item(i + 1),
+            rest * second.item(i) + frac * second.item(i + 1))
 
 
 def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTrace:
@@ -137,7 +142,7 @@ def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTra
     k = _node_floor(grid.step, t, grid.n_points)
     checked = min(k + 1, grid.n_points - 1)
     _check_positivity(full[: checked + 1], grid)
-    (value,) = _stroke_end(grid, t, (full,))
+    value, _ = _stroke_end(grid, t, full, full)
     rho = full[: k + 1]
     rho.setflags(write=False)
     return PopulationTrace(tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)

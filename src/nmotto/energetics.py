@@ -26,7 +26,7 @@ stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,10 +61,10 @@ class StrokeTables(KernelGrid):
     pop: np.ndarray
 
     def populations(self, t: float) -> tuple[float, float]:
-        return _stroke_end(self, t, (self.from_ground, self.from_excited))
+        return _stroke_end(self, t, self.from_ground, self.from_excited)
 
     def flow(self, t: float) -> tuple[float, float]:
-        return _stroke_end(self, t, (self.base, self.pop))
+        return _stroke_end(self, t, self.base, self.pop)
 
 
 def bath_flow_tables(grid: KernelGrid, from_ground: np.ndarray,
@@ -109,7 +109,7 @@ def stroke_energetics(lc: LimitCycleState, label: str, stroke: StrokeSource, t: 
     base, pop = stroke.flow(t)
     des = stroke.omega0 * (after - entering)
     deb = -des + (base + p_enter * pop)
-    return StrokeEnergetics(dE_S=des, dE_B=deb, dE_I=-des - deb)
+    return StrokeEnergetics(des, deb, -des - deb)
 
 
 def markov_rate(bath: BathSpec, omega: float) -> float:
@@ -129,14 +129,25 @@ def markov_population(initial_rho00: float, bath: BathSpec, omega: float, t: flo
 
 @dataclass(frozen=True)
 class MarkovStroke:
-    """One stroke of the Markovian reference: closed-form populations, no flow term."""
+    """One stroke of the Markovian reference: closed-form populations, no flow
+    term.  Its stationary population and rate are computed once, at construction.
+    """
 
     bath: BathSpec
     omega0: float
+    stationary: float = field(init=False, repr=False)
+    rate: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = bose_occupation(self.omega0, self.bath.temperature)
+        object.__setattr__(self, "stationary", (1.0 + n) / (1.0 + 2.0 * n))
+        object.__setattr__(self, "rate", markov_rate(self.bath, self.omega0))
 
     def populations(self, t: float) -> tuple[float, float]:
-        return (markov_population(1.0, self.bath, self.omega0, t),
-                markov_population(0.0, self.bath, self.omega0, t))
+        if t < 0.0:
+            raise ValueError("t must be >= 0")
+        s, decay = self.stationary, math.exp(-self.rate * t)
+        return s + (1.0 - s) * decay, s + (0.0 - s) * decay
 
     def flow(self, t: float) -> tuple[float, float]:
         return 0.0, 0.0

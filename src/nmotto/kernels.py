@@ -137,7 +137,7 @@ class KernelGrid:
 
     @property
     def t_max(self) -> float:
-        return float(self.tau[-1])
+        return self.tau.item(-1)
 
 
 def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float | None = None) -> KernelGrid:

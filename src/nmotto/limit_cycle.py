@@ -25,7 +25,7 @@ __all__ = ["LimitCycleState", "fixed_point", "fixed_point_from_populations", "it
 _SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitCycleState:
     """Limit-cycle occupations: P^mu entering each stroke, rho^mu after it."""
 
@@ -58,17 +58,14 @@ def fixed_point_from_populations(r0_h: float, r1_h: float,
     big_p_c = p_c / (1.0 - p0)
     rho00_h = big_p_h * r0_h + (1.0 - big_p_h) * r1_h
     rho00_c = big_p_c * r0_c + (1.0 - big_p_c) * r1_c
-    return LimitCycleState(
-        P_h=big_p_h, P_c=big_p_c,
-        rho00_h=rho00_h, rho11_h=1.0 - rho00_h,
-        rho00_c=rho00_c, rho11_c=1.0 - rho00_c,
-        p0=p0,
-    )
+    return LimitCycleState(big_p_h, big_p_c, rho00_h, 1.0 - rho00_h,
+                           rho00_c, 1.0 - rho00_c, p0)
 
 
 def fixed_point(t_h: float, t_c: float, hot_grid: StrokeSource, cold_grid: StrokeSource) -> LimitCycleState:
     """Limit-cycle state for stroke durations (t_h, t_c) of the given stroke sources."""
-    _validate_times(t_h, t_c)
+    if not (0.0 < t_h < math.inf and 0.0 < t_c < math.inf):
+        _validate_times(t_h, t_c)
     r0_h, r1_h = transition_populations(hot_grid, t_h)
     r0_c, r1_c = transition_populations(cold_grid, t_c)
     return fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c)

@@ -212,10 +212,21 @@ class TestCycleContext:
         monkeypatch.setattr(nm.dynamics, "_solve_full", no_solve)
         assert nm.evaluate_cycle(pickle.loads(pickle.dumps(ctx)), 60.0, 10.0) == expected
 
+    def test_pickled_markov_context_evaluates_equal(self, markov_context):
+        copy = pickle.loads(pickle.dumps(markov_context))
+        assert copy == markov_context
+        for t_h, t_c in ((60.0, 10.0), (5.0, 66.0)):
+            assert nm.evaluate_cycle(copy, t_h, t_c) == nm.evaluate_cycle(markov_context, t_h, t_c)
+
     @pytest.mark.parametrize("t_h", [0.0, float("nan"), float("inf"), -1.0])
     def test_markov_context_validates_stroke_times(self, markov_context, t_h):
         with pytest.raises(ValueError, match="t_h"):
             nm.evaluate_cycle(markov_context, t_h, 10.0)
+
+    @pytest.mark.parametrize("t_c", [0.0, float("nan"), float("inf"), -1.0])
+    def test_markov_context_validates_cold_stroke_time(self, markov_context, t_c):
+        with pytest.raises(ValueError, match="^t_c must be finite and > 0"):
+            nm.evaluate_cycle(markov_context, 60.0, t_c)
 
     def test_a_bare_grid_is_not_a_stroke(self, hot_bath, cold_bath):
         # a program error: it propagates rather than being read as physics

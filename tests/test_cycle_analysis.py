@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
-from nmotto.cycle import CycleReport, Flow, Mode
+from nmotto.cycle import REPORT_FIELDS, CycleReport, Flow, Mode
 from nmotto.sweep import evaluate_cycle
 
 from conftest import OMEGA_C, OMEGA_H, T_C, T_H
@@ -328,3 +330,39 @@ class TestReportSerialization:
             "W_adiab_h", "W_adiab_c", "W_detach_h", "W_detach_c", "W_total",
             "alpha_h", "alpha_c", "eta", "cop", "mode", "flow_h", "flow_c",
         }
+
+
+class TestRecords:
+    """The per-cell records are frozen, slotted, picklable and replaceable."""
+
+    @pytest.fixture
+    def records(self, reference_context):
+        lc = nm.fixed_point(60.0, 30.0, reference_context.hot_grid, reference_context.cold_grid)
+        hot = nm.stroke_energetics(lc, "hot", reference_context.hot_grid, 60.0)
+        return lc, hot, evaluate_cycle(reference_context, 60.0, 30.0)
+
+    def test_frozen_and_slotted(self, records):
+        for record in records:
+            name = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0.0)
+            assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip(self, records):
+        for record in records:
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_replace(self, records):
+        report = records[2]
+        assert report.eta is not None
+        changed = dataclasses.replace(report, eta=None)
+        assert changed.eta is None
+        assert dataclasses.replace(changed, eta=report.eta) == report
+
+    def test_schema_unchanged(self):
+        assert REPORT_FIELDS == (
+            "t_h", "t_c", "dE_S_h", "dE_B_h", "dE_I_h", "dE_S_c", "dE_B_c", "dE_I_c",
+            "W_adiab_h", "W_adiab_c", "W_detach_h", "W_detach_c", "W_total",
+            "alpha_h", "alpha_c", "eta", "cop", "mode", "flow_h", "flow_c",
+        )
+        assert nm.CSV_HEADER == ",".join(REPORT_FIELDS) + ",error"

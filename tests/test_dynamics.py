@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmotto as nm
 from nmotto.dynamics import _solve_full
@@ -119,6 +121,72 @@ class TestTransitionPopulations:
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
+
+
+def _linear_read(grid, t, tables):
+    # Reference for dynamics._stroke_end: the linear read as it was when it
+    # took any number of tables, with its own validation of t.
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError("t must be finite and >= 0")
+    t_max = float(grid.tau[-1])
+    if t > t_max + 1e-9 * grid.step:
+        raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
+    pos = min(t, t_max) / grid.step
+    i = int(pos)
+    if i >= grid.n_points - 1:
+        return tuple([values.item(-1) for values in tables])
+    frac = pos - i
+    return tuple([(1.0 - frac) * values.item(i) + frac * values.item(i + 1) for values in tables])
+
+
+def _outcome(read, *args):
+    """The read's floats as hex strings (bit equality), or its ValueError text."""
+    try:
+        return [x.hex() for x in read(*args)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _read_times(grid):
+    t_max, step = grid.t_max, grid.step
+    return st.one_of(
+        st.integers(0, grid.n_points - 1).map(lambda k: grid.tau.item(k)),
+        st.integers(0, grid.n_points - 1).map(lambda k: k * step),
+        st.floats(0.0, t_max),
+        st.just(t_max),
+        st.floats(0.0, 1.0).map(lambda u: t_max + u * 1e-9 * step),
+        st.floats(2e-9 * step, 10.0).map(lambda d: t_max + d),
+        st.floats(-10.0, -1e-300),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    )
+
+
+class TestStrokeEndRead:
+    """The pair read equals the parent linear read bit for bit, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stroke_tables_match_linear_read(self, hot_grid, data):
+        t = data.draw(_read_times(hot_grid))
+        for read, tables in ((hot_grid.populations, (hot_grid.from_ground, hot_grid.from_excited)),
+                             (hot_grid.flow, (hot_grid.base, hot_grid.pop))):
+            assert _outcome(read, t) == _outcome(_linear_read, hot_grid, t, tables)
+        assert _outcome(nm.transition_populations, hot_grid, t) \
+            == _outcome(hot_grid.populations, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), initial=st.sampled_from([1.0, 0.3, 0.0]))
+    def test_propagate_value_matches_linear_read(self, hot_grid, data, initial):
+        t = data.draw(_read_times(hot_grid))
+        full = _solve_full(hot_grid, initial)
+        expected = _outcome(_linear_read, hot_grid, t, (full,))
+        assert _outcome(lambda: (nm.propagate(initial, hot_grid, t).value_at_t,)) == expected
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0, 131.0])
+    def test_error_texts(self, hot_grid, t):
+        text = "t must be finite and >= 0" if t != 131.0 else "t=131 exceeds grid t_max=130"
+        for read in (hot_grid.populations, hot_grid.flow):
+            assert _outcome(read, t) == f"ValueError: {text}"
 
 
 def _propagate_segments(b, big_a, step, rho_init):
