@@ -13,7 +13,8 @@ import sys
 
 from .config import load_config, parse_config
 from .errors import ConfigError, NmottoError
-from .sweep import run_cycle, run_phase, run_sweep, write_cycle_csv, write_kernel_csv, write_trace_csv
+from .sweep import (run_cycle, run_phase, run_sweep, write_cycle_csv, write_cycle_json,
+                     write_kernel_csv, write_trace_csv)
 
 
 def _fail(summary: dict) -> None:
@@ -69,11 +70,9 @@ def main(argv=None) -> int:
             write_trace_csv(config, args.out, args.bath, args.rho00)
         elif args.command == "cycle":
             report = run_cycle(config)
+            if args.json_out:  # first: a JSON path that cannot be written leaves no CSV
+                write_cycle_json(report, args.json_out)
             write_cycle_csv(report, args.out)
-            if args.json_out:
-                with open(args.json_out, "w", encoding="utf-8") as fh:
-                    json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
         elif args.command == "sweep":
             run_sweep(config, args.out)
         elif args.command == "phase":

@@ -144,10 +144,16 @@ class MarkovStroke:
         object.__setattr__(self, "rate", markov_rate(self.bath, self.omega0))
 
     def populations(self, t: float) -> tuple[float, float]:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
+        _check_t(t)
         s, decay = self.stationary, math.exp(-self.rate * t)
         return s + (1.0 - s) * decay, s + (0.0 - s) * decay
 
     def flow(self, t: float) -> tuple[float, float]:
+        _check_t(t)
         return 0.0, 0.0
+
+
+def _check_t(t: float) -> None:
+    """A Markov stroke reads any finite t >= 0; the message is that of a grid's read."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,7 @@ __all__ = [
     "run_phase",
     "stroke_tables",
     "write_cycle_csv",
+    "write_cycle_json",
     "write_kernel_csv",
     "write_trace_csv",
 ]
@@ -287,6 +289,11 @@ def write_cycle_csv(report: CycleReport, path: str) -> None:
     _write_csv(path, CSV_HEADER, [_report_line(report)])
 
 
+def write_cycle_json(report: CycleReport, path: str) -> None:
+    """The report as indented JSON, written like every CSV (`<path>.part`, then renamed)."""
+    _write_csv(path, json.dumps(report.to_dict(), indent=2, sort_keys=True), [])
+
+
 def _stroke_bath(config: RunConfig, bath_label: str) -> tuple[BathSpec, float, float]:
     """(bath, qubit frequency, longest stroke time) of the labelled stroke."""
     t_h_values, t_c_values = sweep_axes(config)
@@ -308,7 +315,9 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
-    """Dump tau, rho00 for one stroke's propagation."""
+    """Dump tau, rho00 for one stroke's TCL2 propagation."""
+    if config.dynamics != "tcl2":
+        raise ConfigError(f"dynamics: the stroke dump traces tcl2 dynamics only, got {config.dynamics!r}")
     bath, omega, t = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t, config.h)
     trace = propagate(initial_rho00, grid, t)

@@ -53,10 +53,6 @@ def _index(s: int, c: int, w: int) -> int:
     return 4 * s + 2 * c + w
 
 
-def _storage_projector(w: int) -> np.ndarray:
-    return np.diag((_W == w).astype(float))
-
-
 def _pre_quench(rho11: float, rho00: float, w0: int) -> np.ndarray:
     """Diagonal qubit state, clock in |0>, storage in level w0."""
     rho = np.zeros((DIM, DIM), dtype=np.complex128)
@@ -151,6 +147,24 @@ def build_unitary(direction: str = EXPANSION) -> np.ndarray:
     raise ValueError(f"direction must be {EXPANSION!r} or {COMPRESSION!r}")
 
 
+def _quench(unitary: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return unitary @ rho @ unitary.conj().T
+
+
+def _branches(rho: np.ndarray, hamiltonian: TripartiteHamiltonian) -> list[tuple[float, float, np.ndarray]]:
+    """(work, probability, unnormalised branch) of each storage outcome w = 0, 1.
+
+    The one storage projection: measure_storage and both verifier levels read it.
+    """
+    gap, w0 = hamiltonian.storage_gap, hamiltonian.initial_storage_level
+    branches = []
+    for w in (0, 1):
+        proj = np.diag((_W == w).astype(float))
+        branch = proj @ rho @ proj
+        branches.append((gap * w - gap * w0, float(np.trace(branch).real), branch))
+    return branches
+
+
 def apply_extraction(rho11: float, rho00: float, hamiltonian: TripartiteHamiltonian) -> TripartiteState:
     """Quench a diagonal qubit state through the extraction unitary.
 
@@ -162,26 +176,17 @@ def apply_extraction(rho11: float, rho00: float, hamiltonian: TripartiteHamilton
     if rho11 < -_TRACE_TOL or rho00 < -_TRACE_TOL:
         raise ValueError("qubit populations must be nonnegative")
     rho = _pre_quench(rho11, rho00, hamiltonian.initial_storage_level)
-    u = build_unitary(hamiltonian.direction)
-    return TripartiteState(u @ rho @ u.conj().T)
+    return TripartiteState(_quench(build_unitary(hamiltonian.direction), rho))
 
 
 def measure_storage(state: TripartiteState, hamiltonian: TripartiteHamiltonian) -> WorkOutcome:
     """Projective storage measurement; work is the storage-energy increase."""
-    rho = state.matrix
-    initial_energy = hamiltonian.storage_gap * hamiltonian.initial_storage_level
-    outcomes = []
-    posts = []
-    post_index = []
-    for w in (0, 1):
-        proj = _storage_projector(w)
-        branch = proj @ rho @ proj
-        p = float(np.trace(branch).real)
-        work = hamiltonian.storage_gap * w - initial_energy
+    outcomes, posts, post_index = [], [], []
+    for j, (work, p, branch) in enumerate(_branches(state.matrix, hamiltonian)):
         outcomes.append((work, p))
         if p > 1e-15:
             posts.append(TripartiteState(branch / p))
-            post_index.append(len(outcomes) - 1)
+            post_index.append(j)
     return WorkOutcome(outcomes=tuple(outcomes), post_states=tuple(posts),
                        post_outcome_index=tuple(post_index))
 
@@ -200,14 +205,19 @@ class ConservationReport:
         return not self.violations
 
 
-def verify_conservation(hamiltonian: TripartiteHamiltonian, unitary: np.ndarray,
-                        rho11_samples=(0.0, 0.3, 0.5, 1.0)) -> ConservationReport:
+# The verifier's qubit inputs; rho11 = 0 and 1 are the energy eigenstates.
+_RHO11_INPUTS = (0.0, 0.3, 0.5, 1.0)
+
+
+def verify_conservation(hamiltonian: TripartiteHamiltonian, unitary: np.ndarray) -> ConservationReport:
     """Check [U, H] = 0, the mean energy balance, and per-outcome support.
 
-    Level 1: initial system-clock energy equals mean extracted work plus the
-    final system-clock energy.  Level 4: for each energy-eigenstate input and
-    each realised outcome j, the post-measurement state is supported on the
-    system-clock eigenspace of eigenvalue h_x - w_j.
+    Each input is quenched with `unitary` itself.  Level 1, every input:
+    initial system-clock energy equals mean extracted work plus the final
+    system-clock energy.  Level 4, energy eigenstates of energy h_x: for each
+    realised outcome j, the post-measurement state is supported on the
+    system-clock eigenspace of eigenvalue h_x - w_j.  A non-unitary
+    `unitary` shows as violations, not as an exception.
     """
     violations = []
     h_full = hamiltonian.matrix
@@ -216,39 +226,28 @@ def verify_conservation(hamiltonian: TripartiteHamiltonian, unitary: np.ndarray,
         violations.append(f"[U, H] != 0 (max |entry| = {comm:.3e})")
 
     h_sc = hamiltonian.system_clock
-    level1_max = 0.0
-    for rho11 in rho11_samples:
-        state = apply_extraction(rho11, 1.0 - rho11, hamiltonian)
+    sc_diag = np.diag(h_sc).real
+    level1_max = level4_max = 0.0
+    for rho11 in _RHO11_INPUTS:
         before = _pre_quench(rho11, 1.0 - rho11, hamiltonian.initial_storage_level)
-        outcome = measure_storage(state, hamiltonian)
+        after = _quench(unitary, before)
+        branches = _branches(after, hamiltonian)
         e_before = float(np.trace(h_sc @ before).real)
-        e_after = float(np.trace(h_sc @ state.matrix).real)
-        residual = abs(e_before - (outcome.expected_work + e_after))
+        e_after = float(np.trace(h_sc @ after).real)
+        residual = abs(e_before - (sum(work * p for work, p, _ in branches) + e_after))
         level1_max = max(level1_max, residual)
         if residual >= 1e-12:
             violations.append(f"level-1 balance off by {residual:.3e} at rho11={rho11:g}")
-
-    level4_max = 0.0
-    w0 = hamiltonian.initial_storage_level
-    sc_diag = np.diag(h_sc).real
-    for s in (0, 1):
-        h_x = sc_diag[_index(s, 0, w0)]
-        pure = _pre_quench(float(s), 1.0 - s, w0)
-        evolved = unitary @ pure @ unitary.conj().T
-        for w in (0, 1):
-            proj = _storage_projector(w)
-            branch = proj @ evolved @ proj
-            p = float(np.trace(branch).real)
+        if rho11 not in (0.0, 1.0):
+            continue
+        for w, (work, p, branch) in enumerate(branches):
             if p <= 1e-15:
                 continue
-            work = hamiltonian.storage_gap * w - hamiltonian.storage_gap * w0
-            target = h_x - work
-            support = np.diag((np.abs(sc_diag - target) < 1e-9).astype(float))
+            support = np.diag((np.abs(sc_diag - (e_before - work)) < 1e-9).astype(float))
             residual = float(np.max(np.abs(branch - support @ branch @ support)))
             level4_max = max(level4_max, residual)
             if residual > 0.0:
-                violations.append(
-                    f"level-4 support broken for input s={s}, outcome w={w} (residual {residual:.3e})"
-                )
+                violations.append(f"level-4 support broken for input s={rho11:g}, outcome w={w} "
+                                  f"(residual {residual:.3e})")
     return ConservationReport(commutator_max=comm, level1_max_residual=level1_max,
                               level4_max_residual=level4_max, violations=tuple(violations))

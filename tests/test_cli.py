@@ -50,6 +50,33 @@ class TestCycleCommand:
         assert float(row["dE_I_h"]) == 0.0
 
 
+    def test_json_matches_the_csv_row(self, config_path, tmp_path):
+        out, jout = tmp_path / "cycle.csv", tmp_path / "cycle.json"
+        assert main(["cycle", "--config", config_path, "--out", str(out),
+                     "--json", str(jout)]) == 0
+        with open(out) as fh:
+            row = next(csv.DictReader(fh))
+        report = json.loads(jout.read_text())
+        assert row.pop("error") == ""
+        assert row.keys() == report.keys()
+        for key, value in report.items():
+            text = "" if value is None else value if isinstance(value, str) else format(value, ".17g")
+            assert row[key] == text, key
+
+    def test_unwritable_json_leaves_no_csv(self, config_path, tmp_path, capsys):
+        out = tmp_path / "cycle.csv"
+        argv = ["cycle", "--config", config_path, "--out", str(out),
+                "--json", str(tmp_path / "missing_dir" / "x.json")]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.part"))
+        out.write_text("earlier\n")
+        assert main(argv) == 1
+        assert out.read_text() == "earlier\n"
+        assert not list(tmp_path.rglob("*.part"))
+
+
 class TestKernelAndStrokeDumps:
     def test_kernel_dump_columns(self, config_path, tmp_path):
         out = tmp_path / "kern.csv"
@@ -71,6 +98,26 @@ class TestKernelAndStrokeDumps:
         assert float(lines[1].split(",")[1]) == 0.25
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values)
+
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_stroke_under_markov_exits_2(self, tmp_path, capsys, where):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config_dict(**({"dynamics": "markov"} if where == "config" else {}))))
+        out = tmp_path / "trace.csv"
+        flag = ["--dynamics", "markov"] if where == "flag" else []
+        assert main(["stroke", "--config", str(cfg), "--out", str(out), *flag]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert summary["message"].startswith("dynamics: ")
+        assert not out.exists()
+
+    def test_kernels_dump_the_bath_whatever_the_dynamics(self, config_path, tmp_path):
+        tcl2, markov = tmp_path / "tcl2.csv", tmp_path / "markov.csv"
+        assert main(["kernels", "--config", config_path, "--out", str(tcl2)]) == 0
+        assert main(["kernels", "--config", config_path, "--out", str(markov),
+                     "--dynamics", "markov"]) == 0
+        assert tcl2.read_bytes() == markov.read_bytes()
 
 
 class TestSweepCommand:

@@ -166,3 +166,12 @@ class TestMarkovReference:
             assert rep.eta == pytest.approx(1.0 - OMEGA_C / OMEGA_H, abs=1e-12)
             assert rep.W_total == pytest.approx(
                 (OMEGA_H - OMEGA_C) * (rep.dE_S_h / OMEGA_H), rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("source", ["tables", "markov"])
+def test_stroke_sources_reject_the_same_times(source, t, hot_grid, hot_bath):
+    stroke = hot_grid if source == "tables" else nm.MarkovStroke(hot_bath, OMEGA_H)
+    for read in (stroke.populations, stroke.flow):
+        with pytest.raises(ValueError, match=r"^t must be finite and >= 0$"):
+            read(t)

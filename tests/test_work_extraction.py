@@ -176,3 +176,34 @@ class TestStateValidation:
         m[1, 1] = -0.5
         with pytest.raises(ValueError):
             nm.TripartiteState(m)
+
+
+def _swap_ground_and_excited():
+    """The energy-violating swap |000> <-> |100>."""
+    u = np.eye(DIM)
+    i, j = _index(0, 0, 0), _index(1, 0, 0)
+    u[[i, j]] = u[[j, i]]
+    return u
+
+
+class TestVerifierQuenchesWithTheGivenUnitary:
+    def test_swap_breaks_the_level1_balance(self):
+        report = nm.verify_conservation(nm.build_hamiltonian(1.0, 0.5), _swap_ground_and_excited())
+        assert report.level1_max_residual == 1.0
+        level1 = [v for v in report.violations if v.startswith("level-1")]
+        assert any(v.endswith("at rho11=0") for v in level1)
+        assert any(v.endswith("at rho11=1") for v in level1)
+
+    @pytest.mark.parametrize("direction", [nm.EXPANSION, nm.COMPRESSION])
+    def test_clean_protocols_have_zero_residuals(self, direction):
+        report = nm.verify_conservation(nm.build_hamiltonian(1.0, 0.5, direction),
+                                        nm.build_unitary(direction))
+        assert report.satisfied
+        assert report.commutator_max == 0.0
+        assert report.level1_max_residual == 0.0
+        assert report.level4_max_residual == 0.0
+
+    def test_non_unitary_is_reported_not_raised(self):
+        report = nm.verify_conservation(nm.build_hamiltonian(1.0, 0.5), 2 * np.eye(DIM))
+        assert not report.satisfied
+        assert report.level1_max_residual > 0.0
