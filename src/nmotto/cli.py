@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import load_config, parse_config
 from .errors import ConfigError, NmottoError
-from .sweep import (run_cycle, run_phase, run_sweep, write_cycle_csv, write_cycle_json,
-                     write_kernel_csv, write_trace_csv)
+from .sweep import run_cycle, run_phase, run_sweep, write_cycle_csv, write_kernel_csv, write_trace_csv
 
 
 def _fail(summary: dict) -> None:
@@ -55,7 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "json_out", None) and os.path.realpath(args.json_out) == os.path.realpath(args.out):
+        parser.error("--json and --out name the same file")
     try:
         config = load_config(args.config)
         # Overrides go through the config's own parser and checks.
@@ -69,10 +72,7 @@ def main(argv=None) -> int:
                 raise ConfigError("rho00: expected a ground-state population in [0, 1]")
             write_trace_csv(config, args.out, args.bath, args.rho00)
         elif args.command == "cycle":
-            report = run_cycle(config)
-            if args.json_out:  # first: a JSON path that cannot be written leaves no CSV
-                write_cycle_json(report, args.json_out)
-            write_cycle_csv(report, args.out)
+            write_cycle_csv(run_cycle(config), args.out, args.json_out)
         elif args.command == "sweep":
             run_sweep(config, args.out)
         elif args.command == "phase":

@@ -7,9 +7,11 @@ described by the ground-state population
     C(tau)     = int_0^tau b(s) exp(-A(s)) ds,
 
 with a, b, A tabulated on the stroke's KernelGrid.  C is accumulated with
-the same cumulative Simpson rule as the tables.  Where |A| would overflow
-exp (beyond 500), the stroke is solved in blocks, each with A rebased to its
-first node and chained through the block end values.
+the same cumulative Simpson rule as the tables, which takes its prefix in
+cache blocks (`special.CACHE_BLOCK` nodes).  Where |A| would overflow exp
+(beyond 500), the stroke is solved in guard segments, each with A rebased to
+its first node and chained through the segment end values; a guard segment
+is as long as the exp range allows, whatever the cache block.
 """
 
 from __future__ import annotations
@@ -55,12 +57,13 @@ def _node_floor(step: float, t: float, n: int) -> int:
 
 
 def _solve_full(grid: KernelGrid, initial: float) -> np.ndarray:
-    # Blockwise exp(A)*(rho0 - C).  A block starts at an even node s and ends
-    # at the last even node before |A - A[s]| exceeds _EXP_GUARD (at least one
-    # Simpson pair on), so the pairs are those of the global rule.  In it the
-    # closed form runs with A rebased to A[s] and rho0 = rho[s]; its first odd
-    # node takes the backward quadratic through s-1, as the one-shot rule does.
-    # Since A[0] == 0, max|A| <= _EXP_GUARD is one block: the plain closed form.
+    # exp(A)*(rho0 - C), one guard segment at a time.  A segment starts at an
+    # even node s and ends at the last even node before |A - A[s]| exceeds
+    # _EXP_GUARD (at least one Simpson pair on), so the pairs are those of the
+    # global rule.  In it the closed form runs with A rebased to A[s] and
+    # rho0 = rho[s]; its first odd node takes the backward quadratic through
+    # s-1, as the one-shot rule does.  Since A[0] == 0, max|A| <= _EXP_GUARD
+    # is one segment: the plain closed form.
     big_a, b, step = grid.A, grid.b, grid.step
     n = big_a.shape[0]
     rho = np.empty(n)
@@ -75,19 +78,19 @@ def _solve_full(grid: KernelGrid, initial: float) -> np.ndarray:
                 end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
             else:
                 end = n - 1
-            block = slice(start, end + 1)
-            y = a_start - big_a[block]
+            segment = slice(start, end + 1)
+            y = a_start - big_a[segment]
             np.exp(y, out=y)
-            y *= b[block]
+            y *= b[segment]
             c = cumulative_simpson(y, step)
             if start > 0:
                 c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
                                       + 8.0 * y[0] + 5.0 * y[1])
-            del y  # free it before the next block-sized array: keeps the peak memory down
+            del y  # free it before the next segment-sized array: keeps the peak memory down
             np.subtract(rho_start, c, out=c)
-            growth = big_a[block] - a_start
+            growth = big_a[segment] - a_start
             np.exp(growth, out=growth)
-            np.multiply(growth, c, out=rho[block])
+            np.multiply(growth, c, out=rho[segment])
             if end == n - 1:
                 return rho
             start, rho_start = end, float(rho[end])

@@ -34,7 +34,7 @@ from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, _stroke_end, _validate_t, transition_traces
 from .kernels import BathSpec, KernelGrid, bose_occupation, spectral_density
 from .limit_cycle import LimitCycleState
-from .special import cumulative_simpson, simpson
+from .special import cache_blocks, cumulative_simpson, simpson
 
 __all__ = ["MarkovStroke", "StrokeTables", "bath_flow_tables", "eq_interaction_integral",
            "stroke_energetics", "markov_population", "markov_rate"]
@@ -73,10 +73,20 @@ def bath_flow_tables(grid: KernelGrid, from_ground: np.ndarray,
     of the counting-statistics integrand.  base(t) collects the P-independent
     part, pop(t) the coefficient of P; the stroke integral is base + P * pop.
     """
-    sin_w = np.sin(grid.omega0 * grid.tau)
-    cos_w = np.cos(grid.omega0 * grid.tau)
-    base = cumulative_simpson((2.0 * from_excited - 1.0) * grid.D1 * sin_w + grid.D2 * cos_w, grid.step)
-    pop = cumulative_simpson(2.0 * (from_ground - from_excited) * grid.D1 * sin_w, grid.step)
+    # Filled one cache block at a time; each integrand is dropped once its
+    # prefix is taken.
+    n = grid.n_points
+    base_rate, pop_rate = np.empty(n), np.empty(n)
+    for block in cache_blocks(n):
+        d1, tau = grid.D1[block], grid.tau[block]
+        sin_w = np.sin(grid.omega0 * tau)
+        cos_w = np.cos(grid.omega0 * tau)
+        base_rate[block] = (2.0 * from_excited[block] - 1.0) * d1 * sin_w + grid.D2[block] * cos_w
+        pop_rate[block] = 2.0 * (from_ground[block] - from_excited[block]) * d1 * sin_w
+    base = cumulative_simpson(base_rate, grid.step)
+    del base_rate
+    pop = cumulative_simpson(pop_rate, grid.step)
+    del pop_rate
     base.setflags(write=False)
     pop.setflags(write=False)
     return StrokeTables(**{f.name: getattr(grid, f.name) for f in fields(KernelGrid)},

@@ -17,6 +17,10 @@ rate tables on a uniform time grid are
 where b uses the manifestly real reduction of the complex correlation
 Phi = (D1 - i D2)/2 (D1 even, D2 odd); the complex form survives in the
 test-suite as an oracle.
+
+The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1, D2
+and the two rate integrands are filled block by block, so a long grid's
+peak memory is its tables and not the temporaries of their products.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .special import cumulative_simpson, trigamma_values
+from .special import cache_blocks, cumulative_simpson, trigamma_values
 
 __all__ = [
     "BathSpec",
@@ -161,12 +165,22 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
     # and not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         tau = np.arange(n, dtype=np.float64) * step
-        d1 = noise_kernel(tau, bath)
-        d2 = dissipation_kernel(tau, bath)
-        cos_w = np.cos(omega0 * tau)
-        sin_w = np.sin(omega0 * tau)
-        a = cumulative_simpson(-2.0 * d1 * cos_w, step)
-        b = cumulative_simpson(-(d1 * cos_w + d2 * sin_w), step)
+        # Filled one cache block at a time; each integrand is dropped once
+        # its prefix is taken.
+        d1, d2 = np.empty(n), np.empty(n)
+        rate_a, rate_b = np.empty(n), np.empty(n)
+        for block in cache_blocks(n):
+            t = tau[block]
+            d1[block] = noise_kernel(t, bath)
+            d2[block] = dissipation_kernel(t, bath)
+            cos_w = np.cos(omega0 * t)
+            sin_w = np.sin(omega0 * t)
+            rate_a[block] = -2.0 * d1[block] * cos_w
+            rate_b[block] = -(d1[block] * cos_w + d2[block] * sin_w)
+        a = cumulative_simpson(rate_a, step)
+        del rate_a
+        b = cumulative_simpson(rate_b, step)
+        del rate_b
         big_a = cumulative_simpson(a, step)
     # Any non-finite D1 or D2 value spreads into b, and D1's into A too.
     if not (np.isfinite(b).all() and np.isfinite(big_a).all()):

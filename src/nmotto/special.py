@@ -9,6 +9,13 @@ thus never depends on the other points of its batch.  Quadrature is
 composite Simpson; the cumulative-prefix variant returns the running
 integral at every node of a uniform grid and is shared by the kernel tables
 and the stroke propagation.
+
+Full-length tables are built in cache blocks of CACHE_BLOCK nodes
+(`cache_blocks`): the cumulative prefix takes its Simpson pairs one cache
+block at a time, carrying the running sum from block to block, and the
+kernel and flow tables fill their integrands the same way.  Neither
+trigamma nor the prefix depends on where the blocks fall, so a table has
+the bits of a one-pass build.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ __all__ = [
     "trigamma_values",
     "simpson",
     "cumulative_simpson",
+    "cache_blocks",
+    "CACHE_BLOCK",
 ]
 
 # Bernoulli numbers B2..B12 for the asymptotic tail of psi'.
@@ -36,6 +45,14 @@ _B12 = -691.0 / 2730.0
 
 _ASYMPTOTIC_ABS = 10.0
 _POLE_TOL = 1e-12
+
+# Nodes per cache block.  Every full-length table of a stroke is filled one
+# cache block at a time, so the temporaries of a fill (the trigamma
+# arguments, the integrands' products, the Simpson pairs) stay cache-sized
+# whatever the grid's length.  Even, so that a block holds whole Simpson
+# pairs; 2**15 nodes make a ~20000-node grid (t_max ~ 1000 at step 0.05)
+# one block.
+CACHE_BLOCK = 1 << 15
 
 
 def _reflection(z: np.ndarray, nearest: np.ndarray) -> np.ndarray:
@@ -128,11 +145,23 @@ def simpson(y, step: float) -> float:
     return head + step / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
 
 
+def cache_blocks(n: int) -> list[slice]:
+    """Slices of CACHE_BLOCK consecutive nodes covering range(n) in order.
+
+    The last one may be shorter; every other one starts and ends on an even
+    node, so it holds whole Simpson pairs.
+    """
+    size = CACHE_BLOCK
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 def cumulative_simpson(y, step: float) -> np.ndarray:
     """Running integral of uniformly sampled values at every grid node.
 
     Interior pairs integrate the local quadratic interpolant, so the value
-    at even nodes coincides with composite Simpson; out[0] is 0.
+    at even nodes coincides with composite Simpson; out[0] is 0.  The prefix
+    is taken one cache block of pairs at a time, each block's running sum
+    starting from the last even node of the one before.
     """
     y = np.ascontiguousarray(y)
     step = float(step)
@@ -143,23 +172,27 @@ def cumulative_simpson(y, step: float) -> np.ndarray:
     if n == 2:
         out[1] = 0.5 * step * (y[0] + y[1])
         return out
-    npairs = (n - 1) // 2
-    y0 = y[0 : 2 * npairs - 1 : 2]
-    y1 = y[1 : 2 * npairs : 2]
-    y2 = y[2 : 2 * npairs + 1 : 2]
-    pair = step / 3.0 * (y0 + 4.0 * y1 + y2)
-    even = np.empty(npairs + 1, dtype=y.dtype)
-    even[0] = 0.0
-    np.cumsum(pair, out=even[1:])
-    out[0 : 2 * npairs + 1 : 2] = even
     # Odd nodes integrate the backward-looking quadratic (forward at node 1,
     # which has no left neighbour), matching the one-shot rule's tail so the
     # prefix at any node equals the truncated composite rule.
     out[1] = step / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    if npairs > 1:
-        out[3 : 2 * npairs : 2] = even[1:-1] + step / 12.0 * (
-            -y[1 : 2 * npairs - 2 : 2] + 8.0 * y[2 : 2 * npairs - 1 : 2] + 5.0 * y[3 : 2 * npairs : 2]
-        )
-    if (n - 1) % 2 == 1:
-        out[n - 1] = out[n - 2] + step / 12.0 * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
+    for block in cache_blocks(2 * ((n - 1) // 2)):
+        # The Simpson pairs whose left node lies in the block: nodes start .. end.
+        start, end = block.start, block.stop
+        # run[0] carries the prefix at `start`; run[1:] becomes the prefix
+        # at the block's even nodes start+2 .. end.  numpy accumulates in
+        # order, so the sums are those of one cumsum over the whole grid.
+        pairs = (end - start) // 2
+        run = np.empty(pairs + 1, dtype=out.dtype)
+        run[0] = out[start]
+        run[1:] = step / 3.0 * (y[start:end - 1:2] + 4.0 * y[start + 1:end:2] + y[start + 2:end + 1:2])
+        # The first block adds no carry: 0.0 + -0.0 would turn a -0.0 sum positive.
+        head = 1 if start == 0 else 0
+        np.cumsum(run[head:], out=run[head:])
+        out[start + 2:end + 1:2] = run[1:]
+        # Odd nodes start+3 .. end+1, the last one only if the grid has it.
+        odd = pairs - (end == n - 1)
+        stop = start + 2 * odd + 2
+        out[start + 3:stop:2] = run[1:odd + 1] + step / 12.0 * (
+            -y[start + 1:stop - 2:2] + 8.0 * y[start + 2:stop - 1:2] + 5.0 * y[start + 3:stop:2])
     return out

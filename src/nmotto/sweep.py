@@ -48,7 +48,6 @@ __all__ = [
     "run_phase",
     "stroke_tables",
     "write_cycle_csv",
-    "write_cycle_json",
     "write_kernel_csv",
     "write_trace_csv",
 ]
@@ -211,28 +210,33 @@ def _write_text(path: str, header: str, blocks) -> None:
         fh.writelines(blocks)
 
 
-def _write_csv(path: str, header: str, blocks) -> None:
-    """The header and the ready CSV text of `blocks`, written as they come.
+def _write_csv(*files) -> None:
+    """Each (path, header, blocks) of `files`: the header and the ready CSV
+    text of `blocks`, written as they come.
 
-    The text goes to `<path>.part`, renamed onto `path` once complete; on any
-    exception the part file is removed and `path` is left as it was.  A
-    symlinked `path` (such as /dev/stdout redirected to a file) is followed:
-    the part file sits next to the file it resolves to and replaces that
-    file, so the link stays.  A `path` that resolves to something other than
-    a regular file (a pipe or a device) is written in place: renaming onto
-    it would replace it.
+    The text goes to `<path>.part`; the part files are renamed onto their
+    paths only once all of them are complete.  On any exception every part
+    file is removed and every path is left as it was.  A symlinked `path`
+    (such as /dev/stdout redirected to a file) is followed: the part file
+    sits next to the file it resolves to and replaces that file, so the link
+    stays.  A `path` that resolves to something other than a regular file (a
+    pipe or a device) is written in place: renaming onto it would replace it.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        _write_text(path, header, blocks)
-        return
-    target = os.path.realpath(path)
-    part = target + ".part"
+    renames = []
     try:
-        _write_text(part, header, blocks)
-        os.replace(part, target)
+        for path, header, blocks in files:
+            if os.path.exists(path) and not os.path.isfile(path):
+                _write_text(path, header, blocks)
+                continue
+            target = os.path.realpath(path)
+            renames.append((target + ".part", target))
+            _write_text(renames[-1][0], header, blocks)
+        for part, target in renames:
+            os.replace(part, target)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(part)
+        for part, _ in renames:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
         raise
 
 
@@ -253,8 +257,8 @@ def run_sweep(config: RunConfig, out_path: str) -> None:
     """Row-major (t_h outer, t_c inner) sweep written as CSV, one t_h row at a time."""
     t_h_values, t_c_values = sweep_axes(config)
     ctx = build_context(config, max(t_h_values), max(t_c_values))
-    _write_csv(out_path, CSV_HEADER,
-               _map(partial(_sweep_chunk, ctx, t_c_values), t_h_values, config.workers))
+    _write_csv((out_path, CSV_HEADER,
+                _map(partial(_sweep_chunk, ctx, t_c_values), t_h_values, config.workers)))
 
 
 def _phase_line(config: RunConfig, t_values: list[float],
@@ -281,17 +285,19 @@ def run_phase(config: RunConfig, out_path: str) -> None:
     if config.omega_ratio is None or config.T_ratio is None or config.t_box is None:
         raise ConfigError("phase runs require omega_ratio, T_ratio and t_box")
     ratios = list(product(config.omega_ratio.values(), config.T_ratio.values()))
-    _write_csv(out_path, PHASE_HEADER,
-               _map(partial(_phase_line, config, config.t_box.values()), ratios, config.workers))
+    _write_csv((out_path, PHASE_HEADER,
+                _map(partial(_phase_line, config, config.t_box.values()), ratios, config.workers)))
 
 
-def write_cycle_csv(report: CycleReport, path: str) -> None:
-    _write_csv(path, CSV_HEADER, [_report_line(report)])
-
-
-def write_cycle_json(report: CycleReport, path: str) -> None:
-    """The report as indented JSON, written like every CSV (`<path>.part`, then renamed)."""
-    _write_csv(path, json.dumps(report.to_dict(), indent=2, sort_keys=True), [])
+def write_cycle_csv(report: CycleReport, path: str, json_path: Optional[str] = None) -> None:
+    """The report's CSV row at `path` and, given `json_path`, the report as
+    indented JSON there: both part files are complete before either is
+    renamed, so a failed write of either leaves both paths as they were.
+    """
+    files = [(path, CSV_HEADER, [_report_line(report)])]
+    if json_path is not None:
+        files.append((json_path, json.dumps(report.to_dict(), indent=2, sort_keys=True), []))
+    _write_csv(*files)
 
 
 def _stroke_bath(config: RunConfig, bath_label: str) -> tuple[BathSpec, float, float]:
@@ -310,8 +316,8 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
     bath, omega, t_max = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t_max, config.h)
-    _write_csv(path, "tau,D1,D2,a,b,A",
-               _column_blocks(grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A))
+    _write_csv((path, "tau,D1,D2,a,b,A",
+                _column_blocks(grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A)))
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
@@ -321,4 +327,4 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
     bath, omega, t = _stroke_bath(config, bath_label)
     grid = build_kernel_grid(bath, omega, t, config.h)
     trace = propagate(initial_rho00, grid, t)
-    _write_csv(path, "tau,rho00", _column_blocks(trace.tau, trace.rho00))
+    _write_csv((path, "tau,rho00", _column_blocks(trace.tau, trace.rho00)))

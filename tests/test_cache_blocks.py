@@ -1,0 +1,85 @@
+"""The cache-blocked table build: the same bits whatever the block size, and
+a peak memory set by the tables rather than by their temporaries.
+
+The unblocked rule is a block of at least the grid's node count; every
+table must equal it exactly, signs of zeros included (a lambda = 0 bath
+has -0.0 integrands, which "%.17g" prints as -0).
+"""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nmotto as nm
+from nmotto import special, sweep
+
+REPO = Path(__file__).resolve().parents[1]
+TABLES = ("tau", "D1", "D2", "a", "b", "A", "from_ground", "from_excited", "base", "pop")
+BLOCKS = (2, 4, 6)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _stroke(bath, t_max):
+    return sweep.stroke_tables(nm.build_kernel_grid(bath, 1.0, t_max, 0.05))
+
+
+@pytest.mark.parametrize("coupling", [0.01, 0.0])
+@pytest.mark.parametrize("t_max", [2.0, 2.05])  # 41 and 42 nodes
+def test_stroke_tables_do_not_depend_on_the_block_size(monkeypatch, coupling, t_max):
+    bath = nm.BathSpec("hot", coupling, 0.4, 1.0)
+    monkeypatch.setattr(special, "CACHE_BLOCK", 1 << 20)
+    whole = _stroke(bath, t_max)
+    assert whole.n_points == round(t_max / 0.05) + 1
+    for block in BLOCKS:
+        monkeypatch.setattr(special, "CACHE_BLOCK", block)
+        assert len(special.cache_blocks(whole.n_points)) >= 3
+        blocked = _stroke(bath, t_max)
+        for name in TABLES:
+            _assert_same_bits(getattr(blocked, name), getattr(whole, name))
+    if coupling == 0.0:
+        assert np.signbit(whole.a[1:]).any()  # the -0.0 case is exercised
+
+
+def _block_edges(block):
+    return sorted({k * block + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)})
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_cumulative_simpson_does_not_depend_on_the_block_size(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    for n in sorted(set(range(3, 12)) | set(_block_edges(block))):
+        for y in (rng.standard_normal(n), -np.zeros(n)):
+            monkeypatch.setattr(special, "CACHE_BLOCK", n + 1)
+            whole = nm.cumulative_simpson(y, 0.1)
+            monkeypatch.setattr(special, "CACHE_BLOCK", block)
+            _assert_same_bits(nm.cumulative_simpson(y, 0.1), whole)
+
+
+def test_cache_blocks_cover_the_grid_in_order(monkeypatch):
+    monkeypatch.setattr(special, "CACHE_BLOCK", 4)
+    assert special.cache_blocks(0) == []
+    assert special.cache_blocks(9) == [slice(0, 4), slice(4, 8), slice(8, 9)]
+
+
+def test_a_long_stroke_peaks_near_its_tables():
+    # 240001 hot nodes, several cache blocks.  A StrokeTables keeps ten
+    # full-length tables; a build that held its full-length temporaries
+    # (trigamma's complex arrays, the integrands' products, the Simpson
+    # pairs) peaked at ~15 table sizes.
+    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    tracemalloc.start()
+    try:
+        ctx = sweep.build_context(config, config.t_h, config.t_c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = ctx.hot_grid.n_points
+    assert n >= 4 * special.CACHE_BLOCK
+    assert peak <= 12 * 8 * n

@@ -76,6 +76,35 @@ class TestCycleCommand:
         assert out.read_text() == "earlier\n"
         assert not list(tmp_path.rglob("*.part"))
 
+    @pytest.mark.parametrize("unwritable", ["csv", "json"])
+    def test_a_failed_write_of_either_file_leaves_both_as_they_were(
+            self, config_path, tmp_path, capsys, unwritable):
+        # The part files of both outputs are complete before either is renamed.
+        paths = {"csv": tmp_path / "cycle.csv", "json": tmp_path / "cycle.json"}
+        paths[unwritable] = tmp_path / "missing_dir" / f"x.{unwritable}"
+        argv = ["cycle", "--config", config_path, "--out", str(paths["csv"]),
+                "--json", str(paths["json"])]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        for kind, path in paths.items():
+            if kind != unwritable:
+                path.write_text("earlier\n")
+        assert main(argv) == 1
+        for kind, path in paths.items():
+            if kind != unwritable:
+                assert path.read_text() == "earlier\n"
+        assert not list(tmp_path.rglob("*.part"))
+
+    def test_json_and_csv_on_one_file_is_a_usage_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "cycle.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["cycle", "--config", config_path, "--out", str(out),
+                  "--json", str(tmp_path / "." / "cycle.csv")])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        assert not out.exists()
+
 
 class TestKernelAndStrokeDumps:
     def test_kernel_dump_columns(self, config_path, tmp_path):

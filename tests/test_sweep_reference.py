@@ -1,21 +1,25 @@
-"""The sweep of configs/sweep_small.json against its checked-in output.
+"""Runs against their checked-in outputs: the sweep of configs/sweep_small.json,
+and one cycle whose hot grid spans several cache blocks.
 
-This is the guard of every refactor of the cell path, under both dynamics.
-Numbers are compared within 1e-12 relative (1e-15 absolute), so that the
-last-ulp differences of another numpy build pass; everything else (header,
-labels, empty fields, the error column) must match exactly.
+These are the guards of every refactor of the cell path, under both
+dynamics, and of the cache-blocked table build.  Numbers are compared
+within 1e-12 relative (1e-15 absolute), so that the last-ulp differences of
+another numpy build pass; everything else (header, labels, empty fields,
+the error column) must match exactly.
 """
 
 import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nmotto as nm
 from nmotto.cycle import LABEL_FIELDS
 
 REPO = Path(__file__).resolve().parents[1]
+DATA = REPO / "tests" / "data"
 TEXT_FIELDS = set(LABEL_FIELDS) | {"error"}
 
 
@@ -30,14 +34,9 @@ def _same_field(name, got, want):
     return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=1e-15)
 
 
-@pytest.mark.parametrize("dynamics", ["tcl2", "markov"])
-def test_sweep_small_matches_the_reference_output(tmp_path, dynamics):
-    config = nm.load_config(str(REPO / "configs" / "sweep_small.json"))
-    config = nm.parse_config({**config.to_dict(), "dynamics": dynamics, "workers": 1})
-    out = tmp_path / "sweep.csv"
-    nm.run_sweep(config, str(out))
-    want = _rows(REPO / "tests" / "data" / f"sweep_small_{dynamics}.csv")
-    got = _rows(out)
+def _assert_matches_reference(got_path, want_path):
+    want = _rows(want_path)
+    got = _rows(got_path)
     assert got[0] == want[0]
     assert len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
@@ -45,3 +44,25 @@ def test_sweep_small_matches_the_reference_output(tmp_path, dynamics):
         bad = [(name, g, w) for name, g, w in zip(want[0], got_row, want_row)
                if not _same_field(name, g, w)]
         assert not bad, (want_row[:2], bad)
+
+
+@pytest.mark.parametrize("dynamics", ["tcl2", "markov"])
+def test_sweep_small_matches_the_reference_output(tmp_path, dynamics):
+    config = nm.load_config(str(REPO / "configs" / "sweep_small.json"))
+    config = nm.parse_config({**config.to_dict(), "dynamics": dynamics, "workers": 1})
+    out = tmp_path / "sweep.csv"
+    nm.run_sweep(config, str(out))
+    _assert_matches_reference(out, DATA / f"sweep_small_{dynamics}.csv")
+
+
+def test_multiblock_cycle_matches_the_reference_output(tmp_path):
+    # lambda_h 0.05 and t_h 12000: 240001 hot nodes, several cache blocks,
+    # and max|A| ~ 670, so the overflow-guarded propagation runs too.
+    config = nm.load_config(str(DATA / "multiblock_cycle.json"))
+    ctx = nm.build_context(config, config.t_h, config.t_c)
+    hot = ctx.hot_grid
+    assert hot.n_points == 240001
+    assert np.max(np.abs(hot.A)) > 500.0
+    out = tmp_path / "cycle.csv"
+    nm.sweep.write_cycle_csv(nm.evaluate_cycle(ctx, config.t_h, config.t_c), str(out))
+    _assert_matches_reference(out, DATA / "multiblock_cycle.csv")
