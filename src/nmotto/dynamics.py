@@ -6,12 +6,13 @@ described by the ground-state population
     rho00(tau) = exp(A(tau)) * ( rho00(0) - C(tau) ),
     C(tau)     = int_0^tau b(s) exp(-A(s)) ds,
 
-with a, b, A tabulated on the stroke's KernelGrid.  C is accumulated with
-the same cumulative Simpson rule as the tables, which takes its prefix in
-cache blocks (`special.CACHE_BLOCK` nodes).  Where |A| would overflow exp
-(beyond 500), the stroke is solved in guard segments, each with A rebased to
-its first node and chained through the segment end values; a guard segment
-is as long as the exp range allows, whatever the cache block.
+with a, b, A tabulated on the stroke's KernelGrid.  It is affine in
+rho00(0): `transition_traces` solves the pure starts 1 and 0 in one pass,
+and any other start is their mix.  C takes the cumulative Simpson rule of
+the tables, in cache blocks (`special.CACHE_BLOCK` nodes).  Where |A| would
+overflow exp (beyond 500), the stroke is solved in guard segments, each with
+A rebased to its first node and chained through the segment end values; a
+guard segment is as long as the exp range allows, whatever the cache block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import PositivityError
-from .kernels import KernelGrid
+from .kernels import KernelGrid, bose_occupation
 from .special import cumulative_simpson
 
 __all__ = ["PopulationTrace", "StrokeSource", "propagate", "transition_populations",
@@ -56,60 +57,26 @@ def _node_floor(step: float, t: float, n: int) -> int:
     return min(max(k, 0), n - 1)
 
 
-def _solve_full(grid: KernelGrid, initial: float) -> np.ndarray:
-    # exp(A)*(rho0 - C), one guard segment at a time.  A segment starts at an
-    # even node s and ends at the last even node before |A - A[s]| exceeds
-    # _EXP_GUARD (at least one Simpson pair on), so the pairs are those of the
-    # global rule.  In it the closed form runs with A rebased to A[s] and
-    # rho0 = rho[s]; its first odd node takes the backward quadratic through
-    # s-1, as the one-shot rule does.  Since A[0] == 0, max|A| <= _EXP_GUARD
-    # is one segment: the plain closed form.
-    big_a, b, step = grid.A, grid.b, grid.step
-    n = big_a.shape[0]
-    rho = np.empty(n)
-    start, rho_start = 0, float(initial)
-    # Where A alone drifts past the exp range within one Simpson pair, the
-    # grid is too coarse: raise FloatingPointError rather than return NaN.
-    with np.errstate(over="raise", invalid="raise"):
-        while True:
-            a_start = big_a[start]
-            over = np.abs(big_a[start:] - a_start) > _EXP_GUARD
-            if over.any():
-                end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
-            else:
-                end = n - 1
-            segment = slice(start, end + 1)
-            y = a_start - big_a[segment]
-            np.exp(y, out=y)
-            y *= b[segment]
-            c = cumulative_simpson(y, step)
-            if start > 0:
-                c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
-                                      + 8.0 * y[0] + 5.0 * y[1])
-            del y  # free it before the next segment-sized array: keeps the peak memory down
-            np.subtract(rho_start, c, out=c)
-            growth = big_a[segment] - a_start
-            np.exp(growth, out=growth)
-            np.multiply(growth, c, out=rho[segment])
-            if end == n - 1:
-                return rho
-            start, rho_start = end, float(rho[end])
-
-
 def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
     low, high = int(rho.argmin()), int(rho.argmax())
     if rho[low] < -_POSITIVITY_TOL or rho[high] > 1.0 + _POSITIVITY_TOL:
         below, above = -float(rho[low]), float(rho[high]) - 1.0
         peak = low if below > above else high
-        raise PositivityError(max(below, above), float(grid.tau[peak]))
+        n = bose_occupation(grid.omega0, grid.bath.temperature)
+        raise PositivityError(max(below, above), float(grid.tau[peak]), n / (1.0 + 2.0 * n))
+
+
+def _check_stroke_time(t: float) -> None:
+    """The one stroke-time rule: any finite t >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
 
 
 def _validate_t(grid: KernelGrid, t: float) -> float:
     t_max = grid.tau.item(-1)
     if 0.0 <= t <= t_max:
         return t
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError("t must be finite and >= 0")
+    _check_stroke_time(t)
     if t > t_max + 1e-9 * grid.step:
         raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
     return t_max
@@ -135,25 +102,64 @@ def _stroke_end(grid: KernelGrid, t: float, first: np.ndarray,
 def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTrace:
     """Propagate a diagonal state for time t on the stroke's grid.
 
-    Returns the trace at every grid node in [0, t]; off-node t is linearly
-    interpolated between the bracketing nodes.
+    The state is rho00(0) * from_ground + (1 - rho00(0)) * from_excited of the
+    grid's transition traces, returned at every grid node in [0, t]; off-node
+    t is linearly interpolated between the bracketing nodes.
     """
     if not (0.0 <= initial_rho00 <= 1.0):
         raise ValueError("initial ground-state population must lie in [0, 1]")
     t = _validate_t(grid, t)
-    full = _solve_full(grid, float(initial_rho00))
+    from_ground, from_excited = transition_traces(grid)
     k = _node_floor(grid.step, t, grid.n_points)
-    checked = min(k + 1, grid.n_points - 1)
-    _check_positivity(full[: checked + 1], grid)
-    value, _ = _stroke_end(grid, t, full, full)
-    rho = full[: k + 1]
+    read = min(k + 1, grid.n_points - 1) + 1  # the nodes _stroke_end may read
+    mixed = initial_rho00 * from_ground[:read] + (1.0 - initial_rho00) * from_excited[:read]
+    value, _ = _stroke_end(grid, t, mixed, mixed)
+    rho = mixed[: k + 1]
     rho.setflags(write=False)
     return PopulationTrace(tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)
 
 
 def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Full-grid populations from the two pure initial states (rho00 = 1, 0); solved per call."""
-    traces = (_solve_full(grid, 1.0), _solve_full(grid, 0.0))
+    """Full-grid populations from the two pure initial states (rho00 = 1, 0),
+    solved per call in one pass: C and exp(A) do not depend on rho00(0).
+
+    A guard segment starts at an even node s and ends at the last even node
+    before |A - A[s]| exceeds _EXP_GUARD (at least one Simpson pair on), so
+    the pairs are those of the global rule.  In it the closed form runs with
+    A rebased to A[s], each trace starting from its value at s; the first odd
+    node takes the backward quadratic through s-1, as the one-shot rule does.
+    Since A[0] == 0, max|A| <= _EXP_GUARD is one segment: the plain form.
+    """
+    big_a, b, step = grid.A, grid.b, grid.step
+    n = big_a.shape[0]
+    traces = (np.empty(n), np.empty(n))
+    start, starts = 0, (1.0, 0.0)
+    # Where A alone drifts past the exp range within one Simpson pair, the
+    # grid is too coarse: raise FloatingPointError rather than return NaN.
+    with np.errstate(over="raise", invalid="raise"):
+        while True:
+            a_start = big_a[start]
+            over = abs(big_a[start:] - a_start) > _EXP_GUARD  # abs() works on the difference in place
+            if over.any():
+                end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
+            else:
+                end = n - 1
+            segment = slice(start, end + 1)
+            y = a_start - big_a[segment]
+            np.exp(y, out=y)
+            y *= b[segment]
+            c = cumulative_simpson(y, step)
+            if start > 0:
+                c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
+                                      + 8.0 * y[0] + 5.0 * y[1])
+            growth = np.subtract(big_a[segment], a_start, out=y)
+            np.exp(growth, out=growth)
+            for trace, rho_start in zip(traces, starts):
+                np.subtract(rho_start, c, out=trace[segment])
+                trace[segment] *= growth
+            if end == n - 1:
+                break
+            start, starts = end, (traces[0].item(end), traces[1].item(end))
     for rho in traces:
         _check_positivity(rho, grid)
         rho.setflags(write=False)

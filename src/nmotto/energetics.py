@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cycle import StrokeEnergetics
-from .dynamics import StrokeSource, _stroke_end, _validate_t, transition_traces
+from .dynamics import StrokeSource, _check_stroke_time, _stroke_end, _validate_t, transition_traces
 from .kernels import BathSpec, KernelGrid, bose_occupation, spectral_density
 from .limit_cycle import LimitCycleState
 from .special import cache_blocks, cumulative_simpson, simpson
@@ -130,8 +130,7 @@ def markov_rate(bath: BathSpec, omega: float) -> float:
 
 def markov_population(initial_rho00: float, bath: BathSpec, omega: float, t: float) -> float:
     """Ground population under the Born-Markov reference dynamics."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _check_stroke_time(t)
     n = bose_occupation(omega, bath.temperature)
     stationary = (1.0 + n) / (1.0 + 2.0 * n)
     return stationary + (initial_rho00 - stationary) * math.exp(-markov_rate(bath, omega) * t)
@@ -154,16 +153,11 @@ class MarkovStroke:
         object.__setattr__(self, "rate", markov_rate(self.bath, self.omega0))
 
     def populations(self, t: float) -> tuple[float, float]:
-        _check_t(t)
+        _check_stroke_time(t)
         s, decay = self.stationary, math.exp(-self.rate * t)
         return s + (1.0 - s) * decay, s + (0.0 - s) * decay
 
     def flow(self, t: float) -> tuple[float, float]:
-        _check_t(t)
+        _check_stroke_time(t)
         return 0.0, 0.0
 
-
-def _check_t(t: float) -> None:
-    """A Markov stroke reads any finite t >= 0; the message is that of a grid's read."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")

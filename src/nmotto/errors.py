@@ -24,16 +24,18 @@ class GridError(NmottoError, ValueError):
 class PositivityError(NmottoError, RuntimeError):
     """A propagated population left [0, 1] beyond tolerance.
 
-    `excursion` is how far it went outside [0, 1] at its peak, and `tau` the
-    stroke time of that peak.
+    `excursion` is how far it went outside [0, 1] at its peak, `tau` the
+    stroke time of that peak and `gibbs` the bath's Gibbs excited population
+    n/(1 + 2n) at the stroke's qubit frequency, where 1 - rho00 settles.
     """
 
-    def __init__(self, excursion: float, tau: float):
-        super().__init__(excursion, tau)
-        self.excursion, self.tau = excursion, tau
+    def __init__(self, excursion: float, tau: float, gibbs: float):
+        super().__init__(excursion, tau, gibbs)
+        self.excursion, self.tau, self.gibbs = excursion, tau, gibbs
 
     def __str__(self) -> str:
-        return f"population left [0, 1] by {self.excursion:.4e} at tau={self.tau:g}"
+        return (f"population left [0, 1] by {self.excursion:.4e} at tau={self.tau:g}"
+                f" (bath Gibbs excited population {self.gibbs:.4e})")
 
 
 class SingularMapError(NmottoError, RuntimeError):

@@ -83,3 +83,20 @@ def test_a_long_stroke_peaks_near_its_tables():
     n = ctx.hot_grid.n_points
     assert n >= 4 * special.CACHE_BLOCK
     assert peak <= 12 * 8 * n
+
+
+def test_the_transition_traces_peak_near_their_two_tables():
+    # One guarded pass holds the two traces, the segment's exponential (reused
+    # for the growth) and its prefix C: ~4.3 table sizes on this grid.  A pass
+    # that broadcast a (2, segment) temporary for the pair peaked at ~6.6.
+    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    grid = nm.build_kernel_grid(config.hot_bath(), config.omega_h, config.t_h, config.h)
+    tracemalloc.start()
+    try:
+        nm.transition_traces(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = grid.n_points
+    assert n >= 4 * special.CACHE_BLOCK
+    assert peak <= 4.6 * 8 * n

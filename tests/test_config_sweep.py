@@ -206,10 +206,10 @@ class TestCycleContext:
         ctx = nm.build_context(cfg, 60.0, 10.0)
         expected = nm.evaluate_cycle(ctx, 60.0, 10.0)
 
-        def no_solve(grid, initial):
+        def no_solve(*args):
             raise AssertionError("an unpickled context solves no stroke")
 
-        monkeypatch.setattr(nm.dynamics, "_solve_full", no_solve)
+        monkeypatch.setattr(nm.dynamics, "cumulative_simpson", no_solve)
         assert nm.evaluate_cycle(pickle.loads(pickle.dumps(ctx)), 60.0, 10.0) == expected
 
     def test_pickled_markov_context_evaluates_equal(self, markov_context):

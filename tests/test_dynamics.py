@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
-from nmotto.dynamics import _solve_full
 from nmotto.errors import PositivityError
 
 from conftest import CUTOFF, LAMBDA, OMEGA_H
@@ -64,8 +64,15 @@ class TestPropagate:
         # a deliberately coarse grid at strong coupling breaks the quadrature
         bath = nm.BathSpec("hot", 5.0, CUTOFF, 0.1)
         grid = nm.build_kernel_grid(bath, OMEGA_H, 30.0, step=0.8)
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError) as raised:
             nm.propagate(1.0, grid, 30.0)
+        error = raised.value
+        # the bath's Gibbs excited population n/(1 + 2n) = 1/(e^{omega/T} + 1)
+        assert error.gibbs == pytest.approx(1.0 / (math.exp(OMEGA_H / 0.1) + 1.0), rel=1e-12)
+        assert error.args == (error.excursion, error.tau, error.gibbs)
+        copy = pickle.loads(pickle.dumps(error))  # as a pool worker returns it
+        assert (copy.excursion, copy.tau, copy.gibbs) == (error.excursion, error.tau, error.gibbs)
+        assert str(copy) == str(error)
 
     def test_grid_convergence_of_final_population(self, hot_bath):
         g1 = nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.05)
@@ -178,8 +185,9 @@ class TestStrokeEndRead:
     @given(data=st.data(), initial=st.sampled_from([1.0, 0.3, 0.0]))
     def test_propagate_value_matches_linear_read(self, hot_grid, data, initial):
         t = data.draw(_read_times(hot_grid))
-        full = _solve_full(hot_grid, initial)
-        expected = _outcome(_linear_read, hot_grid, t, (full,))
+        from_ground, from_excited = nm.transition_traces(hot_grid)
+        mixed = initial * from_ground + (1.0 - initial) * from_excited
+        expected = _outcome(_linear_read, hot_grid, t, (mixed,))
         assert _outcome(lambda: (nm.propagate(initial, hot_grid, t).value_at_t,)) == expected
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0, 131.0])
@@ -236,20 +244,24 @@ class TestGuardedPropagation:
     def test_matches_plain_form_on_mild_grids(self, hot_grid):
         assert np.max(np.abs(hot_grid.A)) <= 500.0
         c = nm.cumulative_simpson(hot_grid.b * np.exp(-hot_grid.A), hot_grid.step)
-        plain = np.exp(hot_grid.A) * (0.7 - c)
-        assert np.array_equal(_solve_full(hot_grid, 0.7), plain)
+        growth = np.exp(hot_grid.A)
+        from_ground, from_excited = nm.transition_traces(hot_grid)
+        assert np.array_equal(from_ground, growth * (1.0 - c))
+        assert np.array_equal(from_excited, growth * (0.0 - c))
         segments = _propagate_segments(hot_grid.b, hot_grid.A, hot_grid.step, 0.7)
-        assert np.max(np.abs(plain - segments)) < 1e-12
+        mixed = nm.propagate(0.7, hot_grid, hot_grid.t_max).rho00
+        assert np.max(np.abs(mixed - segments)) < 1e-12
 
     @pytest.mark.parametrize("t_max", [14.0, 14.002])
     def test_blocks_match_segment_oracle(self, t_max):
         # both parities of the node count; max|A| ~ 656 gives two blocks
         _, grid = _strong_damping_grid(t_max)
         assert np.max(np.abs(grid.A)) > 500.0
-        for initial in (1.0, 0.3, 0.0):
-            blocks = _solve_full(grid, initial)
+        from_ground, from_excited = nm.transition_traces(grid)
+        mixed = nm.propagate(0.3, grid, grid.t_max).rho00
+        for initial, trace in ((1.0, from_ground), (0.0, from_excited), (0.3, mixed)):
             segments = _propagate_segments(grid.b, grid.A, grid.step, initial)
-            assert np.max(np.abs(blocks - segments)) <= 1e-12
+            assert np.max(np.abs(trace - segments)) <= 1e-12
 
     def test_engages_beyond_exponent_guard(self):
         bath, grid = _strong_damping_grid()
@@ -266,3 +278,54 @@ class TestGuardedPropagation:
         assert np.max(np.abs(np.diff(grid.A[::2]))) > 710.0
         with pytest.raises(ArithmeticError):
             nm.propagate(1.0, grid, 20.0)
+
+
+def _count_cumulative_simpson(monkeypatch):
+    calls, original = [], nm.dynamics.cumulative_simpson
+
+    def counted(y, step):
+        calls.append(y.shape[0])
+        return original(y, step)
+
+    monkeypatch.setattr(nm.dynamics, "cumulative_simpson", counted)
+    return calls
+
+
+class TestOneSolve:
+    """Both transition traces come from one guarded pass; propagate mixes them."""
+
+    def test_one_prefix_per_guard_segment(self, monkeypatch, hot_grid):
+        calls = _count_cumulative_simpson(monkeypatch)
+        nm.transition_traces(hot_grid)
+        assert calls == [hot_grid.n_points]
+        _, strong = _strong_damping_grid()
+        calls.clear()
+        nm.transition_traces(strong)
+        assert len(calls) == 2  # two guard segments, max|A| ~ 656
+        assert sum(calls) == strong.n_points + 1  # they share their boundary node
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), x=st.floats(0.0, 1.0))
+    def test_propagate_is_the_mix_of_the_traces(self, hot_grid, data, x):
+        t_max, step = hot_grid.t_max, hot_grid.step
+        t = data.draw(st.one_of(st.integers(0, hot_grid.n_points - 1).map(lambda k: k * step),
+                                st.floats(0.0, t_max)))
+        from_ground, from_excited = nm.transition_traces(hot_grid)
+        trace = nm.propagate(x, hot_grid, t)
+        k = trace.rho00.shape[0] - 1
+        assert k == min(int(math.floor(t / step + 1e-9)), hot_grid.n_points - 1)
+        assert np.array_equal(trace.tau, hot_grid.tau[: k + 1])
+        mixed = x * from_ground + (1.0 - x) * from_excited
+        assert np.array_equal(trace.rho00, mixed[: k + 1])
+        assert trace.value_at_t == _linear_read(hot_grid, t, (mixed,))[0]
+
+    @pytest.mark.parametrize("coupling", [LAMBDA, 0.0])
+    def test_pure_starts_are_the_traces(self, coupling):
+        grid = nm.build_kernel_grid(nm.BathSpec("hot", coupling, CUTOFF, 1.0), OMEGA_H, 30.0)
+        traces = nm.transition_traces(grid)
+        for x, trace in zip((1.0, 0.0), traces):
+            for t in (grid.t_max, 10.0 * grid.step, 10.3 * grid.step):
+                rho = nm.propagate(x, grid, t).rho00
+                want = trace[: rho.shape[0]]
+                assert np.array_equal(rho, want)
+                assert np.array_equal(np.signbit(rho), np.signbit(want))

@@ -175,3 +175,10 @@ def test_stroke_sources_reject_the_same_times(source, t, hot_grid, hot_bath):
     for read in (stroke.populations, stroke.flow):
         with pytest.raises(ValueError, match=r"^t must be finite and >= 0$"):
             read(t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_markov_population_rejects_what_a_stroke_rejects(t, hot_bath):
+    with pytest.raises(ValueError, match=r"^t must be finite and >= 0$"):
+        nm.markov_population(0.5, hot_bath, OMEGA_H, t)
