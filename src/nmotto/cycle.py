@@ -9,10 +9,9 @@ any sign within 1e-12 of zero is treated as indefinite rather than guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 from .limit_cycle import LimitCycleState
 
@@ -51,8 +50,7 @@ class Flow(str, Enum):
     UNDEFINED = "Undefined"
 
 
-@dataclass(frozen=True, slots=True)
-class StrokeEnergetics:
+class StrokeEnergetics(NamedTuple):
     """Energy bookkeeping of one isochoric stroke; sums to zero exactly."""
 
     dE_S: float
@@ -60,8 +58,7 @@ class StrokeEnergetics:
     dE_I: float
 
 
-@dataclass(frozen=True, slots=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """All per-cycle observables at one (t_h, t_c) parameter point."""
 
     t_h: float
@@ -86,7 +83,7 @@ class CycleReport:
     flow_c: Flow
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in REPORT_FIELDS}
+        out = self._asdict()
         for name in LABEL_FIELDS:
             out[name] = out[name].value
         return out
@@ -94,7 +91,7 @@ class CycleReport:
 
 # The report schema: field order of the CSV columns and the JSON keys.
 # Label fields hold an Enum and are written as its value.
-REPORT_FIELDS = tuple(field.name for field in fields(CycleReport))
+REPORT_FIELDS = CycleReport._fields
 LABEL_FIELDS = tuple(
     name for name, hint in get_type_hints(CycleReport).items()
     if isinstance(hint, type) and issubclass(hint, Enum)

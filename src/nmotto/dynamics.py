@@ -23,7 +23,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import GridError, PositivityError
 from .kernels import KernelGrid, bose_occupation
 from .special import cumulative_simpson
 
@@ -135,31 +135,35 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
     traces = (np.empty(n), np.empty(n))
     start, starts = 0, (1.0, 0.0)
     # Where A alone drifts past the exp range within one Simpson pair, the
-    # grid is too coarse: raise FloatingPointError rather than return NaN.
-    with np.errstate(over="raise", invalid="raise"):
-        while True:
-            a_start = big_a[start]
-            over = abs(big_a[start:] - a_start) > _EXP_GUARD  # abs() works on the difference in place
-            if over.any():
-                end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
-            else:
-                end = n - 1
-            segment = slice(start, end + 1)
-            y = a_start - big_a[segment]
-            np.exp(y, out=y)
-            y *= b[segment]
-            c = cumulative_simpson(y, step)
-            if start > 0:
-                c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
-                                      + 8.0 * y[0] + 5.0 * y[1])
-            growth = np.subtract(big_a[segment], a_start, out=y)
-            np.exp(growth, out=growth)
-            for trace, rho_start in zip(traces, starts):
-                np.subtract(rho_start, c, out=trace[segment])
-                trace[segment] *= growth
-            if end == n - 1:
-                break
-            start, starts = end, (traces[0].item(end), traces[1].item(end))
+    # grid is too coarse: numpy's overflow becomes a GridError, not NaN.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while True:
+                a_start = big_a[start]
+                over = abs(big_a[start:] - a_start) > _EXP_GUARD  # abs() works on the difference in place
+                if over.any():
+                    end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
+                else:
+                    end = n - 1
+                segment = slice(start, end + 1)
+                y = a_start - big_a[segment]
+                np.exp(y, out=y)
+                y *= b[segment]
+                c = cumulative_simpson(y, step)
+                if start > 0:
+                    c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
+                                          + 8.0 * y[0] + 5.0 * y[1])
+                growth = np.subtract(big_a[segment], a_start, out=y)
+                np.exp(growth, out=growth)
+                for trace, rho_start in zip(traces, starts):
+                    np.subtract(rho_start, c, out=trace[segment])
+                    trace[segment] *= growth
+                if end == n - 1:
+                    break
+                start, starts = end, (traces[0].item(end), traces[1].item(end))
+    except (FloatingPointError, OverflowError) as exc:
+        raise GridError(f"A leaves the exp range within one Simpson pair (step {step:g});"
+                        " decrease h") from exc
     for rho in traces:
         _check_positivity(rho, grid)
         rho.setflags(write=False)

@@ -15,7 +15,7 @@ The closed form is used everywhere; power iteration exists as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import StrokeSource, transition_populations
 from .errors import SingularMapError
@@ -25,8 +25,7 @@ __all__ = ["LimitCycleState", "fixed_point", "fixed_point_from_populations", "it
 _SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class LimitCycleState:
+class LimitCycleState(NamedTuple):
     """Limit-cycle occupations: P^mu entering each stroke, rho^mu after it."""
 
     P_h: float

@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
-from operator import attrgetter
 from typing import Optional, get_type_hints
 
 from . import energetics, limit_cycle
@@ -60,17 +59,14 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-# CycleReport lists its always-present numbers first, then the ones that may
-# be None (alpha, eta, cop: an empty field), then its Enum labels; a None or
-# a label among the first would fail loudly in the format.
-_OPTIONAL_FIELDS = tuple(name for name, hint in get_type_hints(CycleReport).items()
-                         if hint == Optional[float])
-_FLOAT_FIELDS = REPORT_FIELDS[: -len(_OPTIONAL_FIELDS) - len(LABEL_FIELDS)]
-_FLOAT_VALUES = attrgetter(*_FLOAT_FIELDS)
-_OPTIONAL_VALUES = attrgetter(*_OPTIONAL_FIELDS)
-_LABEL_VALUES = attrgetter(*LABEL_FIELDS)
+# A CycleReport tuple holds its always-present numbers first, then the ones
+# that may be None (alpha, eta, cop: an empty field), then its Enum labels; a
+# None or a label among the first would fail loudly in the format.
+_N_LABELS = len(LABEL_FIELDS)
+_N_FLOATS = len(REPORT_FIELDS) - _N_LABELS - sum(
+    hint == Optional[float] for hint in get_type_hints(CycleReport).values())
 # "%.17g" % x is format(x, ".17g") byte for byte, nan, inf and -0 included.
-_FLOATS_FORMAT = ",".join(["%.17g"] * len(_FLOAT_FIELDS))
+_FLOATS_FORMAT = ",".join(["%.17g"] * _N_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,9 @@ def run_cycle(config: RunConfig) -> CycleReport:
 
 def _report_line(report: CycleReport) -> str:
     """One report's CSV line, error column empty."""
-    return ",".join([_FLOATS_FORMAT % _FLOAT_VALUES(report),
-                     *map(_fmt, _OPTIONAL_VALUES(report)),
-                     *[label.value for label in _LABEL_VALUES(report)], "\n"])
+    return ",".join([_FLOATS_FORMAT % report[:_N_FLOATS],
+                     *map(_fmt, report[_N_FLOATS:-_N_LABELS]),
+                     *[label.value for label in report[-_N_LABELS:]], "\n"])
 
 
 def _csv_line(row: list[str]) -> str:

@@ -257,7 +257,7 @@ class TestErrorPaths:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert json.loads(err)["error"] == "FloatingPointError"
+        assert json.loads(err)["error"] == "GridError"
 
     @pytest.mark.parametrize("command", ["cycle", "sweep"])
     def test_non_finite_trigamma_argument_exits_1(self, tmp_path, command):

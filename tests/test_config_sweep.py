@@ -597,9 +597,9 @@ class TestCsvText:
         # the one-format line against the csv.writer row of _fmt fields, on
         # a real report and on reports with nan, inf, -0 and absent values
         report = nm.evaluate_cycle(nm.build_context(small_cfg, 60.0, 10.0), 60.0, 10.0)
-        reports = [report, replace(report, dE_S_h=float("nan"), dE_B_h=float("inf"),
-                                   dE_I_h=float("-inf"), W_total=-0.0, t_c=5e-324),
-                   replace(report, eta=None), replace(report, alpha_h=None, cop=None)]
+        reports = [report, report._replace(dE_S_h=float("nan"), dE_B_h=float("inf"),
+                                           dE_I_h=float("-inf"), W_total=-0.0, t_c=5e-324),
+                   report._replace(eta=None), report._replace(alpha_h=None, cop=None)]
         for rep in reports:
             row = [nm.sweep._fmt(getattr(rep, name)) for name in REPORT_FIELDS
                    if name not in LABEL_FIELDS]

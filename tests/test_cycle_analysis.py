@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 from collections import Counter
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
-from nmotto.cycle import REPORT_FIELDS, CycleReport, Flow, Mode
+from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Flow, Mode
 from nmotto.sweep import evaluate_cycle
 
 from conftest import OMEGA_C, OMEGA_H, T_C, T_H
@@ -333,7 +332,8 @@ class TestReportSerialization:
 
 
 class TestRecords:
-    """The per-cell records are frozen, slotted, picklable and replaceable."""
+    """The per-cell records are NamedTuples: immutable, without a __dict__,
+    picklable, replaceable and read by position in REPORT_FIELDS order."""
 
     @pytest.fixture
     def records(self, reference_context):
@@ -343,8 +343,8 @@ class TestRecords:
 
     def test_frozen_and_slotted(self, records):
         for record in records:
-            name = dataclasses.fields(record)[0].name
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            name = record._fields[0]
+            with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
             assert not hasattr(record, "__dict__")
 
@@ -355,9 +355,16 @@ class TestRecords:
     def test_replace(self, records):
         report = records[2]
         assert report.eta is not None
-        changed = dataclasses.replace(report, eta=None)
+        changed = report._replace(eta=None)
         assert changed.eta is None
-        assert dataclasses.replace(changed, eta=report.eta) == report
+        assert changed._replace(eta=report.eta) == report
+
+    def test_positions_follow_the_schema(self, records):
+        # sweep._report_line formats the report by slices of the tuple
+        report = records[2]
+        assert tuple(report) == tuple(getattr(report, name) for name in REPORT_FIELDS)
+        assert REPORT_FIELDS[-len(LABEL_FIELDS):] == LABEL_FIELDS
+        assert report[-len(LABEL_FIELDS):] == (report.mode, report.flow_h, report.flow_c)
 
     def test_schema_unchanged(self):
         assert REPORT_FIELDS == (

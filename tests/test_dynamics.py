@@ -276,7 +276,7 @@ class TestGuardedPropagation:
         bath = nm.BathSpec("hot", 400.0, CUTOFF, 50.0)
         grid = nm.build_kernel_grid(bath, CUTOFF, 20.0, 0.4)
         assert np.max(np.abs(np.diff(grid.A[::2]))) > 710.0
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(nm.GridError, match=r"\(step 0\.4\); decrease h"):
             nm.propagate(1.0, grid, 20.0)
 
 

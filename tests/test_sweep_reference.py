@@ -1,14 +1,18 @@
 """Runs against their checked-in outputs: the sweep of configs/sweep_small.json,
-and one cycle whose hot grid spans several cache blocks.
+the phase diagram of configs/phase_small.json, the JSON report of
+configs/reference_cycle.json, and one cycle whose hot grid spans several
+cache blocks.
 
 These are the guards of every refactor of the cell path, under both
 dynamics, and of the cache-blocked table build.  Numbers are compared
 within 1e-12 relative (1e-15 absolute), so that the last-ulp differences of
 another numpy build pass; everything else (header, labels, empty fields,
-the error column) must match exactly.
+phase counts and classification, JSON nulls, the error column) must match
+exactly.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from nmotto.cycle import LABEL_FIELDS
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "tests" / "data"
 TEXT_FIELDS = set(LABEL_FIELDS) | {"error"}
+PHASE_TEXT_FIELDS = {"engine", "heater", "heat_pump", "other", "classification", "error"}
 
 
 def _rows(path):
@@ -28,13 +33,17 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
-def _same_field(name, got, want):
-    if name in TEXT_FIELDS or got == want or "" in (got, want):
+def _same_number(got, want):
+    return got == want or math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _same_field(name, got, want, text_fields):
+    if name in text_fields or got == want or "" in (got, want):
         return got == want
-    return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=1e-15)
+    return _same_number(float(got), float(want))
 
 
-def _assert_matches_reference(got_path, want_path):
+def _assert_matches_reference(got_path, want_path, text_fields=TEXT_FIELDS):
     want = _rows(want_path)
     got = _rows(got_path)
     assert got[0] == want[0]
@@ -42,7 +51,7 @@ def _assert_matches_reference(got_path, want_path):
     for got_row, want_row in zip(got[1:], want[1:]):
         assert len(got_row) == len(want_row)
         bad = [(name, g, w) for name, g, w in zip(want[0], got_row, want_row)
-               if not _same_field(name, g, w)]
+               if not _same_field(name, g, w, text_fields)]
         assert not bad, (want_row[:2], bad)
 
 
@@ -66,3 +75,25 @@ def test_multiblock_cycle_matches_the_reference_output(tmp_path):
     out = tmp_path / "cycle.csv"
     nm.sweep.write_cycle_csv(nm.evaluate_cycle(ctx, config.t_h, config.t_c), str(out))
     _assert_matches_reference(out, DATA / "multiblock_cycle.csv")
+
+
+def test_phase_small_matches_the_reference_output(tmp_path):
+    # the mode counts come from the CycleReports of every t_box cell
+    config = nm.load_config(str(REPO / "configs" / "phase_small.json"))
+    out = tmp_path / "phase.csv"
+    nm.run_phase(nm.parse_config({**config.to_dict(), "workers": 1}), str(out))
+    _assert_matches_reference(out, DATA / "phase_small.csv", PHASE_TEXT_FIELDS)
+
+
+def test_reference_cycle_json_matches_the_reference_output(tmp_path):
+    config = nm.load_config(str(REPO / "configs" / "reference_cycle.json"))
+    out = tmp_path / "cycle.json"
+    nm.sweep.write_cycle_csv(nm.run_cycle(config), str(tmp_path / "cycle.csv"), str(out))
+    got = json.loads(out.read_text(encoding="utf-8"))
+    want = json.loads((DATA / "reference_cycle_report.json").read_text(encoding="utf-8"))
+    assert list(got) == list(want)
+    # numbers within the tolerance; labels and nulls (absent alpha, eta, cop) exactly
+    bad = [(name, got[name], value) for name, value in want.items()
+           if type(got[name]) is not type(value)
+           or not (_same_number(got[name], value) if type(value) is float else got[name] == value)]
+    assert not bad

@@ -207,3 +207,22 @@ class TestVerifierQuenchesWithTheGivenUnitary:
         report = nm.verify_conservation(nm.build_hamiltonian(1.0, 0.5), 2 * np.eye(DIM))
         assert not report.satisfied
         assert report.level1_max_residual > 0.0
+
+
+class TestStorageReadoutIsTheReportsWork:
+    """Quenching the limit-cycle qubit into the clock-storage system and
+    reading the storage gives the report's adiabatic works: the paper's
+    measurement model and the cycle report agree on the same states."""
+
+    @pytest.mark.parametrize("t_h", [5.0, 33.37, 60.0, 120.0])
+    @pytest.mark.parametrize("t_c", [5.0, 10.0121, 77.7, 120.0])
+    def test_expected_work_equals_adiabatic_work(self, reference_context, t_h, t_c):
+        ctx = reference_context
+        lc = nm.fixed_point(t_h, t_c, ctx.hot_grid, ctx.cold_grid)
+        report = nm.evaluate_cycle(ctx, t_h, t_c)
+        for direction, rho11, rho00, work in (
+                (nm.EXPANSION, lc.rho11_h, lc.rho00_h, report.W_adiab_h),
+                (nm.COMPRESSION, lc.rho11_c, lc.rho00_c, report.W_adiab_c)):
+            ham = nm.build_hamiltonian(ctx.omega_h, ctx.omega_c, direction)
+            outcome = nm.measure_storage(nm.apply_extraction(rho11, rho00, ham), ham)
+            assert outcome.expected_work == work
