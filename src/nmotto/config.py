@@ -4,9 +4,9 @@ The field list of `RunConfig` is the schema.  Each field declares the parser
 of its JSON key (`_key(parser)`), and a field with no default is a required
 key.  `parse_config`, its unknown-key check and `RunConfig.to_dict` all read
 that one list, so no key can be parsed but not echoed, or echoed but not
-parsed.  Nested objects (`SweepRange`, `TimeBox`, `Tolerances`) go through
-the same `_object` check, and every error names the full key path, e.g.
-`t_h.min` or `tolerances.sign_zero`.
+parsed.  Nested objects (`SweepRange`, `TimeBox`) go through the same
+`_object` check, and every error names the full key path, e.g. `t_h.min` or
+`t_box.t_max`.
 
 Unknown keys are errors; sweeps are expensive and a silently misspelled
 physics parameter is worse than a rejected file.
@@ -22,7 +22,7 @@ from typing import Optional, Union
 from .errors import ConfigError
 from .kernels import MAX_GRID_NODES, BathSpec
 
-__all__ = ["SweepRange", "TimeBox", "Tolerances", "RunConfig", "parse_config", "load_config"]
+__all__ = ["SweepRange", "TimeBox", "RunConfig", "parse_config", "load_config"]
 
 DYNAMICS = ("tcl2", "markov")
 
@@ -55,14 +55,6 @@ class TimeBox:
 
     def to_dict(self) -> dict:
         return {"t_max": self.t_max, "n": self.n}
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    sign_zero: float = 1e-12
-
-    def to_dict(self) -> dict:
-        return {"sign_zero": self.sign_zero}
 
 
 # Parsers: `parse(value, path)` turns the JSON value found at `path` into the
@@ -144,10 +136,6 @@ def _time_box(value, path: str) -> TimeBox:
     return TimeBox(**_object(value, path, {"t_max": _number, "n": _count}, {}))
 
 
-def _tolerances(value, path: str) -> Tolerances:
-    return Tolerances(**_object(value, path, {}, {"sign_zero": _number}))
-
-
 def _key(parse, default=MISSING):
     """A config key whose JSON value `parse(value, path)` turns into the field."""
     return field(default=default, metadata={"parse": parse})
@@ -171,7 +159,6 @@ class RunConfig:
     omega_ratio: Optional[SweepRange] = _key(_ratio, None)
     T_ratio: Optional[SweepRange] = _key(_ratio, None)
     t_box: Optional[TimeBox] = _key(_time_box, None)
-    tolerances: Tolerances = _key(_tolerances, Tolerances())
 
     def hot_bath(self) -> BathSpec:
         return BathSpec("hot", self.lambda_h, self.Omega_h, self.T_h)
@@ -222,12 +209,16 @@ def require_scalar_times(config: RunConfig) -> tuple[float, float]:
     return config.t_h, config.t_c
 
 
+def _time_axis(config: RunConfig, key: str, run: str) -> list[float]:
+    """The stroke times of `key` (t_h or t_c), a scalar as a single-point axis."""
+    value = getattr(config, key)
+    if isinstance(value, SweepRange):
+        return value.values()
+    if isinstance(value, float):
+        return [value]
+    raise ConfigError(f"{key}: required for {run}")
+
+
 def sweep_axes(config: RunConfig) -> tuple[list[float], list[float]]:
-    """Stroke-time axes for a sweep; scalars act as single-point axes."""
-    def axis(value, name):
-        if isinstance(value, SweepRange):
-            return value.values()
-        if isinstance(value, float):
-            return [value]
-        raise ConfigError(f"{name}: required for a sweep")
-    return axis(config.t_h, "t_h"), axis(config.t_c, "t_c")
+    """Stroke-time axes for a sweep."""
+    return _time_axis(config, "t_h", "a sweep"), _time_axis(config, "t_c", "a sweep")

@@ -3,7 +3,8 @@
 Sign convention: positive work flows from the working substance to the
 outside; positive Delta E_S flows into the qubit.  The operating mode is a
 minimal sign predicate; regimes the prose does not name land in Other, and
-any sign within 1e-12 of zero is treated as indefinite rather than guessed.
+any sign within SIGN_EPS = 1e-12 of zero is treated as indefinite rather
+than guessed.
 """
 
 from __future__ import annotations
@@ -113,18 +114,18 @@ def works(lc: LimitCycleState, omega_h: float, omega_c: float,
     return w_adiab_h, w_adiab_c, w_detach_h, w_detach_c, total
 
 
-def classify_mode(w_total: float, dE_S_h: float, dE_S_c: float, eps: float = SIGN_EPS) -> Mode:
+def classify_mode(w_total: float, dE_S_h: float, dE_S_c: float) -> Mode:
     """Engine / Heater / HeatPump by the signs of total work and qubit heats."""
-    if w_total > eps:
+    if w_total > SIGN_EPS:
         return Mode.ENGINE
-    if w_total < -eps and dE_S_c > eps:
+    if w_total < -SIGN_EPS and dE_S_c > SIGN_EPS:
         return Mode.HEAT_PUMP
-    if w_total < -eps and dE_S_h > eps and dE_S_c < -eps:
+    if w_total < -SIGN_EPS and dE_S_h > SIGN_EPS and dE_S_c < -SIGN_EPS:
         return Mode.HEATER
     return Mode.OTHER
 
 
-def classify_flow(dE_S: float, dE_B: float, label: str, eps: float = SIGN_EPS) -> Flow:
+def classify_flow(dE_S: float, dE_B: float, label: str) -> Flow:
     """Energy-flow pattern of one stroke from the signs of (dE_S, dE_B).
 
     The (-,-) cell is unnamed for either bath and maps to Undefined, as do
@@ -132,7 +133,7 @@ def classify_flow(dE_S: float, dE_B: float, label: str, eps: float = SIGN_EPS) -
     """
     if label not in ("hot", "cold"):
         raise ValueError(f"label must be 'hot' or 'cold', got {label!r}")
-    if abs(dE_S) <= eps or abs(dE_B) <= eps:
+    if abs(dE_S) <= SIGN_EPS or abs(dE_B) <= SIGN_EPS:
         return Flow.UNDEFINED
     s_pos = dE_S > 0.0
     b_pos = dE_B > 0.0
@@ -151,37 +152,36 @@ def classify_flow(dE_S: float, dE_B: float, label: str, eps: float = SIGN_EPS) -
     return Flow.UNDEFINED
 
 
-def nonmarkov_index(dE_I_c: float, dE_B_c: float, dE_I_h: float, dE_S_c: float,
-                    eps: float = SIGN_EPS) -> tuple[Optional[float], Optional[float]]:
+def nonmarkov_index(dE_I_c: float, dE_B_c: float, dE_I_h: float,
+                    dE_S_c: float) -> tuple[Optional[float], Optional[float]]:
     """(alpha_c, alpha_h) = (|dE_I_c/dE_B_c|, |dE_I_h/dE_S_c|); None on zero denominator."""
-    alpha_c = abs(dE_I_c / dE_B_c) if abs(dE_B_c) > eps else None
-    alpha_h = abs(dE_I_h / dE_S_c) if abs(dE_S_c) > eps else None
+    alpha_c = abs(dE_I_c / dE_B_c) if abs(dE_B_c) > SIGN_EPS else None
+    alpha_h = abs(dE_I_h / dE_S_c) if abs(dE_S_c) > SIGN_EPS else None
     return alpha_c, alpha_h
 
 
-def performance(w_total: float, dE_S_h: float, dE_S_c: float, mode: Mode,
-                eps: float = SIGN_EPS) -> tuple[Optional[float], Optional[float]]:
+def performance(w_total: float, dE_S_h: float, dE_S_c: float,
+                mode: Mode) -> tuple[Optional[float], Optional[float]]:
     """(eta, cop) from the total work and the qubit heats; None where undefined."""
-    eta = w_total / dE_S_h if (mode is Mode.ENGINE and dE_S_h > eps) else None
-    cop = abs(dE_S_c) / abs(w_total) if abs(w_total) > eps else None
+    eta = w_total / dE_S_h if (mode is Mode.ENGINE and dE_S_h > SIGN_EPS) else None
+    cop = abs(dE_S_c) / abs(w_total) if abs(w_total) > SIGN_EPS else None
     return eta, cop
 
 
 def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
                     omega_h: float, omega_c: float,
-                    hot: StrokeEnergetics, cold: StrokeEnergetics,
-                    eps: float = SIGN_EPS) -> CycleReport:
+                    hot: StrokeEnergetics, cold: StrokeEnergetics) -> CycleReport:
     """Build the full report from the two strokes' energy balances."""
     w_ad_h, w_ad_c, w_de_h, w_de_c, total = works(lc, omega_h, omega_c, hot.dE_I, cold.dE_I)
-    mode = classify_mode(total, hot.dE_S, cold.dE_S, eps)
-    alpha_c, alpha_h = nonmarkov_index(cold.dE_I, cold.dE_B, hot.dE_I, cold.dE_S, eps)
-    eta, cop = performance(total, hot.dE_S, cold.dE_S, mode, eps)
+    mode = classify_mode(total, hot.dE_S, cold.dE_S)
+    alpha_c, alpha_h = nonmarkov_index(cold.dE_I, cold.dE_B, hot.dE_I, cold.dE_S)
+    eta, cop = performance(total, hot.dE_S, cold.dE_S, mode)
     # Positional, in REPORT_FIELDS order.
     return CycleReport(
         t_h, t_c, hot.dE_S, hot.dE_B, hot.dE_I, cold.dE_S, cold.dE_B, cold.dE_I,
         w_ad_h, w_ad_c, w_de_h, w_de_c, total, alpha_h, alpha_c, eta, cop, mode,
-        classify_flow(hot.dE_S, hot.dE_B, "hot", eps),
-        classify_flow(cold.dE_S, cold.dE_B, "cold", eps),
+        classify_flow(hot.dE_S, hot.dE_B, "hot"),
+        classify_flow(cold.dE_S, cold.dE_B, "cold"),
     )
 
 

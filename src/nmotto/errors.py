@@ -11,10 +11,7 @@ class NmottoError(Exception):
 
 
 class PoleError(NmottoError, ValueError):
-    """Argument outside trigamma's domain: a pole or a non-finite value.
-
-    A pole is a nonpositive integer or a point within 1e-12 of one.
-    """
+    """Trigamma argument outside Re z > 0, or a non-finite argument or value."""
 
 
 class GridError(NmottoError, ValueError):

@@ -1,14 +1,14 @@
 """Numerical primitives: complex trigamma and Simpson quadrature.
 
-Trigamma treats every point on its own.  A point with Re z < 0 is reflected
-to 1 - z through psi'(1-z) + psi'(z) = pi^2/sin^2(pi z); a point with
-|z| < 10 takes upward recurrence steps psi'(z) = psi'(z+1) + 1/z^2 until
-|z| >= 10, at most 10 of them; every point then takes the asymptotic series
-with Bernoulli numbers through B12 (Abramowitz & Stegun 6.4.12).  A value
-thus never depends on the other points of its batch.  Quadrature is
-composite Simpson; the cumulative-prefix variant returns the running
-integral at every node of a uniform grid and is shared by the kernel tables
-and the stroke propagation.
+Trigamma treats every point on its own and takes only finite arguments
+with Re z > 0, the half-plane of the noise kernel's argument T(1 + iOmega
+tau)/Omega.  A point with |z| < 10 takes upward recurrence steps
+psi'(z) = psi'(z+1) + 1/z^2 until |z| >= 10, at most 10 of them; every point
+then takes the asymptotic series with Bernoulli numbers through B12
+(Abramowitz & Stegun 6.4.12).  A value thus never depends on the other
+points of its batch.  Quadrature is composite Simpson; the cumulative-prefix
+variant returns the running integral at every node of a uniform grid and is
+shared by the kernel tables and the stroke propagation.
 
 Full-length tables are built in cache blocks of CACHE_BLOCK nodes
 (`cache_blocks`): the cumulative prefix takes its Simpson pairs one cache
@@ -19,8 +19,6 @@ the bits of a one-pass build.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -44,7 +42,6 @@ _B10 = 5.0 / 66.0
 _B12 = -691.0 / 2730.0
 
 _ASYMPTOTIC_ABS = 10.0
-_POLE_TOL = 1e-12
 
 # Nodes per cache block.  Every full-length table of a stroke is filled one
 # cache block at a time, so the temporaries of a fill (the trigamma
@@ -55,40 +52,25 @@ _POLE_TOL = 1e-12
 CACHE_BLOCK = 1 << 15
 
 
-def _reflection(z: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """pi^2/sin^2(pi z) as -4 pi^2 q/(q-1)^2 with q = exp(2 pi i z').
-
-    z' is z shifted by the integer `nearest` and taken in the upper
-    half-plane, so |q| <= 1 and nothing overflows for any finite z; expm1
-    keeps q - 1 accurate next to a pole.
-    """
-    arg = 2.0 * math.pi * (1j * (z.real - nearest) - np.abs(z.imag))
-    value = -4.0 * math.pi**2 * np.exp(arg) / np.expm1(arg) ** 2
-    return np.where(z.imag < 0.0, value.conj(), value)
-
-
 def trigamma_values(z) -> np.ndarray:
     """psi'(z) = sum_{k>=0} 1/(z+k)^2 for an array of complex arguments.
 
-    Each element is computed from its own argument alone, with at most 10
-    recurrence steps, so a batch gives the same bits as per-point calls.
+    Every argument must be finite with Re z > 0, else PoleError is raised
+    before any work.  Each element is computed from its own argument alone,
+    with at most 10 recurrence steps, so a batch gives the same bits as
+    per-point calls.
     """
     zc = np.asarray(z, dtype=np.complex128)
-    flat = np.ascontiguousarray(zc.ravel())
-    if not np.isfinite(flat).all():
+    w = zc.flatten()
+    if not np.isfinite(w).all():
         raise PoleError("trigamma arguments must be finite")
-    nearest = np.rint(flat.real)
-    at_pole = (nearest <= 0.0) & (np.abs(flat - nearest) < _POLE_TOL)
-    if at_pole.any():
-        bad = flat[at_pole][0]
-        raise PoleError(f"trigamma pole at z = {bad} (nonpositive integer)")
-    left = np.flatnonzero(flat.real < 0.0)
-    w = flat.copy()
-    w[left] = 1.0 - flat[left]
+    outside = ~(w.real > 0.0)
+    if outside.any():
+        raise PoleError(f"trigamma argument z = {w[outside][0]} outside Re z > 0")
     near = np.flatnonzero(np.abs(w) < _ASYMPTOTIC_ABS)
     wn = w[near]
     shift = np.zeros_like(wn)
-    # After reflection Re w >= 0, so ten steps take every point to |w| >= 10.
+    # Re w > 0, so ten steps take every point to |w| > 10.
     for _ in range(int(_ASYMPTOTIC_ABS)):
         below = np.abs(wn) < _ASYMPTOTIC_ABS
         wb = wn[below]
@@ -111,9 +93,8 @@ def trigamma_values(z) -> np.ndarray:
     out += 0.5 * r2
     out += r
     out[near] += shift
-    out[left] = _reflection(flat[left], nearest[left]) - out[left]
     if not np.all(np.isfinite(out.view(np.float64))):
-        raise PoleError("trigamma produced a non-finite value; argument too close to a pole")
+        raise PoleError("trigamma produced a non-finite value; argument too close to the pole at 0")
     return out.reshape(zc.shape)
 
 

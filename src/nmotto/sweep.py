@@ -31,7 +31,7 @@ from itertools import product
 from typing import Optional, get_type_hints
 
 from . import energetics, limit_cycle
-from .config import RunConfig, require_scalar_times, sweep_axes
+from .config import RunConfig, _time_axis, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import StrokeSource, propagate, transition_traces
 from .errors import ConfigError, NmottoError
@@ -81,7 +81,6 @@ class CycleContext:
     omega_c: float
     hot_grid: StrokeSource
     cold_grid: StrokeSource
-    sign_eps: float
 
 
 def stroke_tables(grid: KernelGrid) -> energetics.StrokeTables:
@@ -102,8 +101,7 @@ def build_context(config: RunConfig, t_max_h: float, t_max_c: float) -> CycleCon
         cold_grid = build_kernel_grid(cold, config.omega_c, t_max_c, config.h)
         hot_stroke, cold_stroke = stroke_tables(hot_grid), stroke_tables(cold_grid)
     return CycleContext(omega_h=config.omega_h, omega_c=config.omega_c,
-                        hot_grid=hot_stroke, cold_grid=cold_stroke,
-                        sign_eps=config.tolerances.sign_zero)
+                        hot_grid=hot_stroke, cold_grid=cold_stroke)
 
 
 def evaluate_cycle(ctx: CycleContext, t_h: float, t_c: float) -> CycleReport:
@@ -111,7 +109,7 @@ def evaluate_cycle(ctx: CycleContext, t_h: float, t_c: float) -> CycleReport:
     lc = limit_cycle.fixed_point(t_h, t_c, ctx.hot_grid, ctx.cold_grid)
     hot = energetics.stroke_energetics(lc, "hot", ctx.hot_grid, t_h)
     cold = energetics.stroke_energetics(lc, "cold", ctx.cold_grid, t_c)
-    return assemble_report(t_h, t_c, lc, ctx.omega_h, ctx.omega_c, hot, cold, ctx.sign_eps)
+    return assemble_report(t_h, t_c, lc, ctx.omega_h, ctx.omega_c, hot, cold)
 
 
 def run_cycle(config: RunConfig) -> CycleReport:
@@ -297,14 +295,16 @@ def write_cycle_csv(report: CycleReport, path: str, json_path: Optional[str] = N
 
 
 def _stroke_bath(config: RunConfig, bath_label: str) -> tuple[BathSpec, float, float]:
-    """(bath, qubit frequency, longest stroke time) of the labelled stroke."""
-    t_h_values, t_c_values = sweep_axes(config)
+    """(bath, qubit frequency, longest stroke time) of the labelled stroke.
+
+    Only that stroke's keys are read: a hot dump needs no cold key.
+    """
     if bath_label == "hot":
-        return config.hot_bath(), config.omega_h, max(t_h_values)
+        return config.hot_bath(), config.omega_h, max(_time_axis(config, "t_h", "the hot stroke"))
     if bath_label == "cold":
         if config.omega_c is None:
             raise ConfigError("omega_c: required for the cold stroke")
-        return config.cold_bath(), config.omega_c, max(t_c_values)
+        return config.cold_bath(), config.omega_c, max(_time_axis(config, "t_c", "the cold stroke"))
     raise ConfigError(f"bath must be 'hot' or 'cold', got {bath_label!r}")
 
 

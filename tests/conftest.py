@@ -40,7 +40,7 @@ def cold_grid(cold_bath):
 @pytest.fixture(scope="session")
 def reference_context(hot_grid, cold_grid):
     return nm.CycleContext(omega_h=OMEGA_H, omega_c=OMEGA_C,
-                           hot_grid=hot_grid, cold_grid=cold_grid, sign_eps=1e-12)
+                           hot_grid=hot_grid, cold_grid=cold_grid)
 
 
 def markov_context_of(**overrides):
@@ -66,7 +66,7 @@ def markov_reference_cycle(t_h, t_c, hot_bath, cold_bath, omega_h, omega_c):
     des_c = omega_c * (lc.rho11_c - (1.0 - lc.P_c))
     return nm.assemble_report(t_h, t_c, lc, omega_h, omega_c,
                               nm.StrokeEnergetics(des_h, -des_h, 0.0),
-                              nm.StrokeEnergetics(des_c, -des_c, 0.0), 1e-12)
+                              nm.StrokeEnergetics(des_c, -des_c, 0.0))
 
 
 def trigamma_series_oracle(z, terms=10**6):

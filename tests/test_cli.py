@@ -141,6 +141,31 @@ class TestKernelAndStrokeDumps:
         assert summary["message"].startswith("dynamics: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["kernels", "stroke"])
+    def test_hot_dump_needs_no_cold_key(self, tmp_path, command):
+        full = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
+        hot_only = {key: value for key, value in full.items()
+                    if key not in ("t_c", "omega_c", "T_c")}
+        dumps = []
+        for name, data in (("full", full), ("hot_only", hot_only)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(data))
+            dumps.append(tmp_path / f"{name}.csv")
+            assert main([command, "--config", str(cfg), "--out", str(dumps[-1]),
+                         "--bath", "hot"]) == 0
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+    @pytest.mark.parametrize("bath, key", [("hot", "t_h"), ("cold", "t_c")])
+    def test_dump_names_its_missing_stroke_time(self, tmp_path, capsys, bath, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({k: v for k, v in base_config_dict().items() if k != key}))
+        out = tmp_path / "kern.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out), "--bath", bath]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert summary["message"] == f"{key}: required for the {bath} stroke"
+        assert not out.exists()
+
     def test_kernels_dump_the_bath_whatever_the_dynamics(self, config_path, tmp_path):
         tcl2, markov = tmp_path / "tcl2.csv", tmp_path / "markov.csv"
         assert main(["kernels", "--config", config_path, "--out", str(tcl2)]) == 0
@@ -212,6 +237,19 @@ class TestErrorPaths:
         summary = json.loads(capsys.readouterr().err)
         assert summary["error"] == "ConfigError"
         assert "lambda_hot" in summary["message"]
+
+    def test_tolerances_object_exits_2(self, tmp_path, capsys):
+        # the sign threshold is fixed (cycle.SIGN_EPS); no config key sets it
+        data = base_config_dict(t_h={"min": 30.0, "max": 60.0, "n": 2},
+                                tolerances={"sign_zero": 1e-12})
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert "tolerances" in summary["message"]
+        assert not out.exists()
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         # decoupled baths: the cycle map is singular

@@ -25,14 +25,13 @@ from conftest import base_config_dict
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-PHASE_WITH_TOLERANCES = {
+PHASE_WITH_OPTIONS = {
     "omega_h": 1.0, "T_h": 1.0,
     "lambda_h": 0.01, "lambda_c": 0.0, "Omega_h": 0.4, "Omega_c": 0.4,
     "omega_ratio": {"min": 0.3, "max": 0.7, "n": 3},
     "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
     "t_box": {"t_max": 60.0, "n": 4},
     "h": 0.1, "dynamics": "markov", "workers": 3,
-    "tolerances": {"sign_zero": 1e-9},
 }
 
 # JSON-like values: numbers of every size (NaN, inf and integers far beyond
@@ -105,12 +104,10 @@ class TestConfigParsing:
             parse_config(base_config_dict(omega_ratio={"min": 0.2, "max": 1.0, "n": 3}))
 
     def test_tolerances_block(self):
-        cfg = parse_config(base_config_dict(tolerances={"sign_zero": 1e-10}))
-        assert cfg.tolerances.sign_zero == 1e-10
-        with pytest.raises(ConfigError, match="tolerances"):
-            parse_config(base_config_dict(tolerances={"sgn": 1.0}))
-        with pytest.raises(ConfigError, match="boundary_rtol"):
-            parse_config(base_config_dict(tolerances={"boundary_rtol": 1e-6}))
+        # the sign threshold is the fixed cycle.SIGN_EPS, not a config key
+        for block in ({"sign_zero": 1e-10}, {}):
+            with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['tolerances']")):
+                parse_config(base_config_dict(tolerances=block))
 
     def test_scalar_axes(self):
         cfg = parse_config(base_config_dict())
@@ -120,14 +117,13 @@ class TestConfigParsing:
         ("t_h", {"max": 5.0, "n": 3}, "t_h.min"),
         ("t_box", {"t_max": -1.0, "n": 2}, "t_box.t_max"),
         ("omega_ratio", {"min": 0.0, "max": 0.5, "n": 2}, "omega_ratio.min"),
-        ("tolerances", {"sign_zero": -1.0}, "tolerances.sign_zero"),
         ("lambda_h", -1.0, "lambda_h"),
         ("t_h", {"min": 1.0, "max": 5.0, "n": 10**400}, "t_h.n"),
         ("t_c", {"min": 1.0, "max": 5.0, "n": MAX_GRID_NODES + 1}, "t_c.n"),
         ("omega_ratio", {"min": 0.3, "max": 0.7, "n": 10**400}, "omega_ratio.n"),
         ("t_box", {"t_max": 120.0, "n": MAX_GRID_NODES + 1}, "t_box.n"),
         ("workers", 10**400, "workers"),
-    ], ids=["t_h.min", "t_box.t_max", "omega_ratio.min", "tolerances.sign_zero", "lambda_h",
+    ], ids=["t_h.min", "t_box.t_max", "omega_ratio.min", "lambda_h",
             "t_h.n", "t_c.n", "omega_ratio.n", "t_box.n", "workers"])
     def test_error_names_full_key_path(self, key, value, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path + ": ")):
@@ -152,8 +148,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("data", [
         *(json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))),
-        PHASE_WITH_TOLERANCES,
-    ], ids=[*(path.name for path in sorted(CONFIGS.glob("*.json"))), "phase_with_tolerances"])
+        PHASE_WITH_OPTIONS,
+    ], ids=[*(path.name for path in sorted(CONFIGS.glob("*.json"))), "phase_with_options"])
     def test_echo_round_trip(self, data):
         cfg = parse_config(data)
         echo = cfg.to_dict()
@@ -230,7 +226,7 @@ class TestCycleContext:
 
     def test_a_bare_grid_is_not_a_stroke(self, hot_bath, cold_bath):
         # a program error: it propagates rather than being read as physics
-        ctx = nm.CycleContext(omega_h=1.0, omega_c=0.5, sign_eps=1e-12,
+        ctx = nm.CycleContext(omega_h=1.0, omega_c=0.5,
                               hot_grid=nm.build_kernel_grid(hot_bath, 1.0, 20.0),
                               cold_grid=nm.build_kernel_grid(cold_bath, 0.5, 20.0))
         with pytest.raises(AttributeError):

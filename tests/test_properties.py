@@ -59,7 +59,7 @@ def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
     assert abs(nm.iterate_map(lc.P_h, 1, t_h, t_c, hot, cold) - lc.P_h) < 1e-12
 
     ctx = nm.CycleContext(omega_h=omega_h, omega_c=omega_c,
-                          hot_grid=hot, cold_grid=cold, sign_eps=1e-12)
+                          hot_grid=hot, cold_grid=cold)
     rep = nm.evaluate_cycle(ctx, t_h, t_c)
     for label, grid, t in (("hot", hot, t_h), ("cold", cold, t_c)):
         s = nm.stroke_energetics(lc, label, grid, t)
@@ -79,7 +79,7 @@ def test_markov_context_matches_the_reference_cycle(lam_h, cut_h, temp_h, omega_
     cold = nm.BathSpec("cold", lam_c, cut_c, temp_c)
     ctx = nm.CycleContext(omega_h=omega_h, omega_c=omega_c,
                           hot_grid=nm.MarkovStroke(hot, omega_h),
-                          cold_grid=nm.MarkovStroke(cold, omega_c), sign_eps=1e-12)
+                          cold_grid=nm.MarkovStroke(cold, omega_c))
     try:
         expected = markov_reference_cycle(t_h, t_c, hot, cold, omega_h, omega_c)
     except nm.SingularMapError:

@@ -1,10 +1,11 @@
 """Runs against their checked-in outputs: the sweep of configs/sweep_small.json,
-the phase diagram of configs/phase_small.json, the JSON report of
-configs/reference_cycle.json, and one cycle whose hot grid spans several
-cache blocks.
+the phase diagram of configs/phase_small.json, the JSON report and the cold
+kernel and stroke dumps of configs/reference_cycle.json, and one cycle whose
+hot grid spans several cache blocks.
 
 These are the guards of every refactor of the cell path, under both
-dynamics, and of the cache-blocked table build.  Numbers are compared
+dynamics, of the kernel tables (trigamma included) and of the cache-blocked
+table build.  Numbers are compared
 within 1e-12 relative (1e-15 absolute), so that the last-ulp differences of
 another numpy build pass; everything else (header, labels, empty fields,
 phase counts and classification, JSON nulls, the error column) must match
@@ -75,6 +76,18 @@ def test_multiblock_cycle_matches_the_reference_output(tmp_path):
     out = tmp_path / "cycle.csv"
     nm.sweep.write_cycle_csv(nm.evaluate_cycle(ctx, config.t_h, config.t_c), str(out))
     _assert_matches_reference(out, DATA / "multiblock_cycle.csv")
+
+
+@pytest.mark.parametrize("command", ["kernels", "stroke"])
+def test_cold_dump_matches_the_reference_output(tmp_path, command):
+    # `nmotto kernels --bath cold` and `nmotto stroke --bath cold --rho00 1.0`
+    config = nm.load_config(str(REPO / "configs" / "reference_cycle.json"))
+    out = tmp_path / f"{command}.csv"
+    if command == "kernels":
+        nm.sweep.write_kernel_csv(config, str(out), "cold")
+    else:
+        nm.sweep.write_trace_csv(config, str(out), "cold", 1.0)
+    _assert_matches_reference(out, DATA / f"reference_{command}_cold.csv")
 
 
 def test_phase_small_matches_the_reference_output(tmp_path):
