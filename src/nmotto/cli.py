@@ -57,8 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "json_out", None) and os.path.realpath(args.json_out) == os.path.realpath(args.out):
-        parser.error("--json and --out name the same file")
+    named = {}  # resolved path -> first flag naming it: no output may replace another file
+    for flag, path in (("--config", args.config), ("--out", args.out),
+                       ("--json", getattr(args, "json_out", None))):
+        if path and (first := named.setdefault(os.path.realpath(path), flag)) != flag:
+            parser.error(f"{flag} and {first} name the same file")
     try:
         config = load_config(args.config)
         # Overrides go through the config's own parser and checks.

@@ -6,7 +6,8 @@ key.  `parse_config`, its unknown-key check and `RunConfig.to_dict` all read
 that one list, so no key can be parsed but not echoed, or echoed but not
 parsed.  Nested objects (`SweepRange`, `TimeBox`) go through the same
 `_object` check, and every error names the full key path, e.g. `t_h.min` or
-`t_box.t_max`.
+`t_box.t_max`.  `RunConfig.stroke(label)` alone reads a stroke's keys and
+names a missing cold one, e.g. `omega_c: required for the cold stroke`.
 
 Unknown keys are errors; sweeps are expensive and a silently misspelled
 physics parameter is worse than a rejected file.
@@ -160,13 +161,16 @@ class RunConfig:
     T_ratio: Optional[SweepRange] = _key(_ratio, None)
     t_box: Optional[TimeBox] = _key(_time_box, None)
 
-    def hot_bath(self) -> BathSpec:
-        return BathSpec("hot", self.lambda_h, self.Omega_h, self.T_h)
-
-    def cold_bath(self) -> BathSpec:
-        if self.T_c is None:
-            raise ConfigError("T_c: required for this run mode")
-        return BathSpec("cold", self.lambda_c, self.Omega_c, self.T_c)
+    def stroke(self, label: str) -> tuple[BathSpec, float]:
+        """(bath, qubit frequency) of the hot or the cold stroke; only that stroke's keys are read."""
+        if label == "hot":
+            return BathSpec(self.lambda_h, self.Omega_h, self.T_h), self.omega_h
+        if label != "cold":
+            raise ConfigError(f"bath must be 'hot' or 'cold', got {label!r}")
+        for key in ("omega_c", "T_c"):
+            if getattr(self, key) is None:
+                raise ConfigError(f"{key}: required for the cold stroke")
+        return BathSpec(self.lambda_c, self.Omega_c, self.T_c), self.omega_c
 
     def to_dict(self) -> dict:
         """The config as JSON data, unset keys left out: parse_config inverts it."""

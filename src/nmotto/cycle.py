@@ -36,6 +36,9 @@ __all__ = [
 
 SIGN_EPS = 1e-12
 
+# Halvings per bisection: with rtol = 0 a bracket of adjacent floats never narrows.
+_BISECTIONS = 200
+
 
 class Mode(str, Enum):
     ENGINE = "Engine"
@@ -186,7 +189,7 @@ def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
 
 
 def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
-                       rtol: float = 1e-6, max_iter: int = 200) -> float:
+                       rtol: float = 1e-6) -> float:
     """Root of f by bisection on a bracketing interval, to relative width rtol."""
     f_lo = f(lo)
     f_hi = f(hi)
@@ -196,7 +199,7 @@ def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("interval does not bracket a sign change")
-    for _ in range(max_iter):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rtol * max(abs(mid), 1e-30):
             return mid

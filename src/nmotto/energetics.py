@@ -26,7 +26,7 @@ stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -139,18 +139,18 @@ def markov_population(initial_rho00: float, bath: BathSpec, omega: float, t: flo
 @dataclass(frozen=True)
 class MarkovStroke:
     """One stroke of the Markovian reference: closed-form populations, no flow
-    term.  Its stationary population and rate are computed once, at construction.
+    term.  Its stationary population and rate are computed once, from the bath.
     """
 
-    bath: BathSpec
+    bath: InitVar[BathSpec]
     omega0: float
     stationary: float = field(init=False, repr=False)
     rate: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        n = bose_occupation(self.omega0, self.bath.temperature)
+    def __post_init__(self, bath: BathSpec):
+        n = bose_occupation(self.omega0, bath.temperature)
         object.__setattr__(self, "stationary", (1.0 + n) / (1.0 + 2.0 * n))
-        object.__setattr__(self, "rate", markov_rate(self.bath, self.omega0))
+        object.__setattr__(self, "rate", markov_rate(bath, self.omega0))
 
     def populations(self, t: float) -> tuple[float, float]:
         _check_stroke_time(t)

@@ -1,6 +1,7 @@
 """Bath correlation kernels and the time-local rate tables.
 
-For an Ohmic bath J(w) = lam * w * exp(-w/cutoff) at temperature T the two
+A bath is an Ohmic J(w) = lam * w * exp(-w/cutoff) at temperature T, nothing
+more: hot or cold is its role in the cycle (`RunConfig.stroke`).  Its two
 real correlation kernels have closed forms:
 
     D1(tau) = 2*lam*( cutoff^2 * ((x^2-1)/(x^2+1)^2)
@@ -47,21 +48,16 @@ __all__ = [
 
 MAX_GRID_NODES = 10**7
 
-_LABELS = ("hot", "cold")
-
 
 @dataclass(frozen=True)
 class BathSpec:
     """One heat bath: coupling, cutoff frequency, temperature (hbar=kB=1)."""
 
-    label: str
     coupling: float
     cutoff: float
     temperature: float
 
     def __post_init__(self):
-        if self.label not in _LABELS:
-            raise ValueError(f"bath label must be one of {_LABELS}, got {self.label!r}")
         if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
             raise ValueError("coupling must be finite and >= 0")
         for name in ("cutoff", "temperature"):
@@ -152,8 +148,11 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
         raise GridError("t_max must be finite and > 0")
     if step is None:
         step = default_grid_step(omega0, bath.cutoff)
-    if not (math.isfinite(step) and 0.0 < step <= t_max):
-        raise GridError("step must satisfy 0 < step <= t_max")
+    if not (math.isfinite(step) and step > 0.0):
+        raise GridError(f"step must be finite and > 0, got {step!r}")
+    if step > t_max:
+        raise GridError(f"step {step:g} exceeds t_max {t_max:g}: "
+                        "a stroke must span one grid step; decrease h")
     # Compared as a float, so that an infinite or huge count never reaches int().
     intervals = t_max / step - 1e-12
     if intervals > MAX_GRID_NODES - 1:

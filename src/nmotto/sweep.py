@@ -35,7 +35,8 @@ from .config import RunConfig, _time_axis, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import StrokeSource, propagate, transition_traces
 from .errors import ConfigError, NmottoError
-from .kernels import BathSpec, KernelGrid, build_kernel_grid
+from .kernels import KernelGrid, build_kernel_grid
+from .special import cache_blocks
 
 __all__ = [
     "CSV_HEADER",
@@ -90,18 +91,15 @@ def stroke_tables(grid: KernelGrid) -> energetics.StrokeTables:
 
 def build_context(config: RunConfig, t_max_h: float, t_max_c: float) -> CycleContext:
     """Build the two stroke sources of the configured dynamics for the requested box."""
-    if config.omega_c is None or config.T_c is None:
-        raise ConfigError("omega_c and T_c: required for cycle evaluation")
-    hot, cold = config.hot_bath(), config.cold_bath()
+    (hot, omega_h), (cold, omega_c) = config.stroke("hot"), config.stroke("cold")
     if config.dynamics == "markov":
-        hot_stroke = energetics.MarkovStroke(hot, config.omega_h)
-        cold_stroke = energetics.MarkovStroke(cold, config.omega_c)
+        hot_stroke = energetics.MarkovStroke(hot, omega_h)
+        cold_stroke = energetics.MarkovStroke(cold, omega_c)
     else:
-        hot_grid = build_kernel_grid(hot, config.omega_h, t_max_h, config.h)
-        cold_grid = build_kernel_grid(cold, config.omega_c, t_max_c, config.h)
+        hot_grid = build_kernel_grid(hot, omega_h, t_max_h, config.h)
+        cold_grid = build_kernel_grid(cold, omega_c, t_max_c, config.h)
         hot_stroke, cold_stroke = stroke_tables(hot_grid), stroke_tables(cold_grid)
-    return CycleContext(omega_h=config.omega_h, omega_c=config.omega_c,
-                        hot_grid=hot_stroke, cold_grid=cold_stroke)
+    return CycleContext(omega_h=omega_h, omega_c=omega_c, hot_grid=hot_stroke, cold_grid=cold_stroke)
 
 
 def evaluate_cycle(ctx: CycleContext, t_h: float, t_c: float) -> CycleReport:
@@ -234,16 +232,11 @@ def _write_csv(*files) -> None:
         raise
 
 
-# Rows per slice of a column dump: converting whole tables with tolist()
-# would hold a Python float per node.
-_DUMP_ROWS = 1 << 16
-
-
 def _column_blocks(*columns):
-    """Equal-length float arrays as the CSV text of their rows, slice by slice."""
+    """Equal-length float arrays as CSV text, one cache block of rows at a time, not whole tables."""
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    for start in range(0, len(columns[0]), _DUMP_ROWS):
-        rows = zip(*(c[start:start + _DUMP_ROWS].tolist() for c in columns))
+    for block in cache_blocks(len(columns[0])):
+        rows = zip(*(c[block].tolist() for c in columns))
         yield "".join([line % row for row in rows])
 
 
@@ -294,24 +287,16 @@ def write_cycle_csv(report: CycleReport, path: str, json_path: Optional[str] = N
     _write_csv(*files)
 
 
-def _stroke_bath(config: RunConfig, bath_label: str) -> tuple[BathSpec, float, float]:
-    """(bath, qubit frequency, longest stroke time) of the labelled stroke.
-
-    Only that stroke's keys are read: a hot dump needs no cold key.
-    """
-    if bath_label == "hot":
-        return config.hot_bath(), config.omega_h, max(_time_axis(config, "t_h", "the hot stroke"))
-    if bath_label == "cold":
-        if config.omega_c is None:
-            raise ConfigError("omega_c: required for the cold stroke")
-        return config.cold_bath(), config.omega_c, max(_time_axis(config, "t_c", "the cold stroke"))
-    raise ConfigError(f"bath must be 'hot' or 'cold', got {bath_label!r}")
+def _stroke_grid(config: RunConfig, bath_label: str) -> tuple[KernelGrid, float]:
+    """The labelled stroke's kernel grid and longest stroke time; a hot dump needs no cold key."""
+    bath, omega = config.stroke(bath_label)
+    t_max = max(_time_axis(config, f"t_{bath_label[0]}", f"the {bath_label} stroke"))
+    return build_kernel_grid(bath, omega, t_max, config.h), t_max
 
 
 def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
-    bath, omega, t_max = _stroke_bath(config, bath_label)
-    grid = build_kernel_grid(bath, omega, t_max, config.h)
+    grid, _ = _stroke_grid(config, bath_label)
     _write_csv((path, "tau,D1,D2,a,b,A",
                 _column_blocks(grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A)))
 
@@ -320,7 +305,6 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
     """Dump tau, rho00 for one stroke's TCL2 propagation."""
     if config.dynamics != "tcl2":
         raise ConfigError(f"dynamics: the stroke dump traces tcl2 dynamics only, got {config.dynamics!r}")
-    bath, omega, t = _stroke_bath(config, bath_label)
-    grid = build_kernel_grid(bath, omega, t, config.h)
+    grid, t = _stroke_grid(config, bath_label)
     trace = propagate(initial_rho00, grid, t)
     _write_csv((path, "tau,rho00", _column_blocks(trace.tau, trace.rho00)))

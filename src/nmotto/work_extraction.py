@@ -10,7 +10,7 @@ the storage bit flip, so the commutation with the swapped Hamiltonian holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,6 @@ class WorkOutcome:
 
     outcomes: tuple[tuple[float, float], ...]
     post_states: tuple[TripartiteState, ...]
-    post_outcome_index: tuple[int, ...] = field(default=())
 
     @property
     def expected_work(self) -> float:
@@ -181,14 +180,12 @@ def apply_extraction(rho11: float, rho00: float, hamiltonian: TripartiteHamilton
 
 def measure_storage(state: TripartiteState, hamiltonian: TripartiteHamiltonian) -> WorkOutcome:
     """Projective storage measurement; work is the storage-energy increase."""
-    outcomes, posts, post_index = [], [], []
-    for j, (work, p, branch) in enumerate(_branches(state.matrix, hamiltonian)):
+    outcomes, posts = [], []
+    for work, p, branch in _branches(state.matrix, hamiltonian):
         outcomes.append((work, p))
         if p > 1e-15:
             posts.append(TripartiteState(branch / p))
-            post_index.append(j)
-    return WorkOutcome(outcomes=tuple(outcomes), post_states=tuple(posts),
-                       post_outcome_index=tuple(post_index))
+    return WorkOutcome(outcomes=tuple(outcomes), post_states=tuple(posts))
 
 
 @dataclass(frozen=True)

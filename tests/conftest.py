@@ -19,12 +19,12 @@ T_HOT_STROKE = 60.0
 
 @pytest.fixture(scope="session")
 def hot_bath():
-    return nm.BathSpec("hot", LAMBDA, CUTOFF, T_H)
+    return nm.BathSpec(LAMBDA, CUTOFF, T_H)
 
 
 @pytest.fixture(scope="session")
 def cold_bath():
-    return nm.BathSpec("cold", LAMBDA, CUTOFF, T_C)
+    return nm.BathSpec(LAMBDA, CUTOFF, T_C)
 
 
 @pytest.fixture(scope="session")

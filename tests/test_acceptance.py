@@ -29,7 +29,7 @@ def test_criterion_01_kernel_oracle_equivalence():
     taus = np.linspace(0.0, 100.0, 50)
     temperatures = (0.2, 0.5, 1.0)
     for temp in temperatures:
-        bath = nm.BathSpec("hot", LAMBDA, CUTOFF, temp)
+        bath = nm.BathSpec(LAMBDA, CUTOFF, temp)
         for tau in taus:
             tau = float(tau)
             closed = nm.noise_kernel(tau, bath)
@@ -63,7 +63,7 @@ def test_criterion_03_tcl2_long_time_thermalization():
         (1.5, 2.0, 0.01), (0.4, 1.0, 0.02),
     ]
     for omega0, temp, lam in cases:
-        bath = nm.BathSpec("hot", lam, CUTOFF, temp)
+        bath = nm.BathSpec(lam, CUTOFF, temp)
         rate = nm.markov_rate(bath, omega0)
         grid = nm.build_kernel_grid(bath, omega0, 9.0 / rate)
         n = nm.bose_occupation(omega0, temp)

@@ -15,6 +15,8 @@ import pytest
 import nmotto as nm
 from nmotto import special, sweep
 
+from conftest import base_config_dict
+
 REPO = Path(__file__).resolve().parents[1]
 TABLES = ("tau", "D1", "D2", "a", "b", "A", "from_ground", "from_excited", "base", "pop")
 BLOCKS = (2, 4, 6)
@@ -33,7 +35,7 @@ def _stroke(bath, t_max):
 @pytest.mark.parametrize("coupling", [0.01, 0.0])
 @pytest.mark.parametrize("t_max", [2.0, 2.05])  # 41 and 42 nodes
 def test_stroke_tables_do_not_depend_on_the_block_size(monkeypatch, coupling, t_max):
-    bath = nm.BathSpec("hot", coupling, 0.4, 1.0)
+    bath = nm.BathSpec(coupling, 0.4, 1.0)
     monkeypatch.setattr(special, "CACHE_BLOCK", 1 << 20)
     whole = _stroke(bath, t_max)
     assert whole.n_points == round(t_max / 0.05) + 1
@@ -45,6 +47,27 @@ def test_stroke_tables_do_not_depend_on_the_block_size(monkeypatch, coupling, t_
             _assert_same_bits(getattr(blocked, name), getattr(whole, name))
     if coupling == 0.0:
         assert np.signbit(whole.a[1:]).any()  # the -0.0 case is exercised
+
+
+@pytest.mark.parametrize("command", ["kernels", "stroke"])
+def test_dumps_do_not_depend_on_the_block_size(monkeypatch, tmp_path, command):
+    config = nm.parse_config(base_config_dict(t_h=2.0, h=0.05))  # 41 hot nodes
+
+    def dump(block):
+        monkeypatch.setattr(special, "CACHE_BLOCK", block)
+        path = tmp_path / f"{block}.csv"
+        if command == "kernels":
+            sweep.write_kernel_csv(config, str(path), "hot")
+        else:
+            sweep.write_trace_csv(config, str(path), "hot", 0.3)
+        return path.read_bytes()
+
+    whole = dump(1 << 20)
+    assert whole.count(b"\n") == 1 + 41
+    for block in BLOCKS:
+        blocked = dump(block)
+        assert len(special.cache_blocks(41)) >= 3
+        assert blocked == whole
 
 
 def _block_edges(block):
@@ -90,7 +113,7 @@ def test_the_transition_traces_peak_near_their_two_tables():
     # for the growth) and its prefix C: ~4.3 table sizes on this grid.  A pass
     # that broadcast a (2, segment) temporary for the pair peaked at ~6.6.
     config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
-    grid = nm.build_kernel_grid(config.hot_bath(), config.omega_h, config.t_h, config.h)
+    grid = nm.build_kernel_grid(*config.stroke("hot"), config.t_h, config.h)
     tracemalloc.start()
     try:
         nm.transition_traces(grid)

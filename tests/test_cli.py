@@ -106,6 +106,35 @@ class TestCycleCommand:
         assert not out.exists()
 
 
+class TestOutputNamingTheConfig:
+    @pytest.mark.parametrize("via_link", [False, True], ids=["path", "symlink"])
+    @pytest.mark.parametrize("command, flag", [
+        ("cycle", "--out"), ("cycle", "--json"), ("sweep", "--out"),
+        ("phase", "--out"), ("kernels", "--out"), ("stroke", "--out"),
+    ])
+    def test_is_a_usage_error_and_the_config_stays(self, tmp_path, capsys, command, flag, via_link):
+        data = base_config_dict()
+        if command == "phase":
+            data = {k: v for k, v in data.items() if k not in ("omega_c", "T_c", "t_h", "t_c")}
+            data.update(omega_ratio={"min": 0.5, "max": 0.5, "n": 1},
+                        T_ratio={"min": 0.2, "max": 0.2, "n": 1}, t_box={"t_max": 10.0, "n": 1})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        before = cfg.read_bytes()
+        target = cfg
+        if via_link:
+            target = tmp_path / "link.json"
+            target.symlink_to(cfg)
+        outputs = {"--out": str(tmp_path / "out.csv"), flag: str(target)}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *(x for pair in outputs.items() for x in pair)])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UsageError", "message": f"{flag} and --config name the same file"}
+        assert cfg.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"config.json", target.name})
+
+
 class TestKernelAndStrokeDumps:
     def test_kernel_dump_columns(self, config_path, tmp_path):
         out = tmp_path / "kern.csv"
@@ -164,6 +193,19 @@ class TestKernelAndStrokeDumps:
         summary = json.loads(capsys.readouterr().err)
         assert summary["error"] == "ConfigError"
         assert summary["message"] == f"{key}: required for the {bath} stroke"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["omega_c", "T_c"])
+    @pytest.mark.parametrize("argv", [["cycle"], ["sweep"], ["kernels", "--bath", "cold"],
+                                      ["stroke", "--bath", "cold"]], ids=lambda argv: argv[0])
+    def test_a_missing_cold_key_is_named(self, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({k: v for k, v in base_config_dict().items() if k != key}))
+        out = tmp_path / "out.csv"
+        assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert summary["message"] == f"{key}: required for the cold stroke"
         assert not out.exists()
 
     def test_kernels_dump_the_bath_whatever_the_dynamics(self, config_path, tmp_path):
@@ -250,6 +292,15 @@ class TestErrorPaths:
         assert summary["error"] == "ConfigError"
         assert "tolerances" in summary["message"]
         assert not out.exists()
+
+    def test_a_stroke_shorter_than_one_grid_step_names_both(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config_dict(t_c=0.01)))  # the default h is 0.05
+        assert main(["cycle", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "GridError"
+        assert summary["message"] == ("step 0.05 exceeds t_max 0.01: "
+                                      "a stroke must span one grid step; decrease h")
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         # decoupled baths: the cycle map is singular

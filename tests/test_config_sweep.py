@@ -167,6 +167,25 @@ class TestConfigParsing:
                 pass
 
 
+class TestStroke:
+    def test_each_stroke_reads_its_own_keys(self):
+        cfg = parse_config(base_config_dict())
+        assert cfg.stroke("hot") == (nm.BathSpec(cfg.lambda_h, cfg.Omega_h, cfg.T_h), cfg.omega_h)
+        assert cfg.stroke("cold") == (nm.BathSpec(cfg.lambda_c, cfg.Omega_c, cfg.T_c), cfg.omega_c)
+
+    def test_rejects_a_label_other_than_hot_or_cold(self):
+        with pytest.raises(ConfigError, match="bath must be 'hot' or 'cold', got 'warm'"):
+            parse_config(base_config_dict()).stroke("warm")
+
+    @pytest.mark.parametrize("key", ["omega_c", "T_c"])
+    def test_names_a_missing_cold_key(self, key):
+        data = {k: v for k, v in base_config_dict().items() if k != key}
+        cfg = parse_config(data)
+        assert cfg.stroke("hot")[1] == cfg.omega_h
+        with pytest.raises(ConfigError, match=f"^{key}: required for the cold stroke$"):
+            cfg.stroke("cold")
+
+
 class TestRunCycle:
     def test_deterministic_csv(self, tmp_path):
         cfg = parse_config(base_config_dict())
@@ -209,6 +228,9 @@ class TestCycleContext:
         assert nm.evaluate_cycle(pickle.loads(pickle.dumps(ctx)), 60.0, 10.0) == expected
 
     def test_pickled_markov_context_evaluates_equal(self, markov_context):
+        # A Markov stroke keeps its frequency, stationary population and rate, not its bath.
+        for stroke in (markov_context.hot_grid, markov_context.cold_grid):
+            assert vars(stroke).keys() == {"omega0", "stationary", "rate"}
         copy = pickle.loads(pickle.dumps(markov_context))
         assert copy == markov_context
         for t_h, t_c in ((60.0, 10.0), (5.0, 66.0)):

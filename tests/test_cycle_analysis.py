@@ -373,3 +373,11 @@ class TestRecords:
             "alpha_h", "alpha_c", "eta", "cop", "mode", "flow_h", "flow_c",
         )
         assert nm.CSV_HEADER == ",".join(REPORT_FIELDS) + ",error"
+
+
+def test_bisection_with_zero_rtol_ends_inside_the_bracket():
+    # No midpoint is an exact zero, and a bracket of adjacent floats never
+    # narrows: only the cap on the halvings ends the loop.
+    root = nm.bisect_sign_change(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, rtol=0.0)
+    assert 0.0 <= root <= 1.0
+    assert root == pytest.approx(0.3, abs=1e-15)

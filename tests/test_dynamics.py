@@ -20,7 +20,7 @@ class TestPropagate:
         assert trace.value_at_t == 0.42
 
     def test_decoupled_bath_is_constant(self):
-        grid = nm.build_kernel_grid(nm.BathSpec("hot", 0.0, CUTOFF, 1.0), OMEGA_H, 30.0)
+        grid = nm.build_kernel_grid(nm.BathSpec(0.0, CUTOFF, 1.0), OMEGA_H, 30.0)
         trace = nm.propagate(0.3, grid, 30.0)
         assert np.array_equal(trace.rho00, np.full(grid.n_points, 0.3))
 
@@ -62,7 +62,7 @@ class TestPropagate:
 
     def test_positivity_violation_raises(self):
         # a deliberately coarse grid at strong coupling breaks the quadrature
-        bath = nm.BathSpec("hot", 5.0, CUTOFF, 0.1)
+        bath = nm.BathSpec(5.0, CUTOFF, 0.1)
         grid = nm.build_kernel_grid(bath, OMEGA_H, 30.0, step=0.8)
         with pytest.raises(PositivityError) as raised:
             nm.propagate(1.0, grid, 30.0)
@@ -236,7 +236,7 @@ def _propagate_segments(b, big_a, step, rho_init):
 
 def _strong_damping_grid(t_max=14.0):
     # strong damping pushes |A| past 500; the plain form would overflow
-    bath = nm.BathSpec("hot", 2.0, CUTOFF, 5.0)
+    bath = nm.BathSpec(2.0, CUTOFF, 5.0)
     return bath, nm.build_kernel_grid(bath, CUTOFF, t_max, 0.002)
 
 
@@ -273,7 +273,7 @@ class TestGuardedPropagation:
 
     def test_overflow_within_one_pair_raises(self):
         # A drifts by more than the exp range over a single Simpson pair
-        bath = nm.BathSpec("hot", 400.0, CUTOFF, 50.0)
+        bath = nm.BathSpec(400.0, CUTOFF, 50.0)
         grid = nm.build_kernel_grid(bath, CUTOFF, 20.0, 0.4)
         assert np.max(np.abs(np.diff(grid.A[::2]))) > 710.0
         with pytest.raises(nm.GridError, match=r"\(step 0\.4\); decrease h"):
@@ -321,7 +321,7 @@ class TestOneSolve:
 
     @pytest.mark.parametrize("coupling", [LAMBDA, 0.0])
     def test_pure_starts_are_the_traces(self, coupling):
-        grid = nm.build_kernel_grid(nm.BathSpec("hot", coupling, CUTOFF, 1.0), OMEGA_H, 30.0)
+        grid = nm.build_kernel_grid(nm.BathSpec(coupling, CUTOFF, 1.0), OMEGA_H, 30.0)
         traces = nm.transition_traces(grid)
         for x, trace in zip((1.0, 0.0), traces):
             for t in (grid.t_max, 10.0 * grid.step, 10.3 * grid.step):

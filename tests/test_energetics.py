@@ -39,8 +39,8 @@ class TestQubitEnergyChange:
 
 class TestBathEnergyChange:
     def test_decoupled_bath_moves_nothing(self):
-        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec("hot", 0.0, CUTOFF, T_H), OMEGA_H, 10.0))
-        cold = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec("cold", LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0))
+        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec(0.0, CUTOFF, T_H), OMEGA_H, 10.0))
+        cold = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec(LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0))
         lc = nm.fixed_point(5.0, 5.0, grid, cold)
         s = nm.stroke_energetics(lc, "hot", grid, 5.0)
         assert s.dE_B == pytest.approx(-s.dE_S, abs=1e-18)
@@ -66,7 +66,7 @@ class TestBathEnergyChange:
         for mult in (1, 2, 4):
             lc = nm.fixed_point(60.0, mult * t, hot_grid, cold_grid)
             values[mult] = nm.stroke_energetics(lc, "cold", cold_grid, mult * t).dE_I
-        c_tail = abs(nm.noise_kernel(t, nm.BathSpec("cold", LAMBDA, CUTOFF, T_C))) * t * t
+        c_tail = abs(nm.noise_kernel(t, nm.BathSpec(LAMBDA, CUTOFF, T_C))) * t * t
         bound = 3.0 * 2.0 * c_tail / (OMEGA_C * t * t)
         assert abs(values[1] - values[2]) < bound
         assert abs(values[2] - values[4]) < abs(values[1] - values[2])
@@ -117,8 +117,8 @@ class TestConservation:
     def test_markov_limit_agreement(self):
         # stronger coupling keeps 50/rate affordable
         lam = 0.05
-        hot = nm.BathSpec("hot", lam, CUTOFF, T_H)
-        cold = nm.BathSpec("cold", lam, CUTOFF, T_C)
+        hot = nm.BathSpec(lam, CUTOFF, T_H)
+        cold = nm.BathSpec(lam, CUTOFF, T_C)
         rate_h = nm.markov_rate(hot, OMEGA_H)
         rate_c = nm.markov_rate(cold, OMEGA_C)
         t_h, t_c = 50.0 / rate_h, 50.0 / rate_c
@@ -146,7 +146,7 @@ class TestMarkovReference:
         n = nm.bose_occupation(OMEGA_H, hot_bath.temperature)
         stationary = (1.0 + n) / (1.0 + 2.0 * n)
         assert nm.markov_population(0.25, hot_bath, OMEGA_H, 1e7) == pytest.approx(stationary, abs=1e-12)
-        frozen_cold = nm.BathSpec("hot", LAMBDA, CUTOFF, 1e-4)
+        frozen_cold = nm.BathSpec(LAMBDA, CUTOFF, 1e-4)
         assert nm.markov_population(0.3, frozen_cold, OMEGA_H, 1e9) == pytest.approx(1.0, abs=1e-9)
 
     def test_cycle_has_no_interaction_energy(self, markov_context):

@@ -12,22 +12,18 @@ from conftest import (CUTOFF, LAMBDA, OMEGA_H, T_H, dissipation_kernel_oracle,
 
 
 class TestBathSpec:
-    def test_rejects_bad_label(self):
-        with pytest.raises(ValueError):
-            nm.BathSpec("warm", 0.01, 0.4, 1.0)
-
     @pytest.mark.parametrize("kwargs", [
         dict(coupling=-0.1), dict(cutoff=0.0), dict(temperature=-1.0),
         dict(cutoff=math.inf), dict(temperature=math.nan),
     ])
     def test_rejects_nonpositive_parameters(self, kwargs):
-        base = dict(label="hot", coupling=0.01, cutoff=0.4, temperature=1.0)
+        base = dict(coupling=0.01, cutoff=0.4, temperature=1.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
             nm.BathSpec(**base)
 
     def test_zero_coupling_is_a_valid_decoupled_bath(self):
-        bath = nm.BathSpec("hot", 0.0, 0.4, 1.0)
+        bath = nm.BathSpec(0.0, 0.4, 1.0)
         assert nm.noise_kernel(3.0, bath) == 0.0
         assert nm.dissipation_kernel(3.0, bath) == 0.0
 
@@ -66,7 +62,7 @@ class TestKernelClosedForms:
 
     @pytest.mark.parametrize("temperature", [0.2, 1.0])
     def test_noise_kernel_matches_defining_integral(self, temperature):
-        bath = nm.BathSpec("hot", LAMBDA, CUTOFF, temperature)
+        bath = nm.BathSpec(LAMBDA, CUTOFF, temperature)
         for tau in (0.0, 0.8, 3.7, 12.0, 47.1):
             closed = nm.noise_kernel(tau, bath)
             assert abs(noise_kernel_oracle(bath, tau) - closed) <= 1e-10 * abs(closed)
@@ -78,8 +74,8 @@ class TestKernelClosedForms:
 
     def test_linear_in_coupling(self):
         tau = np.linspace(0.0, 20.0, 101)
-        one = nm.BathSpec("hot", 0.01, 0.4, 1.0)
-        double = nm.BathSpec("hot", 0.02, 0.4, 1.0)
+        one = nm.BathSpec(0.01, 0.4, 1.0)
+        double = nm.BathSpec(0.02, 0.4, 1.0)
         assert np.array_equal(2.0 * nm.noise_kernel(tau, one), nm.noise_kernel(tau, double))
         assert np.array_equal(2.0 * nm.dissipation_kernel(tau, one), nm.dissipation_kernel(tau, double))
 
@@ -132,16 +128,17 @@ class TestKernelGrid:
         assert np.array_equal(coarse.D1, fine.D1[::2][: coarse.n_points])
 
     def test_coupling_scaling_is_exact_for_powers_of_two(self):
-        base = nm.build_kernel_grid(nm.BathSpec("hot", 0.01, 0.4, 1.0), 1.0, 10.0)
-        scaled = nm.build_kernel_grid(nm.BathSpec("hot", 0.02, 0.4, 1.0), 1.0, 10.0)
+        base = nm.build_kernel_grid(nm.BathSpec(0.01, 0.4, 1.0), 1.0, 10.0)
+        scaled = nm.build_kernel_grid(nm.BathSpec(0.02, 0.4, 1.0), 1.0, 10.0)
         for name in ("D1", "D2", "a", "b", "A"):
             assert np.array_equal(2.0 * getattr(base, name), getattr(scaled, name))
 
     def test_step_validation(self, hot_bath):
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="^step 11 exceeds t_max 10: "):
             nm.build_kernel_grid(hot_bath, OMEGA_H, 10.0, step=11.0)
-        with pytest.raises(GridError):
-            nm.build_kernel_grid(hot_bath, OMEGA_H, 10.0, step=-0.1)
+        for step in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(GridError, match="^step must be finite and > 0"):
+                nm.build_kernel_grid(hot_bath, OMEGA_H, 10.0, step=step)
         with pytest.raises(GridError):
             nm.build_kernel_grid(hot_bath, OMEGA_H, -5.0)
 
@@ -161,7 +158,7 @@ class TestKernelGrid:
     def test_non_finite_tables_rejected(self):
         # T^2 overflows float64 in D1; numpy stays silent and the grid is refused
         with pytest.raises(GridError, match="not finite"):
-            nm.build_kernel_grid(nm.BathSpec("hot", LAMBDA, CUTOFF, 1e200), OMEGA_H, 10.0)
+            nm.build_kernel_grid(nm.BathSpec(LAMBDA, CUTOFF, 1e200), OMEGA_H, 10.0)
 
     def test_default_step_rule(self):
         assert nm.default_grid_step(1.0, 0.4) == 0.05

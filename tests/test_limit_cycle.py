@@ -61,7 +61,7 @@ class TestFixedPoint:
 
     def test_singular_map_raises(self):
         # decoupled baths leave the populations untouched: p0 = 1
-        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec("hot", 0.0, CUTOFF, T_H), OMEGA_H, 10.0))
+        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec(0.0, CUTOFF, T_H), OMEGA_H, 10.0))
         with pytest.raises(SingularMapError):
             nm.fixed_point(5.0, 5.0, grid, grid)
 

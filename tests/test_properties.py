@@ -19,22 +19,22 @@ node_counts = st.integers(20, NODES)  # a stroke time is a node: k * STEP
 stroke_times = st.floats(1e-3, 1e4)
 
 
-def _strokes(label, coupling, cutoff, temperature, omega, step=STEP):
-    bath = nm.BathSpec(label, coupling, cutoff, temperature)
+def _strokes(coupling, cutoff, temperature, omega, step=STEP):
+    bath = nm.BathSpec(coupling, cutoff, temperature)
     return nm.stroke_tables(nm.build_kernel_grid(bath, omega, NODES * STEP, step))
 
 
-def _strokes_or_model_limit(label, *bath):
+def _strokes_or_model_limit(*bath):
     """The stroke's tables, or None where its population leaves [0, 1].
 
     Such an excursion must be the TCL2 model's, not the grid's: the same
     bath on a 4x finer grid leaves [0, 1] too, by the same amount within 1%.
     """
     try:
-        return _strokes(label, *bath)
+        return _strokes(*bath)
     except nm.PositivityError as coarse:
         with pytest.raises(nm.PositivityError) as fine:
-            _strokes(label, *bath, step=STEP / 4)
+            _strokes(*bath, step=STEP / 4)
         assert fine.value.excursion == pytest.approx(coarse.excursion, rel=0.01)
         return None
 
@@ -47,8 +47,8 @@ def _strokes_or_model_limit(label, *bath):
 @example(0.048828125, 2.0, 0.109375, 1.5, 20, 0.03125, 1.0, 1.0, 1.0, 20)
 def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
                                         lam_c, cut_c, temp_c, omega_c, k_c):
-    hot = _strokes_or_model_limit("hot", lam_h, cut_h, temp_h, omega_h)
-    cold = _strokes_or_model_limit("cold", lam_c, cut_c, temp_c, omega_c)
+    hot = _strokes_or_model_limit(lam_h, cut_h, temp_h, omega_h)
+    cold = _strokes_or_model_limit(lam_c, cut_c, temp_c, omega_c)
     if hot is None or cold is None:
         return
     t_h, t_c = k_h * STEP, k_c * STEP
@@ -75,8 +75,8 @@ def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
        couplings, cutoffs, temperatures, frequencies, stroke_times)
 def test_markov_context_matches_the_reference_cycle(lam_h, cut_h, temp_h, omega_h, t_h,
                                                     lam_c, cut_c, temp_c, omega_c, t_c):
-    hot = nm.BathSpec("hot", lam_h, cut_h, temp_h)
-    cold = nm.BathSpec("cold", lam_c, cut_c, temp_c)
+    hot = nm.BathSpec(lam_h, cut_h, temp_h)
+    cold = nm.BathSpec(lam_c, cut_c, temp_c)
     ctx = nm.CycleContext(omega_h=omega_h, omega_c=omega_c,
                           hot_grid=nm.MarkovStroke(hot, omega_h),
                           cold_grid=nm.MarkovStroke(cold, omega_c))
@@ -87,3 +87,19 @@ def test_markov_context_matches_the_reference_cycle(lam_h, cut_h, temp_h, omega_
             nm.evaluate_cycle(ctx, t_h, t_c)
         return
     assert nm.evaluate_cycle(ctx, t_h, t_c) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 130.0, exclude_min=True), st.floats(0.0, 130.0, exclude_min=True))
+def test_first_law_over_one_cycle(reference_context, markov_context, t_h, t_c):
+    # The adiabatic works move (omega_h - omega_c) per excitation and the
+    # qubit heats read each stroke's frequency; with P_h = rho00_c and
+    # P_c = rho00_h the qubit's energy closes over one cycle.
+    for ctx in (reference_context, markov_context):
+        try:
+            rep = nm.evaluate_cycle(ctx, t_h, t_c)
+        except nm.SingularMapError:  # a stroke too short to mix the populations
+            continue
+        work, heat = rep.W_adiab_h + rep.W_adiab_c, rep.dE_S_h + rep.dE_S_c
+        scale = abs(rep.W_adiab_h) + abs(rep.W_adiab_c) + abs(rep.dE_S_h) + abs(rep.dE_S_c)
+        assert abs(work - heat) <= 1e-12 * scale
