@@ -60,6 +60,8 @@ def main(argv=None) -> int:
     named = {}  # resolved path -> first flag naming it: no output may replace another file
     for flag, path in (("--config", args.config), ("--out", args.out),
                        ("--json", getattr(args, "json_out", None))):
+        if path == "":  # it would resolve to the working directory
+            parser.error(f"{flag} names no file: the path is empty")
         if path and (first := named.setdefault(os.path.realpath(path), flag)) != flag:
             parser.error(f"{flag} and {first} name the same file")
     try:

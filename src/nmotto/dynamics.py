@@ -9,10 +9,11 @@ described by the ground-state population
 with a, b, A tabulated on the stroke's KernelGrid.  It is affine in
 rho00(0): `transition_traces` solves the pure starts 1 and 0 in one pass,
 and any other start is their mix.  C takes the cumulative Simpson rule of
-the tables, in cache blocks (`special.CACHE_BLOCK` nodes).  Where |A| would
-overflow exp (beyond 500), the stroke is solved in guard segments, each with
-A rebased to its first node and chained through the segment end values; a
-guard segment is as long as the exp range allows, whatever the cache block.
+the tables, in cache blocks (`special.CACHE_BLOCK` nodes), in place in the
+first trace.  Where |A| would overflow exp (beyond 500), the stroke is solved
+in guard segments, each with A rebased to its first node and chained through
+the segment end values; a guard segment is as long as the exp range allows,
+whatever the cache block, and is found one cache block at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import GridError, PositivityError
 from .kernels import KernelGrid, bose_occupation
-from .special import cumulative_simpson
+from .special import cache_blocks, cumulative_simpson
 
 __all__ = ["PopulationTrace", "StrokeSource", "propagate", "transition_populations",
            "transition_traces"]
@@ -63,7 +64,7 @@ def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
         below, above = -float(rho[low]), float(rho[high]) - 1.0
         peak = low if below > above else high
         n = bose_occupation(grid.omega0, grid.bath.temperature)
-        raise PositivityError(max(below, above), float(grid.tau[peak]), n / (1.0 + 2.0 * n))
+        raise PositivityError(max(below, above), peak * grid.step, n / (1.0 + 2.0 * n))
 
 
 def _check_stroke_time(t: float) -> None:
@@ -73,7 +74,7 @@ def _check_stroke_time(t: float) -> None:
 
 
 def _validate_t(grid: KernelGrid, t: float) -> float:
-    t_max = grid.tau.item(-1)
+    t_max = grid.t_max
     if 0.0 <= t <= t_max:
         return t
     _check_stroke_time(t)
@@ -91,7 +92,7 @@ def _stroke_end(grid: KernelGrid, t: float, first: np.ndarray,
     """
     pos = _validate_t(grid, t) / grid.step
     i = int(pos)
-    if i >= grid.tau.shape[0] - 1:
+    if i >= grid.n_points - 1:
         return first.item(-1), second.item(-1)
     frac = pos - i
     rest = 1.0 - frac
@@ -119,6 +120,17 @@ def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTra
     return PopulationTrace(tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)
 
 
+def _guard_end(big_a: np.ndarray, start: int) -> int:
+    """The last node of the guard segment that starts at `start`, found one
+    cache block at a time."""
+    n, a_start = big_a.shape[0], big_a[start]
+    for block in cache_blocks(n - start):
+        over = abs(big_a[start + block.start:start + block.stop] - a_start) > _EXP_GUARD
+        if over.any():
+            return min(n - 1, start + max(2, (block.start + int(over.argmax()) - 1) & ~1))
+    return n - 1
+
+
 def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid populations from the two pure initial states (rho00 = 1, 0),
     solved per call in one pass: C and exp(A) do not depend on rho00(0).
@@ -129,6 +141,8 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
     A rebased to A[s], each trace starting from its value at s; the first odd
     node takes the backward quadratic through s-1, as the one-shot rule does.
     Since A[0] == 0, max|A| <= _EXP_GUARD is one segment: the plain form.
+    The segment's C is taken in place in the first trace's slice, and the
+    growth exp(A - A[s]) is applied one cache block at a time.
     """
     big_a, b, step = grid.A, grid.b, grid.step
     n = big_a.shape[0]
@@ -140,24 +154,23 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="raise", invalid="raise"):
             while True:
                 a_start = big_a[start]
-                over = abs(big_a[start:] - a_start) > _EXP_GUARD  # abs() works on the difference in place
-                if over.any():
-                    end = min(n - 1, start + max(2, (int(over.argmax()) - 1) & ~1))
-                else:
-                    end = n - 1
-                segment = slice(start, end + 1)
-                y = a_start - big_a[segment]
-                np.exp(y, out=y)
-                y *= b[segment]
-                c = cumulative_simpson(y, step)
+                end = _guard_end(big_a, start)
+                c = traces[0][start:end + 1]
+                np.subtract(a_start, big_a[start:end + 1], out=c)
+                np.exp(c, out=c)
+                c *= b[start:end + 1]
+                y0, y1 = c[0], c[1]
+                cumulative_simpson(c, step, out=c)
                 if start > 0:
                     c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
-                                          + 8.0 * y[0] + 5.0 * y[1])
-                growth = np.subtract(big_a[segment], a_start, out=y)
-                np.exp(growth, out=growth)
-                for trace, rho_start in zip(traces, starts):
-                    np.subtract(rho_start, c, out=trace[segment])
-                    trace[segment] *= growth
+                                          + 8.0 * y0 + 5.0 * y1)
+                # The second trace is written from C before the first overwrites it.
+                for block in cache_blocks(end + 1 - start):
+                    nodes = slice(start + block.start, start + block.stop)
+                    growth = np.exp(big_a[nodes] - a_start)
+                    for trace, rho_start in zip(reversed(traces), reversed(starts)):
+                        np.subtract(rho_start, c[block], out=trace[nodes])
+                        trace[nodes] *= growth
                 if end == n - 1:
                     break
                 start, starts = end, (traces[0].item(end), traces[1].item(end))

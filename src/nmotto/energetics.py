@@ -17,7 +17,9 @@ transition traces with the limit-cycle weight P, and
 
 closes the balance exactly.  The integral is linear in P, so each stroke's
 StrokeTables carries two cumulative prefix tables and a stroke evaluation is
-O(1).  The explicit-integral route for dE_I survives as a cross-check.
+O(1).  Each prefix is taken in place over its integrand, which is filled one
+cache block at a time with that block's node times and D2.  The
+explicit-integral route for dE_I survives as a cross-check.
 
 The Markovian reference (detailed-balance rates, long-time limit) is the
 stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
@@ -32,7 +34,8 @@ import numpy as np
 
 from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, _check_stroke_time, _stroke_end, _validate_t, transition_traces
-from .kernels import BathSpec, KernelGrid, bose_occupation, spectral_density
+from .kernels import (BathSpec, KernelGrid, bose_occupation, dissipation_kernel, node_times,
+                      spectral_density)
 from .limit_cycle import LimitCycleState
 from .special import cache_blocks, cumulative_simpson, simpson
 
@@ -73,20 +76,18 @@ def bath_flow_tables(grid: KernelGrid, from_ground: np.ndarray,
     of the counting-statistics integrand.  base(t) collects the P-independent
     part, pop(t) the coefficient of P; the stroke integral is base + P * pop.
     """
-    # Filled one cache block at a time; each integrand is dropped once its
-    # prefix is taken.
-    n = grid.n_points
-    base_rate, pop_rate = np.empty(n), np.empty(n)
+    # Each integrand is filled one cache block at a time into the table that
+    # keeps its prefix.
+    n, bath, omega0 = grid.n_points, grid.bath, grid.omega0
+    base, pop = np.empty(n), np.empty(n)
     for block in cache_blocks(n):
-        d1, tau = grid.D1[block], grid.tau[block]
-        sin_w = np.sin(grid.omega0 * tau)
-        cos_w = np.cos(grid.omega0 * tau)
-        base_rate[block] = (2.0 * from_excited[block] - 1.0) * d1 * sin_w + grid.D2[block] * cos_w
-        pop_rate[block] = 2.0 * (from_ground[block] - from_excited[block]) * d1 * sin_w
-    base = cumulative_simpson(base_rate, grid.step)
-    del base_rate
-    pop = cumulative_simpson(pop_rate, grid.step)
-    del pop_rate
+        d1, tau = grid.D1[block], node_times(block, grid.step)
+        sin_w = np.sin(omega0 * tau)
+        cos_w = np.cos(omega0 * tau)
+        base[block] = (2.0 * from_excited[block] - 1.0) * d1 * sin_w + dissipation_kernel(tau, bath) * cos_w
+        pop[block] = 2.0 * (from_ground[block] - from_excited[block]) * d1 * sin_w
+    cumulative_simpson(base, grid.step, out=base)
+    cumulative_simpson(pop, grid.step, out=pop)
     base.setflags(write=False)
     pop.setflags(write=False)
     return StrokeTables(**{f.name: getattr(grid, f.name) for f in fields(KernelGrid)},

@@ -19,9 +19,13 @@ where b uses the manifestly real reduction of the complex correlation
 Phi = (D1 - i D2)/2 (D1 even, D2 odd); the complex form survives in the
 test-suite as an oracle.
 
-The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1, D2
-and the two rate integrands are filled block by block, so a long grid's
-peak memory is its tables and not the temporaries of their products.
+The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1 and
+the two rate integrands are filled block by block, each integrand into the
+table that then takes its prefix in place, so a long grid's peak memory is
+its tables and not the temporaries of their products.  A grid keeps D1, a,
+b and A.  The node times tau and D2 are closed-form: the grid stores only
+its node count and t_max, and computes them when the dumps or the oracles
+read them.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "bose_occupation",
     "default_grid_step",
     "build_kernel_grid",
+    "node_times",
     "MAX_GRID_NODES",
 ]
 
@@ -113,35 +118,49 @@ def default_grid_step(omega0: float, cutoff: float) -> float:
     return min(0.05, (2.0 * math.pi / omega0) / 64.0, (2.0 * math.pi / cutoff) / 64.0)
 
 
+def node_times(block: slice, step: float) -> np.ndarray:
+    """tau[i] = i*step at the grid nodes of `block`."""
+    return np.arange(block.start, block.stop, dtype=np.float64) * step
+
+
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
     """Immutable kernel tables for one (bath, qubit-frequency) pair.
 
-    tau[i] = i*step; D1, D2 are the kernels, a and b the time-local rates,
-    A the running integral of a.  Shareable read-only across workers.
+    The grid has n_points nodes tau[i] = i*step up to t_max.  D1 is the noise
+    kernel, a and b the time-local rates, A the running integral of a.  tau
+    and D2 are closed-form, so they are not stored: each read computes them
+    anew, one cache block at a time.  Shareable read-only across workers.
     """
 
     bath: BathSpec
     omega0: float
     step: float
-    tau: np.ndarray
+    n_points: int
+    t_max: float
     D1: np.ndarray
-    D2: np.ndarray
     a: np.ndarray
     b: np.ndarray
     A: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return self.tau.shape[0]
+    def _derived(self, table) -> np.ndarray:
+        out = np.empty(self.n_points)
+        for block in cache_blocks(self.n_points):
+            out[block] = table(node_times(block, self.step))
+        out.setflags(write=False)
+        return out
 
     @property
-    def t_max(self) -> float:
-        return self.tau.item(-1)
+    def tau(self) -> np.ndarray:
+        return self._derived(lambda t: t)
+
+    @property
+    def D2(self) -> np.ndarray:
+        return self._derived(lambda t: dissipation_kernel(t, self.bath))
 
 
 def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float | None = None) -> KernelGrid:
-    """Precompute D1, D2, a, b and A on a uniform grid covering [0, t_max]."""
+    """Precompute D1, a, b and A on a uniform grid covering [0, t_max]."""
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise GridError("omega0 must be finite and > 0")
     if not (math.isfinite(t_max) and t_max > 0.0):
@@ -163,29 +182,25 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
     # Extreme bath scales overflow the tables; that is reported once, below,
     # and not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = np.arange(n, dtype=np.float64) * step
-        # Filled one cache block at a time; each integrand is dropped once
-        # its prefix is taken.
-        d1, d2 = np.empty(n), np.empty(n)
-        rate_a, rate_b = np.empty(n), np.empty(n)
+        # Each rate's integrand is filled one cache block at a time into the
+        # table that keeps its prefix.
+        d1, a, b = np.empty(n), np.empty(n), np.empty(n)
         for block in cache_blocks(n):
-            t = tau[block]
+            t = node_times(block, step)
             d1[block] = noise_kernel(t, bath)
-            d2[block] = dissipation_kernel(t, bath)
+            d2 = dissipation_kernel(t, bath)
             cos_w = np.cos(omega0 * t)
             sin_w = np.sin(omega0 * t)
-            rate_a[block] = -2.0 * d1[block] * cos_w
-            rate_b[block] = -(d1[block] * cos_w + d2[block] * sin_w)
-        a = cumulative_simpson(rate_a, step)
-        del rate_a
-        b = cumulative_simpson(rate_b, step)
-        del rate_b
+            a[block] = -2.0 * d1[block] * cos_w
+            b[block] = -(d1[block] * cos_w + d2 * sin_w)
+        cumulative_simpson(a, step, out=a)
+        cumulative_simpson(b, step, out=b)
         big_a = cumulative_simpson(a, step)
     # Any non-finite D1 or D2 value spreads into b, and D1's into A too.
     if not (np.isfinite(b).all() and np.isfinite(big_a).all()):
         raise GridError("kernel tables are not finite; the bath scales overflow float64")
 
-    for arr in (tau, d1, d2, a, b, big_a):
+    for arr in (d1, a, b, big_a):
         arr.setflags(write=False)
-    return KernelGrid(bath=bath, omega0=float(omega0), step=float(step),
-                      tau=tau, D1=d1, D2=d2, a=a, b=b, A=big_a)
+    return KernelGrid(bath=bath, omega0=float(omega0), step=float(step), n_points=n,
+                      t_max=(n - 1) * float(step), D1=d1, a=a, b=b, A=big_a)

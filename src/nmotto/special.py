@@ -13,9 +13,11 @@ shared by the kernel tables and the stroke propagation.
 Full-length tables are built in cache blocks of CACHE_BLOCK nodes
 (`cache_blocks`): the cumulative prefix takes its Simpson pairs one cache
 block at a time, carrying the running sum from block to block, and the
-kernel and flow tables fill their integrands the same way.  Neither
-trigamma nor the prefix depends on where the blocks fall, so a table has
-the bits of a one-pass build.
+kernel and flow tables fill their integrands the same way.  The prefix may
+be taken in place, over its integrand (`out=y`): a table then holds its
+integrand and then its prefix, and no second full-length table is needed.
+Neither trigamma nor the prefix depends on where the blocks fall or on
+where the prefix is written, so a table has the bits of a one-pass build.
 """
 
 from __future__ import annotations
@@ -136,27 +138,35 @@ def cache_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def cumulative_simpson(y, step: float) -> np.ndarray:
+def cumulative_simpson(y, step: float, out=None) -> np.ndarray:
     """Running integral of uniformly sampled values at every grid node.
 
     Interior pairs integrate the local quadratic interpolant, so the value
     at even nodes coincides with composite Simpson; out[0] is 0.  The prefix
     is taken one cache block of pairs at a time, each block's running sum
-    starting from the last even node of the one before.
+    starting from the last even node of the one before.  `out` may be `y`
+    itself: the prefix then replaces the integrand, with the same bits.
     """
-    y = np.ascontiguousarray(y)
+    if out is None:
+        y = np.ascontiguousarray(y)
+        out = np.zeros_like(y)
     step = float(step)
-    out = np.zeros_like(y)
     n = y.shape[0]
     if n < 2:
+        out.fill(0.0)
         return out
     if n == 2:
         out[1] = 0.5 * step * (y[0] + y[1])
+        out[0] = 0.0
         return out
     # Odd nodes integrate the backward-looking quadratic (forward at node 1,
     # which has no left neighbour), matching the one-shot rule's tail so the
     # prefix at any node equals the truncated composite rule.
-    out[1] = step / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])
+    # A block reads its integrand from its first node to one past its last
+    # even node, the next block's first two nodes; their prefix values are
+    # held until that block has read them, and out[0] is set last.
+    held_at, held = 1, [step / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])]
+    carry = 0.0
     for block in cache_blocks(2 * ((n - 1) // 2)):
         # The Simpson pairs whose left node lies in the block: nodes start .. end.
         start, end = block.start, block.stop
@@ -165,15 +175,21 @@ def cumulative_simpson(y, step: float) -> np.ndarray:
         # order, so the sums are those of one cumsum over the whole grid.
         pairs = (end - start) // 2
         run = np.empty(pairs + 1, dtype=out.dtype)
-        run[0] = out[start]
+        run[0] = carry
         run[1:] = step / 3.0 * (y[start:end - 1:2] + 4.0 * y[start + 1:end:2] + y[start + 2:end + 1:2])
-        # The first block adds no carry: 0.0 + -0.0 would turn a -0.0 sum positive.
-        head = 1 if start == 0 else 0
-        np.cumsum(run[head:], out=run[head:])
-        out[start + 2:end + 1:2] = run[1:]
         # Odd nodes start+3 .. end+1, the last one only if the grid has it.
         odd = pairs - (end == n - 1)
         stop = start + 2 * odd + 2
-        out[start + 3:stop:2] = run[1:odd + 1] + step / 12.0 * (
-            -y[start + 1:stop - 2:2] + 8.0 * y[start + 2:stop - 1:2] + 5.0 * y[start + 3:stop:2])
+        tail = step / 12.0 * (-y[start + 1:stop - 2:2] + 8.0 * y[start + 2:stop - 1:2] + 5.0 * y[start + 3:stop:2])
+        # The first block adds no carry: 0.0 + -0.0 would turn a -0.0 sum positive.
+        head = 1 if start == 0 else 0
+        np.cumsum(run[head:], out=run[head:])
+        np.add(run[1:odd + 1], tail, out=tail)
+        out[held_at:held_at + len(held)] = held
+        out[start + 2:end:2] = run[1:pairs]
+        out[start + 3:end:2] = tail[:pairs - 1]
+        carry = run[pairs]
+        held_at, held = end, [carry, *tail[pairs - 1:odd]]
+    out[held_at:held_at + len(held)] = held
+    out[0] = 0.0
     return out

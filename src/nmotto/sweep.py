@@ -117,10 +117,13 @@ def run_cycle(config: RunConfig) -> CycleReport:
 
 
 def _report_line(report: CycleReport) -> str:
-    """One report's CSV line, error column empty."""
+    """One report's CSV line, error column empty.
+
+    The labels are str Enum members, which str.join writes as their values.
+    """
     return ",".join([_FLOATS_FORMAT % report[:_N_FLOATS],
                      *map(_fmt, report[_N_FLOATS:-_N_LABELS]),
-                     *[label.value for label in report[-_N_LABELS:]], "\n"])
+                     *report[-_N_LABELS:], "\n"])
 
 
 def _csv_line(row: list[str]) -> str:

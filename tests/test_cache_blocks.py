@@ -6,6 +6,7 @@ table must equal it exactly, signs of zeros included (a lambda = 0 bath
 has -0.0 integrands, which "%.17g" prints as -0).
 """
 
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -85,6 +86,41 @@ def test_cumulative_simpson_does_not_depend_on_the_block_size(monkeypatch, block
             _assert_same_bits(nm.cumulative_simpson(y, 0.1), whole)
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+def test_cumulative_simpson_in_place_has_the_bits_of_a_new_table(monkeypatch, block):
+    monkeypatch.setattr(special, "CACHE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in sorted(set(range(3, 12)) | set(_block_edges(block))):
+        for y in (rng.standard_normal(n), -np.zeros(n)):
+            want = nm.cumulative_simpson(y, 0.1)
+            table = y.copy()
+            got = nm.cumulative_simpson(table, 0.1, out=table)
+            assert got is table
+            _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
+@pytest.mark.parametrize("coupling", [0.01, 0.0])
+def test_derived_tables_have_the_bits_of_their_closed_forms(monkeypatch, block, coupling):
+    bath = nm.BathSpec(coupling, 0.4, 1.0)
+    monkeypatch.setattr(special, "CACHE_BLOCK", block)
+    grid = nm.build_kernel_grid(bath, 1.0, 2.05, 0.05)  # 42 nodes
+    tau = np.arange(grid.n_points, dtype=np.float64) * 0.05
+    assert grid.n_points == 42
+    _assert_same_bits(grid.tau, tau)
+    _assert_same_bits(grid.D2, nm.dissipation_kernel(tau, bath))
+    assert grid.t_max == tau[-1]
+    for table in (grid.tau, grid.D2):
+        assert not table.flags.writeable
+
+
+def test_a_pickled_stroke_carries_no_derived_table():
+    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    stroke = sweep.stroke_tables(nm.build_kernel_grid(*config.stroke("hot"), config.t_h, config.h))
+    # Eight tables: D1, a, b, A, the two traces, base and pop.
+    assert len(pickle.dumps(stroke)) <= 8.5 * 8 * stroke.n_points
+
+
 def test_cache_blocks_cover_the_grid_in_order(monkeypatch):
     monkeypatch.setattr(special, "CACHE_BLOCK", 4)
     assert special.cache_blocks(0) == []
@@ -123,3 +159,20 @@ def test_the_transition_traces_peak_near_their_two_tables():
     n = grid.n_points
     assert n >= 4 * special.CACHE_BLOCK
     assert peak <= 4.6 * 8 * n
+
+
+def test_a_long_stroke_peaks_at_the_tables_it_keeps():
+    # The two strokes keep eight tables each, and every integrand is filled
+    # into the table that keeps its prefix: ~8.8 hot table sizes on this
+    # grid.  A build that filled its integrands into tables of their own and
+    # stored tau and D2 peaked at ~11.4.
+    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    tracemalloc.start()
+    try:
+        ctx = sweep.build_context(config, config.t_h, config.t_c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = ctx.hot_grid.n_points
+    assert n >= 4 * special.CACHE_BLOCK
+    assert peak <= 10 * 8 * n

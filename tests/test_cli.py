@@ -135,6 +135,35 @@ class TestOutputNamingTheConfig:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"config.json", target.name})
 
 
+class TestEmptyOutputPath:
+    # An empty path resolves to the working directory: writing "<cwd>.part"
+    # and renaming it onto the directory failed with exit 1, after the other
+    # output of a cycle had been renamed into place.
+    @pytest.mark.parametrize("command, flag", [
+        ("cycle", "--out"), ("cycle", "--json"), ("sweep", "--out"),
+        ("phase", "--out"), ("kernels", "--out"), ("stroke", "--out"),
+    ])
+    def test_is_a_usage_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command, flag):
+        data = base_config_dict(t_h=2.0, t_c=2.0)
+        if command == "phase":
+            data = {k: v for k, v in data.items() if k not in ("omega_c", "T_c", "t_h", "t_c")}
+            data.update(omega_ratio={"min": 0.5, "max": 0.5, "n": 1},
+                        T_ratio={"min": 0.2, "max": 0.2, "n": 1}, t_box={"t_max": 2.0, "n": 1})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        outputs = {"--out": "x.csv", flag: ""}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *(x for pair in outputs.items() for x in pair)])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UsageError", "message": f"{flag} names no file: the path is empty"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
+        assert list(work.iterdir()) == []
+
+
 class TestKernelAndStrokeDumps:
     def test_kernel_dump_columns(self, config_path, tmp_path):
         out = tmp_path / "kern.csv"

@@ -283,9 +283,9 @@ class TestGuardedPropagation:
 def _count_cumulative_simpson(monkeypatch):
     calls, original = [], nm.dynamics.cumulative_simpson
 
-    def counted(y, step):
+    def counted(y, step, out=None):
         calls.append(y.shape[0])
-        return original(y, step)
+        return original(y, step, out=out)
 
     monkeypatch.setattr(nm.dynamics, "cumulative_simpson", counted)
     return calls
