@@ -18,9 +18,6 @@ from .cycle import (
     classify_flow,
     classify_mode,
     find_boundaries,
-    nonmarkov_index,
-    performance,
-    works,
 )
 from .dynamics import PopulationTrace, propagate, transition_populations, transition_traces
 from .energetics import (

@@ -1,4 +1,4 @@
-"""Per-cycle observables: works, indices, classification, boundary times.
+"""Per-cycle observables: the cycle report, its classification, boundary times.
 
 Sign convention: positive work flows from the working substance to the
 outside; positive Delta E_S flows into the qubit.  The operating mode is a
@@ -23,11 +23,8 @@ __all__ = [
     "StrokeEnergetics",
     "REPORT_FIELDS",
     "LABEL_FIELDS",
-    "works",
     "classify_mode",
     "classify_flow",
-    "nonmarkov_index",
-    "performance",
     "assemble_report",
     "find_boundaries",
     "bisect_sign_change",
@@ -102,21 +99,6 @@ LABEL_FIELDS = tuple(
 )
 
 
-def works(lc: LimitCycleState, omega_h: float, omega_c: float,
-          dE_I_h: float, dE_I_c: float) -> tuple[float, float, float, float, float]:
-    """(W_adiab_h, W_adiab_c, W_detach_h, W_detach_c, W_total).
-
-    Adiabatic works move (omega_h - omega_c) per excitation; detachment work
-    equals the interaction-energy change of the preceding stroke.
-    """
-    w_adiab_h = (omega_h - omega_c) * lc.rho11_h
-    w_adiab_c = (omega_c - omega_h) * lc.rho11_c
-    w_detach_h = dE_I_h
-    w_detach_c = dE_I_c
-    total = w_adiab_h + w_adiab_c + w_detach_h + w_detach_c
-    return w_adiab_h, w_adiab_c, w_detach_h, w_detach_c, total
-
-
 def classify_mode(w_total: float, dE_S_h: float, dE_S_c: float) -> Mode:
     """Engine / Heater / HeatPump by the signs of total work and qubit heats."""
     if w_total > SIGN_EPS:
@@ -131,7 +113,9 @@ def classify_mode(w_total: float, dE_S_h: float, dE_S_c: float) -> Mode:
 def classify_flow(dE_S: float, dE_B: float, label: str) -> Flow:
     """Energy-flow pattern of one stroke from the signs of (dE_S, dE_B).
 
-    The (-,-) cell is unnamed for either bath and maps to Undefined, as do
+    (+,+) is EnergyDivision; a mixed pair is Normal when the qubit gains energy
+    on the hot stroke or loses it on the cold one, and Reverse otherwise.  The
+    (-,-) cell is unnamed for either bath and maps to Undefined, as do
     sign-degenerate inputs.
     """
     if label not in ("hot", "cold"):
@@ -139,50 +123,39 @@ def classify_flow(dE_S: float, dE_B: float, label: str) -> Flow:
     if abs(dE_S) <= SIGN_EPS or abs(dE_B) <= SIGN_EPS:
         return Flow.UNDEFINED
     s_pos = dE_S > 0.0
-    b_pos = dE_B > 0.0
-    if s_pos and b_pos:
-        return Flow.ENERGY_DIVISION
-    if label == "hot":
-        if s_pos and not b_pos:
-            return Flow.NORMAL
-        if not s_pos and b_pos:
-            return Flow.REVERSE
-    else:
-        if not s_pos and b_pos:
-            return Flow.NORMAL
-        if s_pos and not b_pos:
-            return Flow.REVERSE
-    return Flow.UNDEFINED
-
-
-def nonmarkov_index(dE_I_c: float, dE_B_c: float, dE_I_h: float,
-                    dE_S_c: float) -> tuple[Optional[float], Optional[float]]:
-    """(alpha_c, alpha_h) = (|dE_I_c/dE_B_c|, |dE_I_h/dE_S_c|); None on zero denominator."""
-    alpha_c = abs(dE_I_c / dE_B_c) if abs(dE_B_c) > SIGN_EPS else None
-    alpha_h = abs(dE_I_h / dE_S_c) if abs(dE_S_c) > SIGN_EPS else None
-    return alpha_c, alpha_h
-
-
-def performance(w_total: float, dE_S_h: float, dE_S_c: float,
-                mode: Mode) -> tuple[Optional[float], Optional[float]]:
-    """(eta, cop) from the total work and the qubit heats; None where undefined."""
-    eta = w_total / dE_S_h if (mode is Mode.ENGINE and dE_S_h > SIGN_EPS) else None
-    cop = abs(dE_S_c) / abs(w_total) if abs(w_total) > SIGN_EPS else None
-    return eta, cop
+    if s_pos == (dE_B > 0.0):
+        return Flow.ENERGY_DIVISION if s_pos else Flow.UNDEFINED
+    return Flow.NORMAL if s_pos == (label == "hot") else Flow.REVERSE
 
 
 def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
                     omega_h: float, omega_c: float,
                     hot: StrokeEnergetics, cold: StrokeEnergetics) -> CycleReport:
-    """Build the full report from the two strokes' energy balances."""
-    w_ad_h, w_ad_c, w_de_h, w_de_c, total = works(lc, omega_h, omega_c, hot.dE_I, cold.dE_I)
+    """Build the full report from the limit cycle and the two strokes' balances.
+
+    The derived columns, with SIGN_EPS as the zero of each gate:
+      W_adiab_h = (omega_h - omega_c) rho11_h, W_adiab_c = (omega_c - omega_h) rho11_c
+        (an adiabat moves omega_h - omega_c per excitation);
+      W_detach_h = dE_I_h, W_detach_c = dE_I_c (detaching returns the interaction energy);
+      W_total = W_adiab_h + W_adiab_c + W_detach_h + W_detach_c;
+      alpha_h = |dE_I_h / dE_S_c|, alpha_c = |dE_I_c / dE_B_c| (non-Markovianity
+        indices), None when the denominator is zero;
+      eta = W_total / dE_S_h for an Engine with dE_S_h > 0, else None;
+      cop = |dE_S_c| / |W_total|, None when W_total is zero.
+    """
+    w_ad_h = (omega_h - omega_c) * lc.rho11_h
+    w_ad_c = (omega_c - omega_h) * lc.rho11_c
+    total = w_ad_h + w_ad_c + hot.dE_I + cold.dE_I
     mode = classify_mode(total, hot.dE_S, cold.dE_S)
-    alpha_c, alpha_h = nonmarkov_index(cold.dE_I, cold.dE_B, hot.dE_I, cold.dE_S)
-    eta, cop = performance(total, hot.dE_S, cold.dE_S, mode)
     # Positional, in REPORT_FIELDS order.
     return CycleReport(
         t_h, t_c, hot.dE_S, hot.dE_B, hot.dE_I, cold.dE_S, cold.dE_B, cold.dE_I,
-        w_ad_h, w_ad_c, w_de_h, w_de_c, total, alpha_h, alpha_c, eta, cop, mode,
+        w_ad_h, w_ad_c, hot.dE_I, cold.dE_I, total,
+        abs(hot.dE_I / cold.dE_S) if abs(cold.dE_S) > SIGN_EPS else None,
+        abs(cold.dE_I / cold.dE_B) if abs(cold.dE_B) > SIGN_EPS else None,
+        total / hot.dE_S if (mode is Mode.ENGINE and hot.dE_S > SIGN_EPS) else None,
+        abs(cold.dE_S) / abs(total) if abs(total) > SIGN_EPS else None,
+        mode,
         classify_flow(hot.dE_S, hot.dE_B, "hot"),
         classify_flow(cold.dE_S, cold.dE_B, "cold"),
     )

@@ -127,23 +127,6 @@ def test_cache_blocks_cover_the_grid_in_order(monkeypatch):
     assert special.cache_blocks(9) == [slice(0, 4), slice(4, 8), slice(8, 9)]
 
 
-def test_a_long_stroke_peaks_near_its_tables():
-    # 240001 hot nodes, several cache blocks.  A StrokeTables keeps ten
-    # full-length tables; a build that held its full-length temporaries
-    # (trigamma's complex arrays, the integrands' products, the Simpson
-    # pairs) peaked at ~15 table sizes.
-    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
-    tracemalloc.start()
-    try:
-        ctx = sweep.build_context(config, config.t_h, config.t_c)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    n = ctx.hot_grid.n_points
-    assert n >= 4 * special.CACHE_BLOCK
-    assert peak <= 12 * 8 * n
-
-
 def test_the_transition_traces_peak_near_their_two_tables():
     # One guarded pass holds the two traces, the segment's exponential (reused
     # for the growth) and its prefix C: ~4.3 table sizes on this grid.  A pass

@@ -1,5 +1,6 @@
 import math
 import pickle
+import struct
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,31 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
-from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Flow, Mode
+from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS, SIGN_EPS, Flow, Mode
 from nmotto.sweep import evaluate_cycle
 
 from conftest import OMEGA_C, OMEGA_H, T_C, T_H
 
 
-def _stub_report(**overrides):
-    fields = dict(
-        t_h=60.0, t_c=10.0,
-        dE_S_h=0.0, dE_B_h=0.0, dE_I_h=0.0,
-        dE_S_c=0.0, dE_B_c=0.0, dE_I_c=0.0,
-        W_adiab_h=0.0, W_adiab_c=0.0, W_detach_h=0.0, W_detach_c=0.0,
-        W_total=0.0, alpha_h=None, alpha_c=None, eta=None, cop=None,
-        mode=Mode.OTHER, flow_h=Flow.UNDEFINED, flow_c=Flow.UNDEFINED,
-    )
-    fields.update(overrides)
-    return CycleReport(**fields)
+def _report(hot=(0.0, 0.0, 0.0), cold=(0.0, 0.0, 0.0), lc=None):
+    """The report of hand-made strokes at equal frequencies, so W_total = dE_I_h + dE_I_c."""
+    lc = lc or nm.LimitCycleState(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+    return nm.assemble_report(60.0, 10.0, lc, 1.0, 1.0,
+                              nm.StrokeEnergetics(*hot), nm.StrokeEnergetics(*cold))
 
 
 class TestWorks:
     def test_equal_frequencies_cancel_adiabats(self, hot_grid):
         lc = nm.fixed_point(20.0, 20.0, hot_grid, hot_grid)
-        w = nm.works(lc, 1.0, 1.0, -0.01, -0.02)
-        assert w[0] == 0.0 and w[1] == 0.0
-        assert w[4] == -0.03
+        rep = _report(hot=(0.0, 0.01, -0.01), cold=(0.0, 0.02, -0.02), lc=lc)
+        assert rep.W_adiab_h == 0.0 and rep.W_adiab_c == 0.0
+        assert rep.W_total == -0.03
 
     def test_total_is_exact_sum(self, reference_context):
         rep = evaluate_cycle(reference_context, 60.0, 30.0)
@@ -102,13 +97,13 @@ class TestClassifyFlow:
 
 class TestNonmarkovIndex:
     def test_plain_arithmetic(self):
-        alpha_c, alpha_h = nm.nonmarkov_index(-2.0, 4.0, -1.0, 0.5)
-        assert alpha_c == 0.5
-        assert alpha_h == 2.0
+        rep = _report(hot=(0.0, 1.0, -1.0), cold=(0.5, 4.0, -2.0))
+        assert rep.alpha_c == 0.5
+        assert rep.alpha_h == 2.0
 
     def test_absent_on_zero_denominator(self):
-        alpha_c, alpha_h = nm.nonmarkov_index(-2.0, 0.0, -1.0, 0.0)
-        assert alpha_c is None and alpha_h is None
+        rep = _report(hot=(0.0, 1.0, -1.0), cold=(0.0, 0.0, -2.0))
+        assert rep.alpha_c is None and rep.alpha_h is None
 
     def test_division_region_has_alpha_at_least_one(self, reference_context):
         rep = evaluate_cycle(reference_context, 60.0, 1.0)
@@ -124,21 +119,24 @@ class TestNonmarkovIndex:
 
 class TestPerformance:
     def test_cop_arithmetic(self):
-        rep = _stub_report(dE_S_c=-0.3, W_total=-0.1, mode=Mode.HEAT_PUMP)
-        eta, cop = nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode)
-        assert eta is None
-        assert cop == pytest.approx(3.0)
+        rep = _report(hot=(0.0, 0.1, -0.1), cold=(0.3, -0.3, 0.0))
+        assert rep.W_total == -0.1 and rep.mode is Mode.HEAT_PUMP
+        assert rep.eta is None
+        assert rep.cop == pytest.approx(3.0)
 
     def test_eta_only_for_engines(self):
-        rep = _stub_report(W_total=0.05, dE_S_h=0.1, mode=Mode.ENGINE)
-        eta, cop = nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode)
-        assert eta == pytest.approx(0.5)
-        rep = _stub_report(W_total=0.05, dE_S_h=0.1, mode=Mode.OTHER)
-        assert nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode)[0] is None
+        rep = _report(hot=(0.1, -0.15, 0.05))
+        assert rep.W_total == 0.05 and rep.mode is Mode.ENGINE
+        assert rep.eta == pytest.approx(0.5)
+        # the mode follows the work: with the same heat a non-engine has no eta
+        rep = _report(hot=(0.1, -0.05, -0.05))
+        assert rep.mode is not Mode.ENGINE
+        assert rep.eta is None
 
     def test_absent_on_zero_work(self):
-        rep = _stub_report(W_total=0.0, dE_S_c=0.3)
-        assert nm.performance(rep.W_total, rep.dE_S_h, rep.dE_S_c, rep.mode) == (None, None)
+        rep = _report(cold=(0.3, -0.3, 0.0))
+        assert rep.W_total == 0.0
+        assert (rep.eta, rep.cop) == (None, None)
 
     def test_engine_efficiency_below_carnot_on_reproduction_line(self, reference_context):
         carnot = 1.0 - T_C / T_H
@@ -149,6 +147,59 @@ class TestPerformance:
                 seen_engine = True
                 assert rep.eta < carnot
         assert seen_engine
+
+
+def _reference_works(lc, omega_h, omega_c, dE_I_h, dE_I_c):
+    """The former `cycle.works`, as it was written."""
+    w_adiab_h = (omega_h - omega_c) * lc.rho11_h
+    w_adiab_c = (omega_c - omega_h) * lc.rho11_c
+    w_detach_h = dE_I_h
+    w_detach_c = dE_I_c
+    total = w_adiab_h + w_adiab_c + w_detach_h + w_detach_c
+    return w_adiab_h, w_adiab_c, w_detach_h, w_detach_c, total
+
+
+def _reference_nonmarkov_index(dE_I_c, dE_B_c, dE_I_h, dE_S_c):
+    """The former `cycle.nonmarkov_index`: (alpha_c, alpha_h)."""
+    alpha_c = abs(dE_I_c / dE_B_c) if abs(dE_B_c) > SIGN_EPS else None
+    alpha_h = abs(dE_I_h / dE_S_c) if abs(dE_S_c) > SIGN_EPS else None
+    return alpha_c, alpha_h
+
+
+def _reference_performance(w_total, dE_S_h, dE_S_c, mode):
+    """The former `cycle.performance`: (eta, cop)."""
+    eta = w_total / dE_S_h if (mode is Mode.ENGINE and dE_S_h > SIGN_EPS) else None
+    cop = abs(dE_S_c) / abs(w_total) if abs(w_total) > SIGN_EPS else None
+    return eta, cop
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+# Exact zeros, the gate edges +-SIGN_EPS and the floats on either side of them.
+_EDGES = [0.0, -0.0] + [
+    sign * v for sign in (1.0, -1.0)
+    for v in (SIGN_EPS, math.nextafter(SIGN_EPS, 0.0), math.nextafter(SIGN_EPS, 1.0))
+]
+_values = st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+_strokes = st.builds(nm.StrokeEnergetics, _values, _values, _values)
+_states = st.builds(nm.LimitCycleState, *[_values] * 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states, _values, _values, _strokes, _strokes)
+def test_assembled_columns_have_the_bits_of_the_former_helpers(lc, omega_h, omega_c, hot, cold):
+    rep = nm.assemble_report(60.0, 10.0, lc, omega_h, omega_c, hot, cold)
+    works = _reference_works(lc, omega_h, omega_c, hot.dE_I, cold.dE_I)
+    mode = nm.classify_mode(works[4], hot.dE_S, cold.dE_S)
+    alpha_c, alpha_h = _reference_nonmarkov_index(cold.dE_I, cold.dE_B, hot.dE_I, cold.dE_S)
+    eta, cop = _reference_performance(works[4], hot.dE_S, cold.dE_S, mode)
+    got = (rep.W_adiab_h, rep.W_adiab_c, rep.W_detach_h, rep.W_detach_c, rep.W_total,
+           rep.alpha_h, rep.alpha_c, rep.eta, rep.cop)
+    want = (*works, alpha_h, alpha_c, eta, cop)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    assert rep.mode is mode
 
 
 def _eager_find_boundaries(evaluate, t_c_min, t_c_max, step, rtol):

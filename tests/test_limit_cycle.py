@@ -13,8 +13,9 @@ class TestFixedPoint:
         lc = nm.fixed_point(25.0, 25.0, grid, grid)
         assert lc.P_h == pytest.approx(lc.P_c, abs=1e-14)
         # equal frequencies: the adiabats move no energy
-        w = nm.works(lc, OMEGA_H, OMEGA_H, 0.0, 0.0)
-        assert w[0] + w[1] == pytest.approx(0.0, abs=1e-16)
+        idle = nm.StrokeEnergetics(0.0, 0.0, 0.0)
+        rep = nm.assemble_report(25.0, 25.0, lc, OMEGA_H, OMEGA_H, idle, idle)
+        assert rep.W_adiab_h + rep.W_adiab_c == pytest.approx(0.0, abs=1e-16)
 
     def test_matches_power_iteration(self, hot_grid, cold_grid):
         for t_h, t_c in ((5.0, 3.0), (60.0, 10.0), (110.0, 95.0)):
