@@ -19,7 +19,7 @@ from .cycle import (
     classify_mode,
     find_boundaries,
 )
-from .dynamics import PopulationTrace, propagate, transition_populations, transition_traces
+from .dynamics import transition_populations, transition_traces
 from .energetics import (
     MarkovStroke,
     StrokeTables,

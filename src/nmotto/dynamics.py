@@ -6,20 +6,23 @@ described by the ground-state population
     rho00(tau) = exp(A(tau)) * ( rho00(0) - C(tau) ),
     C(tau)     = int_0^tau b(s) exp(-A(s)) ds,
 
-with a, b, A tabulated on the stroke's KernelGrid.  It is affine in
-rho00(0): `transition_traces` solves the pure starts 1 and 0 in one pass,
-and any other start is their mix.  C takes the cumulative Simpson rule of
-the tables, in cache blocks (`special.CACHE_BLOCK` nodes), in place in the
-first trace.  Where |A| would overflow exp (beyond 500), the stroke is solved
-in guard segments, each with A rebased to its first node and chained through
-the segment end values; a guard segment is as long as the exp range allows,
-whatever the cache block, and is found one cache block at a time.
+with a, b, A tabulated on the stroke's KernelGrid.  The module holds one
+solve and one read.  The population is affine in rho00(0):
+`transition_traces` solves the pure starts 1 and 0 in one pass, and any
+other start is their mix (formed only by the `stroke` dump,
+`sweep.write_trace_csv`).  `_stroke_end` reads a stroke's full-grid tables
+at its end time, for `energetics.StrokeTables`.  C takes the cumulative
+Simpson rule of the tables, in cache blocks (`special.CACHE_BLOCK` nodes),
+in place in the first trace.  Where |A| would overflow exp (beyond 500),
+the stroke is solved in guard segments, each with A rebased to its first
+node and chained through the segment end values; a guard segment is as long
+as the exp range allows, whatever the cache block, and is found one cache
+block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -28,20 +31,10 @@ from .errors import GridError, PositivityError
 from .kernels import KernelGrid, bose_occupation
 from .special import cache_blocks, cumulative_simpson
 
-__all__ = ["PopulationTrace", "StrokeSource", "propagate", "transition_populations",
-           "transition_traces"]
+__all__ = ["StrokeSource", "transition_populations", "transition_traces"]
 
 _POSITIVITY_TOL = 1e-9
 _EXP_GUARD = 500.0
-
-
-@dataclass(frozen=True, eq=False)
-class PopulationTrace:
-    """Ground-state population over one stroke; rho11 is implicitly 1 - rho00."""
-
-    tau: np.ndarray
-    rho00: np.ndarray
-    value_at_t: float
 
 
 class StrokeSource(Protocol):
@@ -51,11 +44,6 @@ class StrokeSource(Protocol):
 
     def populations(self, t: float) -> tuple[float, float]: ...
     def flow(self, t: float) -> tuple[float, float]: ...
-
-
-def _node_floor(step: float, t: float, n: int) -> int:
-    k = int(math.floor(t / step + 1e-9))
-    return min(max(k, 0), n - 1)
 
 
 def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
@@ -87,8 +75,9 @@ def _stroke_end(grid: KernelGrid, t: float, first: np.ndarray,
                 second: np.ndarray) -> tuple[float, float]:
     """Two full-grid tables of the stroke read at stroke time t.
 
-    The only off-node read: linear between the bracketing nodes, the last
-    node at and past t_max (t may exceed it by rounding, see _validate_t).
+    The package's only off-node read of a stroke table: linear between the
+    bracketing nodes, the last node at and past t_max (t may exceed it by
+    rounding, see _validate_t).
     """
     pos = _validate_t(grid, t) / grid.step
     i = int(pos)
@@ -98,26 +87,6 @@ def _stroke_end(grid: KernelGrid, t: float, first: np.ndarray,
     rest = 1.0 - frac
     return (rest * first.item(i) + frac * first.item(i + 1),
             rest * second.item(i) + frac * second.item(i + 1))
-
-
-def propagate(initial_rho00: float, grid: KernelGrid, t: float) -> PopulationTrace:
-    """Propagate a diagonal state for time t on the stroke's grid.
-
-    The state is rho00(0) * from_ground + (1 - rho00(0)) * from_excited of the
-    grid's transition traces, returned at every grid node in [0, t]; off-node
-    t is linearly interpolated between the bracketing nodes.
-    """
-    if not (0.0 <= initial_rho00 <= 1.0):
-        raise ValueError("initial ground-state population must lie in [0, 1]")
-    t = _validate_t(grid, t)
-    from_ground, from_excited = transition_traces(grid)
-    k = _node_floor(grid.step, t, grid.n_points)
-    read = min(k + 1, grid.n_points - 1) + 1  # the nodes _stroke_end may read
-    mixed = initial_rho00 * from_ground[:read] + (1.0 - initial_rho00) * from_excited[:read]
-    value, _ = _stroke_end(grid, t, mixed, mixed)
-    rho = mixed[: k + 1]
-    rho.setflags(write=False)
-    return PopulationTrace(tau=grid.tau[: k + 1], rho00=rho, value_at_t=value)
 
 
 def _guard_end(big_a: np.ndarray, start: int) -> int:

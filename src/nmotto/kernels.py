@@ -81,7 +81,8 @@ def _as_nonnegative_array(x, what: str) -> np.ndarray:
 def spectral_density(omega, bath: BathSpec):
     """Ohmic spectral density lam * w * exp(-w/cutoff), for w >= 0."""
     w = _as_nonnegative_array(omega, "omega")
-    out = bath.coupling * w * np.exp(-w / bath.cutoff)
+    with np.errstate(over="ignore"):  # w / cutoff past the float range: J's limit, 0
+        out = bath.coupling * w * np.exp(-w / bath.cutoff)
     return float(out) if np.isscalar(omega) else out
 
 
@@ -179,9 +180,10 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
                         "increase step or reduce t_max")
     n = max(int(math.ceil(intervals)) + 1, 3)
 
-    # Extreme bath scales overflow the tables; that is reported once, below,
-    # and not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Extreme bath scales overflow the tables, and a tiny temperature puts the
+    # trigamma argument at its pole (its square underflows to 0); that is
+    # reported once, below or by trigamma, and not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Each rate's integrand is filled one cache block at a time into the
         # table that keeps its prefix.
         d1, a, b = np.empty(n), np.empty(n), np.empty(n)

@@ -14,6 +14,10 @@ renamed onto `<out>` once complete: a run that raises leaves `<out>` as it
 was.  The file is the run's only result (the runners return nothing), and
 the pool size is the config's `workers`.  Per-cell failures land in the CSV
 error column and the run continues.
+
+The dumps write one stroke's grid: `write_kernel_csv` its tables and
+`write_trace_csv` its population from a given start, the one place the mix
+of the two transition traces is formed.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +38,7 @@ from typing import Optional, get_type_hints
 from . import energetics, limit_cycle
 from .config import RunConfig, _time_axis, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
-from .dynamics import StrokeSource, propagate, transition_traces
+from .dynamics import StrokeSource, transition_traces
 from .errors import ConfigError, NmottoError
 from .kernels import KernelGrid, build_kernel_grid
 from .special import cache_blocks
@@ -305,9 +310,15 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
-    """Dump tau, rho00 for one stroke's TCL2 propagation."""
+    """Dump tau, rho00 for one TCL2 stroke at the grid nodes up to its
+    longest stroke time t: rho00(0) * from_ground + (1 - rho00(0)) *
+    from_excited of the grid's transition traces.  The grid ends at the
+    first node at or past t; the dump stops at the last node at or before
+    t, a node within 1e-9 steps past t included."""
     if config.dynamics != "tcl2":
         raise ConfigError(f"dynamics: the stroke dump traces tcl2 dynamics only, got {config.dynamics!r}")
     grid, t = _stroke_grid(config, bath_label)
-    trace = propagate(initial_rho00, grid, t)
-    _write_csv((path, "tau,rho00", _column_blocks(trace.tau, trace.rho00)))
+    from_ground, from_excited = transition_traces(grid)
+    k = min(int(math.floor(t / grid.step + 1e-9)), grid.n_points - 1)
+    rho00 = initial_rho00 * from_ground[:k + 1] + (1.0 - initial_rho00) * from_excited[:k + 1]
+    _write_csv((path, "tau,rho00", _column_blocks(grid.tau[:k + 1], rho00)))

@@ -68,10 +68,9 @@ def test_criterion_03_tcl2_long_time_thermalization():
         grid = nm.build_kernel_grid(bath, omega0, 9.0 / rate)
         n = nm.bose_occupation(omega0, temp)
         stationary = (1.0 + n) / (1.0 + 2.0 * n)
-        final = nm.propagate(1.0, grid, grid.t_max).value_at_t
-        assert abs(final - stationary) < 1e-3
-        # late-time relaxation rate: two traces converge as exp(-rate * t)
         from_ground, from_excited = nm.transition_traces(grid)
+        assert abs(from_ground.item(-1) - stationary) < 1e-3
+        # late-time relaxation rate: two traces converge as exp(-rate * t)
         gap = from_ground - from_excited
         i1 = int(2.0 / rate / grid.step)
         i2 = int(4.0 / rate / grid.step)

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmotto
 from nmotto.cli import main
@@ -18,6 +24,7 @@ REPO = Path(__file__).resolve().parents[1]
 SWEEP_HEADER = ("t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
                 "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
                 "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error")
+PHASE_HEADER = "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
 
 
 @pytest.fixture()
@@ -281,8 +288,7 @@ class TestReadmeCommands:
     @pytest.mark.parametrize("command, out, header", [
         ("cycle", "cycle.csv", SWEEP_HEADER),
         ("sweep", "sweep.csv", SWEEP_HEADER),
-        ("phase", "phase.csv",
-         "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"),
+        ("phase", "phase.csv", PHASE_HEADER),
         ("kernels", "kernels.csv", "tau,D1,D2,a,b,A"),
         ("stroke", "trace.csv", "tau,rho00"),
     ], ids=["cycle", "sweep", "phase", "kernels", "stroke"])
@@ -297,6 +303,19 @@ class TestReadmeCommands:
         if command == "cycle":  # the JSON report has the CSV's fields, keys sorted
             report = json.loads((tmp_path / "cycle.json").read_text())
             assert list(report) == sorted(header.split(",")[:-1])
+
+
+def _run_reference_variant(tmp_path, changes, argv):
+    """The CLI in a subprocess, which sees every line numpy would print to
+    stderr, on the reference config with `changes`: (the run, its --out path)."""
+    data = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
+    cfg, out = tmp_path / "variant.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({**data, **changes}))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-m", "nmotto.cli", argv[0], "--config", str(cfg),
+                           "--out", str(out), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done, out
 
 
 class TestErrorPaths:
@@ -382,14 +401,7 @@ class TestErrorPaths:
         # T_h / Omega_h overflows to inf in the kernel grid.  numpy warns about
         # the overflow, which the suite turns into an error, so the CLI runs in
         # a subprocess here.
-        data = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
-        data.update(T_h=1e300, Omega_h=1e-300)
-        cfg = tmp_path / "extreme.json"
-        cfg.write_text(json.dumps(data))
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        done = subprocess.run([sys.executable, "-m", "nmotto.cli", command, "--config", str(cfg),
-                               "--out", str(tmp_path / "x.csv")],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done, _ = _run_reference_variant(tmp_path, {"T_h": 1e300, "Omega_h": 1e-300}, [command])
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert json.loads(done.stderr.splitlines()[-1])["error"] == "PoleError"
@@ -401,21 +413,39 @@ class TestErrorPaths:
     ], ids=["T_h_1e200", "T_h_over_Omega_h"])
     def test_non_finite_kernel_grid_exits_1_with_one_json_line(self, tmp_path, command,
                                                                extreme, error):
-        # A subprocess sees every line numpy would print to stderr.
-        data = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
-        data.update(extreme)
-        cfg = tmp_path / "extreme.json"
-        cfg.write_text(json.dumps(data))
-        out = tmp_path / "x.csv"
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        done = subprocess.run([sys.executable, "-m", "nmotto.cli", command, "--config", str(cfg),
-                               "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done, out = _run_reference_variant(tmp_path, extreme, [command])
         assert done.returncode == 1
         lines = done.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["cycle"], ["kernels", "--bath", "cold"],
+                                      ["stroke", "--bath", "cold"], ["sweep"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("t_c", [1e-300, 1e-310, 5e-324])
+    def test_tiny_cold_temperature_exits_1_with_one_json_line(self, tmp_path, argv, t_c):
+        # T_c / Omega_c puts the trigamma argument at its pole, where its
+        # square underflows to 0: the failure is the one PoleError line, and
+        # numpy prints no divide-by-zero warning before it.
+        done, out = _run_reference_variant(tmp_path, {"T_c": t_c}, argv)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "PoleError"
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.part"))
+
+    @pytest.mark.parametrize("key", ["Omega_h", "Omega_c"])
+    def test_tiny_cutoff_under_markov_warns_nothing(self, tmp_path, capsys, key):
+        # omega / cutoff overflows in J(omega); exp(-inf) = 0 is J's limit, so
+        # the run succeeds, and no numpy warning (an error in this suite) reaches stderr
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(base_config_dict(dynamics="markov", **{key: 5e-324})))
+        out = tmp_path / "x.csv"
+        assert main(["cycle", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[0] == SWEEP_HEADER
 
     def test_huge_count_exits_2(self, tmp_path, capsys):
         # a count beyond the float range used to escape as an OverflowError
@@ -479,3 +509,84 @@ def test_import_emits_no_warning():
     done = subprocess.run([sys.executable, "-W", "error", "-c", "import nmotto"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# The CLI contract under arbitrary config values.  Every key of a config
+# that all five commands accept may be redrawn as a valid value, a boundary
+# value, an extreme finite value, a huge integer or a value of the wrong JSON
+# type.  Run time is bounded by the draws, not by skipping any outcome: a
+# stroke time (t_h, t_c, t_box.t_max) is capped at 200, so a grid has at
+# most 200 / h nodes, except 1e300 and 10**30, which exceed the node limit
+# and are refused before any table is built; counts are at most 2; workers
+# stays 1.
+EXTREME = [5e-324, 1e-310, 1e-300, 1e300, -1e300]
+HUGE_INT = [10**30, 10**400]
+WRONG_TYPE = ["1", None, True, [1.0], {}]
+HALF_RATIO = {"min": 0.5, "max": 0.5, "n": 1}
+
+
+def _number_values(*valid_or_boundary):
+    return st.sampled_from([*valid_or_boundary, *EXTREME, *HUGE_INT, *WRONG_TYPE])
+
+
+def _object_values(*valid_or_boundary):
+    return st.sampled_from([*valid_or_boundary, 1.0, *WRONG_TYPE])
+
+
+CONTRACT_CONFIG = dict(base_config_dict(t_h=10.0, t_c=5.0), workers=1, omega_ratio=HALF_RATIO,
+                       T_ratio={"min": 0.2, "max": 0.2, "n": 1}, t_box={"t_max": 10.0, "n": 2})
+CONTRACT_VALUES = {
+    "omega_h": _number_values(1.0, 2.0, 0, 0.5),  # 0.5 is omega_c
+    "omega_c": _number_values(0.5, 0.25, 0, 1.0),  # 1.0 is omega_h
+    "T_h": _number_values(1.0, 3.0, 0, 0.2),  # 0.2 is T_c
+    "T_c": _number_values(0.2, 0.01, 0, 1.0),  # 1.0 is T_h
+    "lambda_h": _number_values(0.01, 0.1, 0, -0.0),
+    "lambda_c": _number_values(0.01, 0.1, 0, -0.0),
+    "Omega_h": _number_values(0.4, 1.0, 0),
+    "Omega_c": _number_values(0.4, 1.0, 0),
+    "h": _number_values(0.05, 0.02, 0, 5.0),  # 5.0 is t_c: one step per stroke
+    "t_h": _number_values(10.0, 0.05, 0, 200.0),
+    "t_c": _number_values(5.0, 0.05, 0, 200.0),
+    "dynamics": st.sampled_from(["tcl2", "markov", "exact", 1, None]),
+    "omega_ratio": _object_values(HALF_RATIO, {"min": 0.25, "max": 0.75, "n": 2},
+                                  {"min": 1.0, "max": 1.0, "n": 1}),
+    "T_ratio": _object_values(HALF_RATIO, {"min": 0.1, "max": 0.9, "n": 2},
+                              {"min": 0.0, "max": 0.0, "n": 1}),
+    "t_box": _object_values({"t_max": 200.0, "n": 1}, {"t_max": 0.05, "n": 2},
+                            {"t_max": 10.0, "n": 0}),
+}
+CONTRACT_COMMANDS = {
+    ("cycle",): SWEEP_HEADER,
+    ("sweep",): SWEEP_HEADER,
+    ("phase",): PHASE_HEADER,
+    ("kernels", "--bath", "hot"): "tau,D1,D2,a,b,A",
+    ("kernels", "--bath", "cold"): "tau,D1,D2,a,b,A",
+    ("stroke", "--bath", "hot", "--rho00", "0.3"): "tau,rho00",
+    ("stroke", "--bath", "cold"): "tau,rho00",
+}
+changed_keys = st.lists(st.sampled_from(sorted(CONTRACT_VALUES)), max_size=3, unique=True)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(argv=st.sampled_from(sorted(CONTRACT_COMMANDS)),
+       changes=changed_keys.flatmap(
+           lambda keys: st.fixed_dictionaries({key: CONTRACT_VALUES[key] for key in keys})))
+def test_cli_contract_holds_for_any_config(argv, changes):
+    with tempfile.TemporaryDirectory() as directory:
+        cfg, out = Path(directory) / "config.json", Path(directory) / "out.csv"
+        cfg.write_text(json.dumps({**CONTRACT_CONFIG, **changes}))
+        err = io.StringIO()
+        # A numpy warning would be a second stderr line: here it is an error.
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert out.read_text().splitlines()[0] == CONTRACT_COMMANDS[argv]
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert "error" in json.loads(lines[0])
+            assert not out.exists()
+        assert not list(Path(directory).glob("*.part"))

@@ -1,5 +1,7 @@
 import math
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,63 +11,50 @@ from hypothesis import strategies as st
 import nmotto as nm
 from nmotto.errors import PositivityError
 
-from conftest import CUTOFF, LAMBDA, OMEGA_H
+from conftest import CUTOFF, LAMBDA, OMEGA_H, base_config_dict
 
 
-class TestPropagate:
-    def test_zero_time_returns_initial(self, hot_grid):
-        trace = nm.propagate(0.42, hot_grid, 0.0)
-        assert trace.rho00.shape == (1,)
-        assert trace.rho00[0] == 0.42
-        assert trace.value_at_t == 0.42
+def _dump(directory, initial, **keys):
+    """The hot `stroke` dump of the reference config, keys overridden, as (tau, rho00) arrays."""
+    path = Path(directory) / "trace.csv"
+    nm.sweep.write_trace_csv(nm.parse_config(base_config_dict(**keys)), str(path), "hot", initial)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "tau,rho00"
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return rows[:, 0], rows[:, 1]
 
-    def test_decoupled_bath_is_constant(self):
-        grid = nm.build_kernel_grid(nm.BathSpec(0.0, CUTOFF, 1.0), OMEGA_H, 30.0)
-        trace = nm.propagate(0.3, grid, 30.0)
-        assert np.array_equal(trace.rho00, np.full(grid.n_points, 0.3))
 
+class TestStrokePopulations:
     def test_long_time_thermalization(self, hot_bath):
         rate = nm.markov_rate(hot_bath, OMEGA_H)
         grid = nm.build_kernel_grid(hot_bath, OMEGA_H, 9.0 / rate)
         n = nm.bose_occupation(OMEGA_H, hot_bath.temperature)
         stationary = (1.0 + n) / (1.0 + 2.0 * n)
-        for initial in (1.0, 0.0):
-            final = nm.propagate(initial, grid, grid.t_max).value_at_t
+        for final in nm.stroke_tables(grid).populations(grid.t_max):
             assert final == pytest.approx(stationary, abs=1e-3)
 
-    def test_trace_in_unit_interval(self, hot_grid):
-        trace = nm.propagate(1.0, hot_grid, 100.0)
-        assert trace.rho00.min() >= -1e-9
-        assert trace.rho00.max() <= 1.0 + 1e-9
-
-    def test_affinity_in_initial_value(self, hot_grid):
-        mu = 0.37
-        mixed = nm.propagate(mu, hot_grid, 80.0).rho00
-        pure = mu * nm.propagate(1.0, hot_grid, 80.0).rho00 \
-            + (1.0 - mu) * nm.propagate(0.0, hot_grid, 80.0).rho00
-        assert np.max(np.abs(mixed - pure)) < 1e-10
+    def test_traces_in_unit_interval(self, hot_grid):
+        for trace in nm.transition_traces(hot_grid):
+            assert trace.min() >= -1e-9
+            assert trace.max() <= 1.0 + 1e-9
 
     def test_off_node_time_is_linear_interpolation(self, hot_grid):
         h = hot_grid.step
-        t = 10.0 * h + 0.3 * h
-        full = nm.propagate(0.8, hot_grid, 30.0)
-        expected = 0.7 * full.rho00[10] + 0.3 * full.rho00[11]
-        assert nm.propagate(0.8, hot_grid, t).value_at_t == pytest.approx(expected, abs=1e-15)
+        expected = [0.7 * trace[10] + 0.3 * trace[11] for trace in nm.transition_traces(hot_grid)]
+        assert hot_grid.populations(10.0 * h + 0.3 * h) == pytest.approx(expected, abs=1e-15)
 
-    def test_bad_inputs_rejected(self, hot_grid):
+    def test_bad_times_rejected(self, hot_grid):
         with pytest.raises(ValueError):
-            nm.propagate(1.2, hot_grid, 1.0)
+            hot_grid.populations(-1.0)
         with pytest.raises(ValueError):
-            nm.propagate(0.5, hot_grid, -1.0)
-        with pytest.raises(ValueError):
-            nm.propagate(0.5, hot_grid, hot_grid.t_max + 1.0)
+            hot_grid.populations(hot_grid.t_max + 1.0)
 
     def test_positivity_violation_raises(self):
         # a deliberately coarse grid at strong coupling breaks the quadrature
         bath = nm.BathSpec(5.0, CUTOFF, 0.1)
         grid = nm.build_kernel_grid(bath, OMEGA_H, 30.0, step=0.8)
         with pytest.raises(PositivityError) as raised:
-            nm.propagate(1.0, grid, 30.0)
+            nm.transition_traces(grid)
         error = raised.value
         # the bath's Gibbs excited population n/(1 + 2n) = 1/(e^{omega/T} + 1)
         assert error.gibbs == pytest.approx(1.0 / (math.exp(OMEGA_H / 0.1) + 1.0), rel=1e-12)
@@ -75,9 +64,9 @@ class TestPropagate:
         assert str(copy) == str(error)
 
     def test_grid_convergence_of_final_population(self, hot_bath):
-        g1 = nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.05)
-        g2 = nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.025)
-        d = abs(nm.propagate(1.0, g1, 60.0).value_at_t - nm.propagate(1.0, g2, 60.0).value_at_t)
+        g1 = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.05))
+        g2 = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.025))
+        d = abs(g1.populations(60.0)[0] - g2.populations(60.0)[0])
         assert d < 1e-7
 
     def test_markov_rate_crosscheck(self, hot_bath):
@@ -92,6 +81,64 @@ class TestPropagate:
         dev2 = from_ground[i2] - stationary
         estimated = -(math.log(abs(dev2)) - math.log(abs(dev1))) / (grid.tau[i2] - grid.tau[i1])
         assert estimated == pytest.approx(rate, rel=0.02)
+
+
+class TestStrokeDump:
+    """The `stroke` dump is the mix of the stroke's transition traces, cut at its stroke time."""
+
+    def test_short_stroke_starts_at_the_initial_value(self, tmp_path):
+        tau, rho = _dump(tmp_path, 0.42, t_h=0.05)  # one grid step
+        assert tau.tolist() == [0.0, 0.05]
+        assert rho[0] == 0.42
+
+    def test_decoupled_bath_is_constant(self, tmp_path):
+        _, rho = _dump(tmp_path, 0.3, lambda_h=0.0, t_h=30.0)
+        assert np.array_equal(rho, np.full(601, 0.3))
+
+    def test_affinity_in_initial_value(self, tmp_path):
+        mu = 0.37
+        _, mixed = _dump(tmp_path, mu, t_h=80.0)
+        pure = mu * _dump(tmp_path, 1.0, t_h=80.0)[1] + (1.0 - mu) * _dump(tmp_path, 0.0, t_h=80.0)[1]
+        assert np.max(np.abs(mixed - pure)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), x=st.floats(0.0, 1.0))
+    def test_dump_is_the_mix_of_the_traces(self, hot_grid, data, x):
+        # any stroke time from one grid step to the fixture's t_max, on a node or off it
+        t_max, step = hot_grid.t_max, hot_grid.step
+        t = data.draw(st.one_of(st.integers(1, hot_grid.n_points - 1).map(lambda k: k * step),
+                                st.floats(step, t_max)))
+        with tempfile.TemporaryDirectory() as directory:
+            tau, rho = _dump(directory, x, t_h=t)
+        k = rho.shape[0] - 1
+        assert k == min(int(math.floor(t / step + 1e-9)), hot_grid.n_points - 1)
+        assert np.array_equal(tau, hot_grid.tau[: k + 1])
+        # a grid's traces are the prefix of a longer grid's
+        mixed = x * hot_grid.from_ground + (1.0 - x) * hot_grid.from_excited
+        assert np.array_equal(rho, mixed[: k + 1])
+
+    def test_off_node_time_ends_at_the_node_before(self, tmp_path):
+        on_node = _dump(tmp_path, 0.3, t_h=60.0)
+        off_node = _dump(tmp_path, 0.3, t_h=60.013)
+        assert on_node[0].shape == (1201,)
+        for want, got in zip(on_node, off_node):
+            assert np.array_equal(want, got)
+
+    def test_rounding_past_a_node_keeps_that_node(self, tmp_path):
+        step = 0.05
+        tau, _ = _dump(tmp_path, 0.3, t_h=60.0 - 0.5e-9 * step)
+        assert tau.shape == (1201,)
+
+    @pytest.mark.parametrize("coupling", [LAMBDA, 0.0])
+    def test_pure_starts_are_the_traces(self, tmp_path, coupling):
+        grid = nm.build_kernel_grid(nm.BathSpec(coupling, CUTOFF, 1.0), OMEGA_H, 30.0)
+        traces = nm.transition_traces(grid)
+        for x, trace in zip((1.0, 0.0), traces):
+            for t in (grid.t_max, 10.0 * grid.step, 10.3 * grid.step):
+                _, rho = _dump(tmp_path, x, lambda_h=coupling, t_h=t)
+                want = trace[: rho.shape[0]]
+                assert np.array_equal(rho, want)
+                assert np.array_equal(np.signbit(rho), np.signbit(want))
 
 
 class TestTransitionPopulations:
@@ -181,15 +228,6 @@ class TestStrokeEndRead:
         assert _outcome(nm.transition_populations, hot_grid, t) \
             == _outcome(hot_grid.populations, t)
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), initial=st.sampled_from([1.0, 0.3, 0.0]))
-    def test_propagate_value_matches_linear_read(self, hot_grid, data, initial):
-        t = data.draw(_read_times(hot_grid))
-        from_ground, from_excited = nm.transition_traces(hot_grid)
-        mixed = initial * from_ground + (1.0 - initial) * from_excited
-        expected = _outcome(_linear_read, hot_grid, t, (mixed,))
-        assert _outcome(lambda: (nm.propagate(initial, hot_grid, t).value_at_t,)) == expected
-
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0, 131.0])
     def test_error_texts(self, hot_grid, t):
         text = "t must be finite and >= 0" if t != 131.0 else "t=131 exceeds grid t_max=130"
@@ -241,35 +279,38 @@ def _strong_damping_grid(t_max=14.0):
 
 
 class TestGuardedPropagation:
-    def test_matches_plain_form_on_mild_grids(self, hot_grid):
+    def test_matches_plain_form_on_mild_grids(self, hot_grid, tmp_path):
         assert np.max(np.abs(hot_grid.A)) <= 500.0
         c = nm.cumulative_simpson(hot_grid.b * np.exp(-hot_grid.A), hot_grid.step)
         growth = np.exp(hot_grid.A)
         from_ground, from_excited = nm.transition_traces(hot_grid)
         assert np.array_equal(from_ground, growth * (1.0 - c))
         assert np.array_equal(from_excited, growth * (0.0 - c))
+        _, mixed = _dump(tmp_path, 0.7, t_h=hot_grid.t_max)
         segments = _propagate_segments(hot_grid.b, hot_grid.A, hot_grid.step, 0.7)
-        mixed = nm.propagate(0.7, hot_grid, hot_grid.t_max).rho00
         assert np.max(np.abs(mixed - segments)) < 1e-12
 
     @pytest.mark.parametrize("t_max", [14.0, 14.002])
-    def test_blocks_match_segment_oracle(self, t_max):
+    def test_blocks_match_segment_oracle(self, tmp_path, t_max):
         # both parities of the node count; max|A| ~ 656 gives two blocks
-        _, grid = _strong_damping_grid(t_max)
+        bath, grid = _strong_damping_grid(t_max)
         assert np.max(np.abs(grid.A)) > 500.0
         from_ground, from_excited = nm.transition_traces(grid)
-        mixed = nm.propagate(0.3, grid, grid.t_max).rho00
+        # the same bath and grid as a config's hot stroke (omega_c stays below omega_h)
+        _, mixed = _dump(tmp_path, 0.3, omega_h=CUTOFF, omega_c=0.2, T_h=bath.temperature,
+                         lambda_h=bath.coupling, h=grid.step, t_h=t_max)
         for initial, trace in ((1.0, from_ground), (0.0, from_excited), (0.3, mixed)):
             segments = _propagate_segments(grid.b, grid.A, grid.step, initial)
-            assert np.max(np.abs(trace - segments)) <= 1e-12
+            assert np.max(np.abs(trace - segments[:trace.shape[0]])) <= 1e-12
 
     def test_engages_beyond_exponent_guard(self):
         bath, grid = _strong_damping_grid()
         assert np.max(np.abs(grid.A)) > 500.0
-        trace = nm.propagate(1.0, grid, 14.0)
-        assert np.all(np.isfinite(trace.rho00))
+        stroke = nm.stroke_tables(grid)
+        assert np.all(np.isfinite(stroke.from_ground))
         n = nm.bose_occupation(CUTOFF, bath.temperature)
-        assert trace.value_at_t == pytest.approx((1.0 + n) / (1.0 + 2.0 * n), abs=5e-3)
+        final, _ = stroke.populations(14.0)
+        assert final == pytest.approx((1.0 + n) / (1.0 + 2.0 * n), abs=5e-3)
 
     def test_overflow_within_one_pair_raises(self):
         # A drifts by more than the exp range over a single Simpson pair
@@ -277,7 +318,7 @@ class TestGuardedPropagation:
         grid = nm.build_kernel_grid(bath, CUTOFF, 20.0, 0.4)
         assert np.max(np.abs(np.diff(grid.A[::2]))) > 710.0
         with pytest.raises(nm.GridError, match=r"\(step 0\.4\); decrease h"):
-            nm.propagate(1.0, grid, 20.0)
+            nm.transition_traces(grid)
 
 
 def _count_cumulative_simpson(monkeypatch):
@@ -292,7 +333,7 @@ def _count_cumulative_simpson(monkeypatch):
 
 
 class TestOneSolve:
-    """Both transition traces come from one guarded pass; propagate mixes them."""
+    """Both transition traces come from one guarded pass."""
 
     def test_one_prefix_per_guard_segment(self, monkeypatch, hot_grid):
         calls = _count_cumulative_simpson(monkeypatch)
@@ -303,29 +344,3 @@ class TestOneSolve:
         nm.transition_traces(strong)
         assert len(calls) == 2  # two guard segments, max|A| ~ 656
         assert sum(calls) == strong.n_points + 1  # they share their boundary node
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), x=st.floats(0.0, 1.0))
-    def test_propagate_is_the_mix_of_the_traces(self, hot_grid, data, x):
-        t_max, step = hot_grid.t_max, hot_grid.step
-        t = data.draw(st.one_of(st.integers(0, hot_grid.n_points - 1).map(lambda k: k * step),
-                                st.floats(0.0, t_max)))
-        from_ground, from_excited = nm.transition_traces(hot_grid)
-        trace = nm.propagate(x, hot_grid, t)
-        k = trace.rho00.shape[0] - 1
-        assert k == min(int(math.floor(t / step + 1e-9)), hot_grid.n_points - 1)
-        assert np.array_equal(trace.tau, hot_grid.tau[: k + 1])
-        mixed = x * from_ground + (1.0 - x) * from_excited
-        assert np.array_equal(trace.rho00, mixed[: k + 1])
-        assert trace.value_at_t == _linear_read(hot_grid, t, (mixed,))[0]
-
-    @pytest.mark.parametrize("coupling", [LAMBDA, 0.0])
-    def test_pure_starts_are_the_traces(self, coupling):
-        grid = nm.build_kernel_grid(nm.BathSpec(coupling, CUTOFF, 1.0), OMEGA_H, 30.0)
-        traces = nm.transition_traces(grid)
-        for x, trace in zip((1.0, 0.0), traces):
-            for t in (grid.t_max, 10.0 * grid.step, 10.3 * grid.step):
-                rho = nm.propagate(x, grid, t).rho00
-                want = trace[: rho.shape[0]]
-                assert np.array_equal(rho, want)
-                assert np.array_equal(np.signbit(rho), np.signbit(want))
