@@ -6,7 +6,8 @@ described by the ground-state population
     rho00(tau) = exp(A(tau)) * ( rho00(0) - C(tau) ),
     C(tau)     = int_0^tau b(s) exp(-A(s)) ds,
 
-with a, b, A tabulated on the stroke's KernelGrid.  The module holds one
+with b and A (the running integral of the rate a) tabulated on the
+stroke's KernelGrid, the two tables the solve reads.  The module holds one
 solve and one read.  The population is affine in rho00(0):
 `transition_traces` solves the pure starts 1 and 0 in one pass, and any
 other start is their mix (formed only by the `stroke` dump,

@@ -18,8 +18,11 @@ transition traces with the limit-cycle weight P, and
 closes the balance exactly.  The integral is linear in P, so each stroke's
 StrokeTables carries two cumulative prefix tables and a stroke evaluation is
 O(1).  Each prefix is taken in place over its integrand, which is filled one
-cache block at a time with that block's node times and D2.  The
-explicit-integral route for dE_I survives as a cross-check.
+cache block at a time with that block's node times and D2.  A StrokeTables
+keeps the four tables a cycle reads, the two transition traces and the two
+prefixes, and none of its kernel grid's: those it derives on read by
+rebuilding the grid.  The explicit-integral route for dE_I survives as a
+cross-check; it rebuilds the grid once per call.
 
 The Markovian reference (detailed-balance rates, long-time limit) is the
 stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
@@ -28,14 +31,14 @@ stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, _check_stroke_time, _stroke_end, _validate_t, transition_traces
-from .kernels import (BathSpec, KernelGrid, bose_occupation, dissipation_kernel, node_times,
-                      spectral_density)
+from .kernels import (BathSpec, KernelGrid, bose_occupation, build_kernel_grid, dissipation_kernel,
+                      node_times, spectral_density)
 from .limit_cycle import LimitCycleState
 from .special import cache_blocks, cumulative_simpson, simpson
 
@@ -52,16 +55,45 @@ def _entry(lc: LimitCycleState, label: str) -> tuple[float, float, float]:
     raise ValueError(f"label must be 'hot' or 'cold', got {label!r}")
 
 
+def _kernel_grid(stroke) -> KernelGrid:
+    """The kernel grid of `stroke`'s inputs, built anew with its node count.
+
+    The grid is asked for a t_max midway between its last two nodes, so that
+    no rounding can add or drop a node.  Asked for its own t_max, (n_points
+    - 1) * step, it could get one node more: that product may round up past
+    the last node.
+    """
+    return build_kernel_grid(stroke.bath, stroke.omega0, (stroke.n_points - 1.5) * stroke.step,
+                             stroke.step)
+
+
+def _rebuilt(name: str) -> property:
+    return property(lambda self: getattr(_kernel_grid(self), name),
+                    doc=f"The kernel grid's {name}, rebuilt per read.")
+
+
 @dataclass(frozen=True, eq=False)
-class StrokeTables(KernelGrid):
-    """One TCL2 stroke: its grid's tables, the transition traces from |0> and
-    |1>, and the flow prefixes base and pop; every array read-only.
+class StrokeTables:
+    """One TCL2 stroke as a cycle reads it: the transition traces from |0>
+    and |1> and the flow prefixes base and pop, every array read-only.
+
+    The stroke keeps its kernel grid's inputs (bath, omega0, step, n_points;
+    t_max is the last node), not its tables: D1, a, b, A, tau and D2 are the
+    grid's, rebuilt on each read.  Only the dumps, the tests and the
+    explicit-integral oracle read them.
     """
 
+    bath: BathSpec
+    omega0: float
+    step: float
+    n_points: int
+    t_max: float
     from_ground: np.ndarray
     from_excited: np.ndarray
     base: np.ndarray
     pop: np.ndarray
+
+    D1, a, b, A, tau, D2 = map(_rebuilt, ("D1", "a", "b", "A", "tau", "D2"))
 
     def populations(self, t: float) -> tuple[float, float]:
         return _stroke_end(self, t, self.from_ground, self.from_excited)
@@ -70,42 +102,46 @@ class StrokeTables(KernelGrid):
         return _stroke_end(self, t, self.base, self.pop)
 
 
-def bath_flow_tables(grid: KernelGrid, from_ground: np.ndarray,
-                     from_excited: np.ndarray) -> StrokeTables:
-    """The stroke's tables: `grid`'s, its two traces and the cumulative prefixes
-    of the counting-statistics integrand.  base(t) collects the P-independent
-    part, pop(t) the coefficient of P; the stroke integral is base + P * pop.
+def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,
+                     from_ground: np.ndarray, from_excited: np.ndarray) -> StrokeTables:
+    """The stroke of a grid whose noise kernel D1 is `noise`: its two traces
+    and the cumulative prefixes of the counting-statistics integrand.  base(t)
+    collects the P-independent part, pop(t) the coefficient of P; the stroke
+    integral is base + P * pop.
     """
     # Each integrand is filled one cache block at a time into the table that
     # keeps its prefix.
-    n, bath, omega0 = grid.n_points, grid.bath, grid.omega0
+    n = noise.shape[0]
     base, pop = np.empty(n), np.empty(n)
     for block in cache_blocks(n):
-        d1, tau = grid.D1[block], node_times(block, grid.step)
+        d1, tau = noise[block], node_times(block, step)
         sin_w = np.sin(omega0 * tau)
         cos_w = np.cos(omega0 * tau)
         base[block] = (2.0 * from_excited[block] - 1.0) * d1 * sin_w + dissipation_kernel(tau, bath) * cos_w
         pop[block] = 2.0 * (from_ground[block] - from_excited[block]) * d1 * sin_w
-    cumulative_simpson(base, grid.step, out=base)
-    cumulative_simpson(pop, grid.step, out=pop)
+    cumulative_simpson(base, step, out=base)
+    cumulative_simpson(pop, step, out=pop)
     base.setflags(write=False)
     pop.setflags(write=False)
-    return StrokeTables(**{f.name: getattr(grid, f.name) for f in fields(KernelGrid)},
+    return StrokeTables(bath=bath, omega0=omega0, step=step, n_points=n, t_max=(n - 1) * step,
                         from_ground=from_ground, from_excited=from_excited, base=base, pop=pop)
 
 
-def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid, t: float) -> float:
+def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid | StrokeTables,
+                            t: float) -> float:
     """Explicit-integral route for dE_I; independent of the stroke tables.
 
-    Re-solves the traces from the grid, applies the limit-cycle weight
-    pointwise and integrates with the one-shot composite rule.  t is expected
-    to sit on a grid node.
+    Rebuilds the kernel grid from its inputs (one build per call),
+    re-solves the traces from it, applies the limit-cycle weight pointwise
+    and integrates with the one-shot composite rule.  t is expected to sit
+    on a grid node.
     """
     t = _validate_t(grid, t)
     p_enter, _, _ = _entry(lc, label)
     k = int(round(t / grid.step))
     if abs(k * grid.step - t) > 1e-9 * grid.step:
         raise ValueError("the explicit-integral route requires t on a grid node")
+    grid = _kernel_grid(grid)
     from_ground, from_excited = transition_traces(grid)
     tau = grid.tau[: k + 1]
     mixed = p_enter * from_ground[: k + 1] + (1.0 - p_enter) * from_excited[: k + 1]

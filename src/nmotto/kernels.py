@@ -21,11 +21,13 @@ test-suite as an oracle.
 
 The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1 and
 the two rate integrands are filled block by block, each integrand into the
-table that then takes its prefix in place, so a long grid's peak memory is
-its tables and not the temporaries of their products.  A grid keeps D1, a,
-b and A.  The node times tau and D2 are closed-form: the grid stores only
-its node count and t_max, and computes them when the dumps or the oracles
-read them.
+table that then takes its prefix in place, and A is taken in place over the
+prefix a, so a long grid's peak memory is three tables and not the
+temporaries of their products.  A grid keeps D1, b and A, the tables the
+population solve and the flow prefixes read.  a, the node times tau and D2
+are derived on read: tau and D2 from their closed forms, a with the build's
+expressions (-2*D1*cos(w0 tau) per cache block, then its prefix), so it has
+the build's bits.  Only the dumps and the oracles read them.
 """
 
 from __future__ import annotations
@@ -129,9 +131,10 @@ class KernelGrid:
     """Immutable kernel tables for one (bath, qubit-frequency) pair.
 
     The grid has n_points nodes tau[i] = i*step up to t_max.  D1 is the noise
-    kernel, a and b the time-local rates, A the running integral of a.  tau
-    and D2 are closed-form, so they are not stored: each read computes them
-    anew, one cache block at a time.  Shareable read-only across workers.
+    kernel, a and b the time-local rates, A the running integral of a.  a,
+    tau and D2 are not stored: each read computes them anew, one cache block
+    at a time, a from D1 as the build does.  Shareable read-only across
+    workers.
     """
 
     bath: BathSpec
@@ -140,30 +143,40 @@ class KernelGrid:
     n_points: int
     t_max: float
     D1: np.ndarray
-    a: np.ndarray
     b: np.ndarray
     A: np.ndarray
 
-    def _derived(self, table) -> np.ndarray:
+    def _derived(self, table, prefix: bool = False) -> np.ndarray:
+        """table(block, tau) filled one cache block at a time, then, given
+        `prefix`, its running integral in place; read-only."""
         out = np.empty(self.n_points)
         for block in cache_blocks(self.n_points):
-            out[block] = table(node_times(block, self.step))
+            out[block] = table(block, node_times(block, self.step))
+        if prefix:
+            cumulative_simpson(out, self.step, out=out)
         out.setflags(write=False)
         return out
 
     @property
     def tau(self) -> np.ndarray:
-        return self._derived(lambda t: t)
+        return self._derived(lambda block, t: t)
 
     @property
     def D2(self) -> np.ndarray:
-        return self._derived(lambda t: dissipation_kernel(t, self.bath))
+        return self._derived(lambda block, t: dissipation_kernel(t, self.bath))
+
+    @property
+    def a(self) -> np.ndarray:
+        # The build's integrand, block for block, so the prefix has its bits.
+        return self._derived(lambda block, t: -2.0 * self.D1[block] * np.cos(self.omega0 * t),
+                             prefix=True)
 
 
 def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float | None = None) -> KernelGrid:
-    """Precompute D1, a, b and A on a uniform grid covering [0, t_max]."""
+    """Precompute D1, b and A on a uniform grid covering [0, t_max]."""
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise GridError("omega0 must be finite and > 0")
+    omega0 = float(omega0)
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise GridError("t_max must be finite and > 0")
     if step is None:
@@ -185,24 +198,24 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
     # reported once, below or by trigamma, and not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Each rate's integrand is filled one cache block at a time into the
-        # table that keeps its prefix.
-        d1, a, b = np.empty(n), np.empty(n), np.empty(n)
+        # table that keeps its prefix; A then replaces the prefix a.
+        d1, big_a, b = np.empty(n), np.empty(n), np.empty(n)
         for block in cache_blocks(n):
             t = node_times(block, step)
             d1[block] = noise_kernel(t, bath)
             d2 = dissipation_kernel(t, bath)
             cos_w = np.cos(omega0 * t)
             sin_w = np.sin(omega0 * t)
-            a[block] = -2.0 * d1[block] * cos_w
+            big_a[block] = -2.0 * d1[block] * cos_w
             b[block] = -(d1[block] * cos_w + d2 * sin_w)
-        cumulative_simpson(a, step, out=a)
+        cumulative_simpson(big_a, step, out=big_a)
         cumulative_simpson(b, step, out=b)
-        big_a = cumulative_simpson(a, step)
+        cumulative_simpson(big_a, step, out=big_a)
     # Any non-finite D1 or D2 value spreads into b, and D1's into A too.
     if not (np.isfinite(b).all() and np.isfinite(big_a).all()):
         raise GridError("kernel tables are not finite; the bath scales overflow float64")
 
-    for arr in (d1, a, b, big_a):
+    for arr in (d1, b, big_a):
         arr.setflags(write=False)
-    return KernelGrid(bath=bath, omega0=float(omega0), step=float(step), n_points=n,
-                      t_max=(n - 1) * float(step), D1=d1, a=a, b=b, A=big_a)
+    return KernelGrid(bath=bath, omega0=omega0, step=float(step), n_points=n,
+                      t_max=(n - 1) * float(step), D1=d1, b=b, A=big_a)

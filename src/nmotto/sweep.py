@@ -1,9 +1,11 @@
 """Batch runners: single cycles, (t_h, t_c) sweeps, ratio phase diagrams.
 
 The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
-pair is built per sweep, each with its stroke's traces and flow prefixes
-(`stroke_tables`), and shared read-only by every cell; a cell evaluation is
-O(1), under TCL2 and Markov dynamics alike.  Every batch is one lazy ordered
+pair of strokes is built per sweep (`stroke_tables`: a grid, its traces and
+its flow prefixes) and shared read-only by every cell; a cell evaluation is
+O(1), under TCL2 and Markov dynamics alike.  A stroke lets each grid table
+go as soon as nothing more is taken from it: b and A once the traces are
+solved, D1 once the flow prefixes are taken.  Every batch is one lazy ordered
 map (`_map`): a sweep maps over its t_h values, each to one block of CSV
 text holding that row's t_c cells, and a phase diagram over its (omega
 ratio, T ratio) cells, each to its CSV line.  The map runs serially or
@@ -40,7 +42,7 @@ from .config import RunConfig, _time_axis, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import StrokeSource, transition_traces
 from .errors import ConfigError, NmottoError
-from .kernels import KernelGrid, build_kernel_grid
+from .kernels import BathSpec, KernelGrid, build_kernel_grid
 from .special import cache_blocks
 
 __all__ = [
@@ -89,9 +91,21 @@ class CycleContext:
     cold_grid: StrokeSource
 
 
-def stroke_tables(grid: KernelGrid) -> energetics.StrokeTables:
-    """One TCL2 stroke's tables: the grid's, its transition traces (solved once) and flow prefixes."""
-    return energetics.bath_flow_tables(grid, *transition_traces(grid))
+def stroke_tables(bath: BathSpec, omega0: float, t_max: float,
+                  step: Optional[float] = None) -> energetics.StrokeTables:
+    """One TCL2 stroke on the kernel grid of these inputs (`build_kernel_grid`'s):
+    its transition traces, solved once, and its flow prefixes.
+
+    The stroke holds the only reference to the grid, and drops it once the
+    traces are solved: b and A go before the flow prefixes are allocated,
+    and D1 once they are taken.  The stroke peaks at five tables and keeps
+    four.
+    """
+    grid = build_kernel_grid(bath, omega0, t_max, step)
+    traces = transition_traces(grid)
+    bath, omega0, step, d1 = grid.bath, grid.omega0, grid.step, grid.D1
+    del grid
+    return energetics.bath_flow_tables(bath, omega0, step, d1, *traces)
 
 
 def build_context(config: RunConfig, t_max_h: float, t_max_c: float) -> CycleContext:
@@ -101,9 +115,8 @@ def build_context(config: RunConfig, t_max_h: float, t_max_c: float) -> CycleCon
         hot_stroke = energetics.MarkovStroke(hot, omega_h)
         cold_stroke = energetics.MarkovStroke(cold, omega_c)
     else:
-        hot_grid = build_kernel_grid(hot, omega_h, t_max_h, config.h)
-        cold_grid = build_kernel_grid(cold, omega_c, t_max_c, config.h)
-        hot_stroke, cold_stroke = stroke_tables(hot_grid), stroke_tables(cold_grid)
+        hot_stroke = stroke_tables(hot, omega_h, t_max_h, config.h)
+        cold_stroke = stroke_tables(cold, omega_c, t_max_c, config.h)
     return CycleContext(omega_h=omega_h, omega_c=omega_c, hot_grid=hot_stroke, cold_grid=cold_stroke)
 
 

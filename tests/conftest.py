@@ -29,12 +29,12 @@ def cold_bath():
 
 @pytest.fixture(scope="session")
 def hot_grid(hot_bath):
-    return nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0))
+    return nm.stroke_tables(hot_bath, OMEGA_H, 130.0)
 
 
 @pytest.fixture(scope="session")
 def cold_grid(cold_bath):
-    return nm.stroke_tables(nm.build_kernel_grid(cold_bath, OMEGA_C, 130.0))
+    return nm.stroke_tables(cold_bath, OMEGA_C, 130.0)
 
 
 @pytest.fixture(scope="session")

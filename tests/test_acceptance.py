@@ -95,8 +95,8 @@ def test_criterion_04_limit_cycle_oracle(hot_grid, cold_grid):
 
 def test_criterion_05_energy_conservation(hot_bath, cold_bath):
     start = time.perf_counter()
-    gh = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0, 0.025))
-    gc = nm.stroke_tables(nm.build_kernel_grid(cold_bath, OMEGA_C, 40.0, 0.025))
+    gh = nm.stroke_tables(hot_bath, OMEGA_H, 40.0, 0.025)
+    gc = nm.stroke_tables(cold_bath, OMEGA_C, 40.0, 0.025)
     rng = np.random.default_rng(55)
     for _ in range(20):
         t_h = gh.step * int(rng.integers(40, gh.n_points - 1))

@@ -19,7 +19,8 @@ from nmotto import special, sweep
 from conftest import base_config_dict
 
 REPO = Path(__file__).resolve().parents[1]
-TABLES = ("tau", "D1", "D2", "a", "b", "A", "from_ground", "from_excited", "base", "pop")
+GRID_TABLES = ("tau", "D1", "D2", "a", "b", "A")
+TABLES = (*GRID_TABLES, "from_ground", "from_excited", "base", "pop")
 BLOCKS = (2, 4, 6)
 
 
@@ -30,7 +31,7 @@ def _assert_same_bits(got, want):
 
 
 def _stroke(bath, t_max):
-    return sweep.stroke_tables(nm.build_kernel_grid(bath, 1.0, t_max, 0.05))
+    return sweep.stroke_tables(bath, 1.0, t_max, 0.05)
 
 
 @pytest.mark.parametrize("coupling", [0.01, 0.0])
@@ -109,16 +110,46 @@ def test_derived_tables_have_the_bits_of_their_closed_forms(monkeypatch, block, 
     assert grid.n_points == 42
     _assert_same_bits(grid.tau, tau)
     _assert_same_bits(grid.D2, nm.dissipation_kernel(tau, bath))
+    # a is the prefix of the build's integrand, and A the prefix of a.
+    _assert_same_bits(grid.a, nm.cumulative_simpson(-2.0 * grid.D1 * np.cos(1.0 * tau), 0.05))
+    _assert_same_bits(grid.A, nm.cumulative_simpson(grid.a, 0.05))
     assert grid.t_max == tau[-1]
-    for table in (grid.tau, grid.D2):
+    for table in (grid.tau, grid.D2, grid.a):
         assert not table.flags.writeable
+
+
+def _assert_stroke_derives_its_grid(stroke, grid):
+    assert (stroke.n_points, stroke.t_max, stroke.step) == (grid.n_points, grid.t_max, grid.step)
+    for name in GRID_TABLES:
+        table = getattr(stroke, name)
+        _assert_same_bits(table, getattr(grid, name))
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
+@pytest.mark.parametrize("coupling", [0.01, 0.0])
+def test_a_stroke_derives_the_tables_of_its_grid(monkeypatch, block, coupling):
+    bath = nm.BathSpec(coupling, 0.4, 1.0)
+    monkeypatch.setattr(special, "CACHE_BLOCK", block)
+    _assert_stroke_derives_its_grid(_stroke(bath, 2.05), nm.build_kernel_grid(bath, 1.0, 2.05, 0.05))
+
+
+def test_a_stroke_rebuilds_its_grid_with_its_node_count():
+    # (n - 1) * step rounds past the requested t_max here, and a grid asked
+    # for that t_max would have one node more.
+    bath = nm.BathSpec(0.01, 0.4, 1.0)
+    grid = nm.build_kernel_grid(bath, 1.0, 1228.8, 0.05)
+    assert (grid.n_points, grid.t_max) == (24577, 1228.8000000000002)
+    assert nm.build_kernel_grid(bath, 1.0, grid.t_max, 0.05).n_points == 24578
+    _assert_stroke_derives_its_grid(_stroke(bath, 1228.8), grid)
 
 
 def test_a_pickled_stroke_carries_no_derived_table():
     config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
-    stroke = sweep.stroke_tables(nm.build_kernel_grid(*config.stroke("hot"), config.t_h, config.h))
-    # Eight tables: D1, a, b, A, the two traces, base and pop.
-    assert len(pickle.dumps(stroke)) <= 8.5 * 8 * stroke.n_points
+    stroke = sweep.stroke_tables(*config.stroke("hot"), config.t_h, config.h)
+    # Four tables, the two traces, base and pop: 4.00 table sizes measured.
+    # A stroke that kept D1, a, b and A too measured 8.00.
+    assert len(pickle.dumps(stroke)) <= 4.5 * 8 * stroke.n_points
 
 
 def test_cache_blocks_cover_the_grid_in_order(monkeypatch):
@@ -128,9 +159,11 @@ def test_cache_blocks_cover_the_grid_in_order(monkeypatch):
 
 
 def test_the_transition_traces_peak_near_their_two_tables():
-    # One guarded pass holds the two traces, the segment's exponential (reused
-    # for the growth) and its prefix C: ~4.3 table sizes on this grid.  A pass
-    # that broadcast a (2, segment) temporary for the pair peaked at ~6.6.
+    # One guarded pass holds the two traces, and each segment's exponential,
+    # b-product and prefix C in the first trace's slice, with only cache-block
+    # temporaries beside them: 2.41 table sizes measured on this grid.  A pass
+    # that kept its exponential and C in tables of their own peaked at ~4.3,
+    # and one that broadcast a (2, segment) temporary for the pair at ~6.6.
     config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
     grid = nm.build_kernel_grid(*config.stroke("hot"), config.t_h, config.h)
     tracemalloc.start()
@@ -141,14 +174,16 @@ def test_the_transition_traces_peak_near_their_two_tables():
         tracemalloc.stop()
     n = grid.n_points
     assert n >= 4 * special.CACHE_BLOCK
-    assert peak <= 4.6 * 8 * n
+    assert peak <= 2.6 * 8 * n
 
 
 def test_a_long_stroke_peaks_at_the_tables_it_keeps():
-    # The two strokes keep eight tables each, and every integrand is filled
-    # into the table that keeps its prefix: ~8.8 hot table sizes on this
-    # grid.  A build that filled its integrands into tables of their own and
-    # stored tau and D2 peaked at ~11.4.
+    # A stroke peaks at five tables (D1, b, A and the two traces) and keeps
+    # four (the two traces, base and pop): b and A go once the traces are
+    # solved, D1 once the flow prefixes are taken.  5.82 hot table sizes
+    # measured on this grid.  Strokes that kept their grid's D1, a, b and A
+    # peaked at 8.83, and a build that also filled its integrands into tables
+    # of their own and stored tau and D2 at ~11.4.
     config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
     tracemalloc.start()
     try:
@@ -158,4 +193,4 @@ def test_a_long_stroke_peaks_at_the_tables_it_keeps():
         tracemalloc.stop()
     n = ctx.hot_grid.n_points
     assert n >= 4 * special.CACHE_BLOCK
-    assert peak <= 10 * 8 * n
+    assert peak <= 6.2 * 8 * n

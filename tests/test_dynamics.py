@@ -27,10 +27,10 @@ def _dump(directory, initial, **keys):
 class TestStrokePopulations:
     def test_long_time_thermalization(self, hot_bath):
         rate = nm.markov_rate(hot_bath, OMEGA_H)
-        grid = nm.build_kernel_grid(hot_bath, OMEGA_H, 9.0 / rate)
+        stroke = nm.stroke_tables(hot_bath, OMEGA_H, 9.0 / rate)
         n = nm.bose_occupation(OMEGA_H, hot_bath.temperature)
         stationary = (1.0 + n) / (1.0 + 2.0 * n)
-        for final in nm.stroke_tables(grid).populations(grid.t_max):
+        for final in stroke.populations(stroke.t_max):
             assert final == pytest.approx(stationary, abs=1e-3)
 
     def test_traces_in_unit_interval(self, hot_grid):
@@ -64,8 +64,8 @@ class TestStrokePopulations:
         assert str(copy) == str(error)
 
     def test_grid_convergence_of_final_population(self, hot_bath):
-        g1 = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.05))
-        g2 = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 60.0, 0.025))
+        g1 = nm.stroke_tables(hot_bath, OMEGA_H, 60.0, 0.05)
+        g2 = nm.stroke_tables(hot_bath, OMEGA_H, 60.0, 0.025)
         d = abs(g1.populations(60.0)[0] - g2.populations(60.0)[0])
         assert d < 1e-7
 
@@ -168,7 +168,7 @@ class TestTransitionPopulations:
             nm.transition_populations(hot_grid, hot_grid.t_max + 2e-9 * hot_grid.step)
 
     def test_stroke_tables_are_read_only(self, hot_bath):
-        stroke = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 20.0))
+        stroke = nm.stroke_tables(hot_bath, OMEGA_H, 20.0)
         for name in ("tau", "D1", "D2", "a", "b", "A", "from_ground", "from_excited", "base", "pop"):
             table = getattr(stroke, name)
             assert table.shape == (stroke.n_points,)
@@ -306,7 +306,7 @@ class TestGuardedPropagation:
     def test_engages_beyond_exponent_guard(self):
         bath, grid = _strong_damping_grid()
         assert np.max(np.abs(grid.A)) > 500.0
-        stroke = nm.stroke_tables(grid)
+        stroke = nm.stroke_tables(bath, CUTOFF, 14.0, 0.002)
         assert np.all(np.isfinite(stroke.from_ground))
         n = nm.bose_occupation(CUTOFF, bath.temperature)
         final, _ = stroke.populations(14.0)

@@ -39,8 +39,8 @@ class TestQubitEnergyChange:
 
 class TestBathEnergyChange:
     def test_decoupled_bath_moves_nothing(self):
-        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec(0.0, CUTOFF, T_H), OMEGA_H, 10.0))
-        cold = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec(LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0))
+        grid = nm.stroke_tables(nm.BathSpec(0.0, CUTOFF, T_H), OMEGA_H, 10.0)
+        cold = nm.stroke_tables(nm.BathSpec(LAMBDA, CUTOFF, T_C), OMEGA_C, 10.0)
         lc = nm.fixed_point(5.0, 5.0, grid, cold)
         s = nm.stroke_energetics(lc, "hot", grid, 5.0)
         assert s.dE_B == pytest.approx(-s.dE_S, abs=1e-18)
@@ -97,8 +97,8 @@ class TestConservation:
                 assert abs(s.dE_I - explicit) < 1e-9
 
     def test_independent_route_tight_on_fine_grids(self, hot_bath, cold_bath):
-        gh = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0, 0.025))
-        gc = nm.stroke_tables(nm.build_kernel_grid(cold_bath, OMEGA_C, 40.0, 0.025))
+        gh = nm.stroke_tables(hot_bath, OMEGA_H, 40.0, 0.025)
+        gc = nm.stroke_tables(cold_bath, OMEGA_C, 40.0, 0.025)
         rng = np.random.default_rng(17)
         for _ in range(10):
             t_h = gh.step * int(rng.integers(40, gh.n_points - 1))
@@ -107,6 +107,31 @@ class TestConservation:
             for label, grid, t in (("hot", gh, t_h), ("cold", gc, t_c)):
                 s = nm.stroke_energetics(lc, label, grid, t)
                 assert abs(s.dE_I - nm.eq_interaction_integral(lc, label, grid, t)) < 1e-10
+
+    def test_independent_route_reads_a_stroke_as_its_grid(self, monkeypatch, hot_bath, hot_grid, cold_grid):
+        # A stroke keeps none of its grid's tables: the route rebuilds the grid
+        # once per call, and gives the float it gives on that grid itself.
+        grid = nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0)
+        assert grid.n_points == hot_grid.n_points
+        builds, build = [], nm.energetics.build_kernel_grid
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(nm.energetics, "build_kernel_grid", counted)
+        lc = nm.fixed_point(60.0, 60.0, hot_grid, cold_grid)
+        step = grid.step
+        for k in (1, 40, 1201, grid.n_points - 1):
+            node = k * step
+            for t in (node, math.nextafter(node, 0.0), math.nextafter(node, math.inf),
+                      node + 0.5e-9 * step):
+                values = []
+                for source in (hot_grid, grid):
+                    builds.clear()
+                    values.append(nm.eq_interaction_integral(lc, "hot", source, t))
+                    assert len(builds) == 1
+                assert values[0].hex() == values[1].hex()
 
     def test_interaction_energy_negative_on_reproduction_line(self, reference_context):
         for t_c in np.linspace(0.5, 120.0, 40):
@@ -122,8 +147,8 @@ class TestConservation:
         rate_h = nm.markov_rate(hot, OMEGA_H)
         rate_c = nm.markov_rate(cold, OMEGA_C)
         t_h, t_c = 50.0 / rate_h, 50.0 / rate_c
-        gh = nm.stroke_tables(nm.build_kernel_grid(hot, OMEGA_H, t_h))
-        gc = nm.stroke_tables(nm.build_kernel_grid(cold, OMEGA_C, t_c))
+        gh = nm.stroke_tables(hot, OMEGA_H, t_h)
+        gc = nm.stroke_tables(cold, OMEGA_C, t_c)
         lc = nm.fixed_point(t_h, t_c, gh, gc)
         markov = evaluate_cycle(markov_context_of(lambda_h=lam, lambda_c=lam), t_h, t_c)
         des_h = nm.stroke_energetics(lc, "hot", gh, t_h).dE_S

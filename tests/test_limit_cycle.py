@@ -9,7 +9,7 @@ from conftest import CUTOFF, LAMBDA, OMEGA_H, T_H
 
 class TestFixedPoint:
     def test_identical_strokes_give_symmetric_cycle(self, hot_bath):
-        grid = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, 40.0))
+        grid = nm.stroke_tables(hot_bath, OMEGA_H, 40.0)
         lc = nm.fixed_point(25.0, 25.0, grid, grid)
         assert lc.P_h == pytest.approx(lc.P_c, abs=1e-14)
         # equal frequencies: the adiabats move no energy
@@ -27,8 +27,8 @@ class TestFixedPoint:
         rate_h = nm.markov_rate(hot_bath, OMEGA_H)
         rate_c = nm.markov_rate(cold_bath, 0.5)
         t_h, t_c = 9.0 / rate_h, 9.0 / rate_c
-        gh = nm.stroke_tables(nm.build_kernel_grid(hot_bath, OMEGA_H, t_h))
-        gc = nm.stroke_tables(nm.build_kernel_grid(cold_bath, 0.5, t_c))
+        gh = nm.stroke_tables(hot_bath, OMEGA_H, t_h)
+        gc = nm.stroke_tables(cold_bath, 0.5, t_c)
         lc = nm.fixed_point(t_h, t_c, gh, gc)
         n_h = nm.bose_occupation(OMEGA_H, hot_bath.temperature)
         n_c = nm.bose_occupation(0.5, cold_bath.temperature)
@@ -62,7 +62,7 @@ class TestFixedPoint:
 
     def test_singular_map_raises(self):
         # decoupled baths leave the populations untouched: p0 = 1
-        grid = nm.stroke_tables(nm.build_kernel_grid(nm.BathSpec(0.0, CUTOFF, T_H), OMEGA_H, 10.0))
+        grid = nm.stroke_tables(nm.BathSpec(0.0, CUTOFF, T_H), OMEGA_H, 10.0)
         with pytest.raises(SingularMapError):
             nm.fixed_point(5.0, 5.0, grid, grid)
 

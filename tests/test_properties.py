@@ -21,7 +21,7 @@ stroke_times = st.floats(1e-3, 1e4)
 
 def _strokes(coupling, cutoff, temperature, omega, step=STEP):
     bath = nm.BathSpec(coupling, cutoff, temperature)
-    return nm.stroke_tables(nm.build_kernel_grid(bath, omega, NODES * STEP, step))
+    return nm.stroke_tables(bath, omega, NODES * STEP, step)
 
 
 def _strokes_or_model_limit(*bath):
