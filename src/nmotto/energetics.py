@@ -19,10 +19,11 @@ closes the balance exactly.  The integral is linear in P, so each stroke's
 StrokeTables carries two cumulative prefix tables and a stroke evaluation is
 O(1).  Each prefix is taken in place over its integrand, which is filled one
 cache block at a time with that block's node times and D2.  A StrokeTables
-keeps the four tables a cycle reads, the two transition traces and the two
-prefixes, and none of its kernel grid's: those it derives on read by
-rebuilding the grid.  The explicit-integral route for dE_I survives as a
-cross-check; it rebuilds the grid once per call.
+is the four tables a cycle reads, the two transition traces and the two
+prefixes, and its kernel grid's inputs, none of the grid's tables.  The
+explicit-integral route for dE_I survives as a cross-check; it rebuilds the
+grid from those inputs once per call and forms tau and D2 at the nodes it
+integrates.
 
 The Markovian reference (detailed-balance rates, long-time limit) is the
 stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
@@ -67,20 +68,15 @@ def _kernel_grid(stroke) -> KernelGrid:
                              stroke.step)
 
 
-def _rebuilt(name: str) -> property:
-    return property(lambda self: getattr(_kernel_grid(self), name),
-                    doc=f"The kernel grid's {name}, rebuilt per read.")
-
-
 @dataclass(frozen=True, eq=False)
 class StrokeTables:
     """One TCL2 stroke as a cycle reads it: the transition traces from |0>
     and |1> and the flow prefixes base and pop, every array read-only.
 
     The stroke keeps its kernel grid's inputs (bath, omega0, step, n_points;
-    t_max is the last node), not its tables: D1, a, b, A, tau and D2 are the
-    grid's, rebuilt on each read.  Only the dumps, the tests and the
-    explicit-integral oracle read them.
+    t_max is the last node), not its tables: the grid is dropped once the
+    traces and prefixes are taken, and only the explicit-integral oracle
+    rebuilds it.
     """
 
     bath: BathSpec
@@ -92,8 +88,6 @@ class StrokeTables:
     from_excited: np.ndarray
     base: np.ndarray
     pop: np.ndarray
-
-    D1, a, b, A, tau, D2 = map(_rebuilt, ("D1", "a", "b", "A", "tau", "D2"))
 
     def populations(self, t: float) -> tuple[float, float]:
         return _stroke_end(self, t, self.from_ground, self.from_excited)
@@ -132,9 +126,9 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid | 
     """Explicit-integral route for dE_I; independent of the stroke tables.
 
     Rebuilds the kernel grid from its inputs (one build per call),
-    re-solves the traces from it, applies the limit-cycle weight pointwise
-    and integrates with the one-shot composite rule.  t is expected to sit
-    on a grid node.
+    re-solves the traces from it, forms tau and D2 at its first k + 1 nodes,
+    applies the limit-cycle weight pointwise and integrates with the one-shot
+    composite rule.  t is expected to sit on the grid node k.
     """
     t = _validate_t(grid, t)
     p_enter, _, _ = _entry(lc, label)
@@ -143,10 +137,10 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid | 
         raise ValueError("the explicit-integral route requires t on a grid node")
     grid = _kernel_grid(grid)
     from_ground, from_excited = transition_traces(grid)
-    tau = grid.tau[: k + 1]
+    tau = node_times(slice(0, k + 1), grid.step)
     mixed = p_enter * from_ground[: k + 1] + (1.0 - p_enter) * from_excited[: k + 1]
     integrand = (2.0 * mixed - 1.0) * grid.D1[: k + 1] * np.sin(grid.omega0 * tau) \
-        + grid.D2[: k + 1] * np.cos(grid.omega0 * tau)
+        + dissipation_kernel(tau, grid.bath) * np.cos(grid.omega0 * tau)
     return -float(simpson(integrand, grid.step))
 
 

@@ -23,11 +23,10 @@ The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1 and
 the two rate integrands are filled block by block, each integrand into the
 table that then takes its prefix in place, and A is taken in place over the
 prefix a, so a long grid's peak memory is three tables and not the
-temporaries of their products.  A grid keeps D1, b and A, the tables the
-population solve and the flow prefixes read.  a, the node times tau and D2
-are derived on read: tau and D2 from their closed forms, a with the build's
-expressions (-2*D1*cos(w0 tau) per cache block, then its prefix), so it has
-the build's bits.  Only the dumps and the oracles read them.
+temporaries of their products.  A grid is its D1, b and A, the tables the
+population solve and the flow prefixes read.  The node times tau, D2 and a
+are not kept: the dumps and the explicit-integral oracle form what they read
+of them, from `node_times`.
 """
 
 from __future__ import annotations
@@ -131,10 +130,8 @@ class KernelGrid:
     """Immutable kernel tables for one (bath, qubit-frequency) pair.
 
     The grid has n_points nodes tau[i] = i*step up to t_max.  D1 is the noise
-    kernel, a and b the time-local rates, A the running integral of a.  a,
-    tau and D2 are not stored: each read computes them anew, one cache block
-    at a time, a from D1 as the build does.  Shareable read-only across
-    workers.
+    kernel, b the time-local rate and A the running integral of the rate a.
+    Shareable read-only across workers.
     """
 
     bath: BathSpec
@@ -145,31 +142,6 @@ class KernelGrid:
     D1: np.ndarray
     b: np.ndarray
     A: np.ndarray
-
-    def _derived(self, table, prefix: bool = False) -> np.ndarray:
-        """table(block, tau) filled one cache block at a time, then, given
-        `prefix`, its running integral in place; read-only."""
-        out = np.empty(self.n_points)
-        for block in cache_blocks(self.n_points):
-            out[block] = table(block, node_times(block, self.step))
-        if prefix:
-            cumulative_simpson(out, self.step, out=out)
-        out.setflags(write=False)
-        return out
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self._derived(lambda block, t: t)
-
-    @property
-    def D2(self) -> np.ndarray:
-        return self._derived(lambda block, t: dissipation_kernel(t, self.bath))
-
-    @property
-    def a(self) -> np.ndarray:
-        # The build's integrand, block for block, so the prefix has its bits.
-        return self._derived(lambda block, t: -2.0 * self.D1[block] * np.cos(self.omega0 * t),
-                             prefix=True)
 
 
 def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float | None = None) -> KernelGrid:

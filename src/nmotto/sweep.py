@@ -19,7 +19,10 @@ error column and the run continues.
 
 The dumps write one stroke's grid: `write_kernel_csv` its tables and
 `write_trace_csv` its population from a given start, the one place the mix
-of the two transition traces is formed.
+of the two transition traces is formed.  A dump forms its node times, and
+whatever else the grid does not keep (D2, the mix), one cache block of rows
+at a time as it writes them; the rate a, whose prefix needs the whole
+integrand, is its one extra table.
 """
 
 from __future__ import annotations
@@ -37,13 +40,15 @@ from functools import partial
 from itertools import product
 from typing import Optional, get_type_hints
 
+import numpy as np
+
 from . import energetics, limit_cycle
 from .config import RunConfig, _time_axis, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import StrokeSource, transition_traces
 from .errors import ConfigError, NmottoError
-from .kernels import BathSpec, KernelGrid, build_kernel_grid
-from .special import cache_blocks
+from .kernels import BathSpec, KernelGrid, build_kernel_grid, dissipation_kernel, node_times
+from .special import cache_blocks, cumulative_simpson
 
 __all__ = [
     "CSV_HEADER",
@@ -253,12 +258,15 @@ def _write_csv(*files) -> None:
         raise
 
 
-def _column_blocks(*columns):
-    """Equal-length float arrays as CSV text, one cache block of rows at a time, not whole tables."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    for block in cache_blocks(len(columns[0])):
-        rows = zip(*(c[block].tolist() for c in columns))
-        yield "".join([line % row for row in rows])
+def _column_blocks(n: int, step: float, columns):
+    """The first n grid nodes as CSV text, one cache block of rows at a time:
+    each row is the node time tau, then the columns that `columns(block,
+    tau)` returns for the block's nodes."""
+    for block in cache_blocks(n):
+        tau = node_times(block, step)
+        values = (tau, *columns(block, tau))
+        line = ",".join(["%.17g"] * len(values)) + "\n"
+        yield "".join([line % row for row in zip(*(v.tolist() for v in values))])
 
 
 def run_sweep(config: RunConfig, out_path: str) -> None:
@@ -318,8 +326,14 @@ def _stroke_grid(config: RunConfig, bath_label: str) -> tuple[KernelGrid, float]
 def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
     grid, _ = _stroke_grid(config, bath_label)
-    _write_csv((path, "tau,D1,D2,a,b,A",
-                _column_blocks(grid.tau, grid.D1, grid.D2, grid.a, grid.b, grid.A)))
+    # The build's integrand of a, cache block by cache block, and its prefix
+    # in place: the table the build took A from, bit for bit.
+    a = np.empty(grid.n_points)
+    for block in cache_blocks(grid.n_points):
+        a[block] = -2.0 * grid.D1[block] * np.cos(grid.omega0 * node_times(block, grid.step))
+    cumulative_simpson(a, grid.step, out=a)
+    _write_csv((path, "tau,D1,D2,a,b,A", _column_blocks(grid.n_points, grid.step, lambda block, tau: (
+        grid.D1[block], dissipation_kernel(tau, grid.bath), a[block], grid.b[block], grid.A[block]))))
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
@@ -332,6 +346,8 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
         raise ConfigError(f"dynamics: the stroke dump traces tcl2 dynamics only, got {config.dynamics!r}")
     grid, t = _stroke_grid(config, bath_label)
     from_ground, from_excited = transition_traces(grid)
-    k = min(int(math.floor(t / grid.step + 1e-9)), grid.n_points - 1)
-    rho00 = initial_rho00 * from_ground[:k + 1] + (1.0 - initial_rho00) * from_excited[:k + 1]
-    _write_csv((path, "tau,rho00", _column_blocks(grid.tau[:k + 1], rho00)))
+    step, n = grid.step, grid.n_points
+    del grid  # the traces are all the dump reads: D1, b and A go before the text is formed
+    k = min(int(math.floor(t / step + 1e-9)), n - 1)
+    _write_csv((path, "tau,rho00", _column_blocks(k + 1, step, lambda block, tau: (
+        initial_rho00 * from_ground[block] + (1.0 - initial_rho00) * from_excited[block],))))

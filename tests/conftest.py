@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,24 @@ def hot_grid(hot_bath):
 @pytest.fixture(scope="session")
 def cold_grid(cold_bath):
     return nm.stroke_tables(cold_bath, OMEGA_C, 130.0)
+
+
+@pytest.fixture(scope="session")
+def hot_kernels(hot_bath):
+    """The kernel grid of the `hot_grid` stroke's inputs: the stroke keeps none of its tables."""
+    return nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0)
+
+
+def kernel_dump(**keys):
+    """The hot `kernels` dump of the reference config, keys overridden, as
+    {column name: array}.  The dump is the only producer of the rate a, and
+    its "%.17g" text parses back to the same floats, signs of zeros included."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "kernels.csv"
+        nm.sweep.write_kernel_csv(nm.parse_config(base_config_dict(**keys)), str(path), "hot")
+        lines = path.read_text().splitlines()
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return dict(zip(lines[0].split(","), rows.T))
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,11 @@ import pytest
 import nmotto as nm
 from nmotto import special, sweep
 
-from conftest import base_config_dict
+from conftest import base_config_dict, kernel_dump
 
 REPO = Path(__file__).resolve().parents[1]
-GRID_TABLES = ("tau", "D1", "D2", "a", "b", "A")
-TABLES = (*GRID_TABLES, "from_ground", "from_excited", "base", "pop")
+GRID_TABLES = ("D1", "b", "A")
+STROKE_TABLES = ("from_ground", "from_excited", "base", "pop")
 BLOCKS = (2, 4, 6)
 
 
@@ -34,21 +34,28 @@ def _stroke(bath, t_max):
     return sweep.stroke_tables(bath, 1.0, t_max, 0.05)
 
 
+def _grid(bath, t_max):
+    return nm.build_kernel_grid(bath, 1.0, t_max, 0.05)
+
+
 @pytest.mark.parametrize("coupling", [0.01, 0.0])
 @pytest.mark.parametrize("t_max", [2.0, 2.05])  # 41 and 42 nodes
 def test_stroke_tables_do_not_depend_on_the_block_size(monkeypatch, coupling, t_max):
     bath = nm.BathSpec(coupling, 0.4, 1.0)
     monkeypatch.setattr(special, "CACHE_BLOCK", 1 << 20)
-    whole = _stroke(bath, t_max)
-    assert whole.n_points == round(t_max / 0.05) + 1
+    whole, whole_grid = _stroke(bath, t_max), _grid(bath, t_max)
+    assert whole.n_points == whole_grid.n_points == round(t_max / 0.05) + 1
+    assert whole.t_max == whole_grid.t_max
     for block in BLOCKS:
         monkeypatch.setattr(special, "CACHE_BLOCK", block)
         assert len(special.cache_blocks(whole.n_points)) >= 3
-        blocked = _stroke(bath, t_max)
-        for name in TABLES:
+        blocked, blocked_grid = _stroke(bath, t_max), _grid(bath, t_max)
+        for name in STROKE_TABLES:
             _assert_same_bits(getattr(blocked, name), getattr(whole, name))
-    if coupling == 0.0:
-        assert np.signbit(whole.a[1:]).any()  # the -0.0 case is exercised
+        for name in GRID_TABLES:
+            _assert_same_bits(getattr(blocked_grid, name), getattr(whole_grid, name))
+    if coupling == 0.0:  # the -0.0 case is exercised
+        assert np.signbit(kernel_dump(lambda_h=0.0, t_h=t_max, h=0.05)["a"][1:]).any()
 
 
 @pytest.mark.parametrize("command", ["kernels", "stroke"])
@@ -103,45 +110,67 @@ def test_cumulative_simpson_in_place_has_the_bits_of_a_new_table(monkeypatch, bl
 @pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
 @pytest.mark.parametrize("coupling", [0.01, 0.0])
 def test_derived_tables_have_the_bits_of_their_closed_forms(monkeypatch, block, coupling):
+    # A grid keeps D1, b and A; the kernels dump forms tau, D2 and a.
     bath = nm.BathSpec(coupling, 0.4, 1.0)
     monkeypatch.setattr(special, "CACHE_BLOCK", block)
-    grid = nm.build_kernel_grid(bath, 1.0, 2.05, 0.05)  # 42 nodes
+    grid = _grid(bath, 2.05)  # 42 nodes
+    dump = kernel_dump(lambda_h=coupling, t_h=2.05, h=0.05)
     tau = np.arange(grid.n_points, dtype=np.float64) * 0.05
     assert grid.n_points == 42
-    _assert_same_bits(grid.tau, tau)
-    _assert_same_bits(grid.D2, nm.dissipation_kernel(tau, bath))
-    # a is the prefix of the build's integrand, and A the prefix of a.
-    _assert_same_bits(grid.a, nm.cumulative_simpson(-2.0 * grid.D1 * np.cos(1.0 * tau), 0.05))
-    _assert_same_bits(grid.A, nm.cumulative_simpson(grid.a, 0.05))
     assert grid.t_max == tau[-1]
-    for table in (grid.tau, grid.D2, grid.a):
-        assert not table.flags.writeable
-
-
-def _assert_stroke_derives_its_grid(stroke, grid):
-    assert (stroke.n_points, stroke.t_max, stroke.step) == (grid.n_points, grid.t_max, grid.step)
+    _assert_same_bits(dump["tau"], tau)
+    _assert_same_bits(dump["D2"], nm.dissipation_kernel(tau, bath))
     for name in GRID_TABLES:
-        table = getattr(stroke, name)
-        _assert_same_bits(table, getattr(grid, name))
-        assert not table.flags.writeable
+        _assert_same_bits(dump[name], getattr(grid, name))
+    # a is the prefix of the build's integrand, and A the prefix of a: the
+    # dump's copy of the integrand has the bits of the build's.
+    _assert_same_bits(dump["a"], nm.cumulative_simpson(-2.0 * grid.D1 * np.cos(1.0 * tau), 0.05))
+    _assert_same_bits(dump["A"], nm.cumulative_simpson(dump["a"], 0.05))
+
+
+DERIVED_NAMES = ("tau", "D1", "D2", "a", "b", "A")
 
 
 @pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
 @pytest.mark.parametrize("coupling", [0.01, 0.0])
 def test_a_stroke_derives_the_tables_of_its_grid(monkeypatch, block, coupling):
+    # A stroke keeps its grid's inputs, not its tables; the grid the oracle
+    # rebuilds from those inputs has the bits of the grid built directly.
     bath = nm.BathSpec(coupling, 0.4, 1.0)
     monkeypatch.setattr(special, "CACHE_BLOCK", block)
-    _assert_stroke_derives_its_grid(_stroke(bath, 2.05), nm.build_kernel_grid(bath, 1.0, 2.05, 0.05))
+    stroke, grid = _stroke(bath, 2.05), _grid(bath, 2.05)
+    assert (stroke.n_points, stroke.t_max, stroke.step) == (grid.n_points, grid.t_max, grid.step)
+    assert not any(hasattr(stroke, name) for name in DERIVED_NAMES)
+    assert not any(hasattr(grid, name) for name in ("tau", "D2", "a"))
+    rebuilt = nm.energetics._kernel_grid(stroke)
+    assert (rebuilt.n_points, rebuilt.t_max, rebuilt.step) == (grid.n_points, grid.t_max, grid.step)
+    for name in GRID_TABLES:
+        table = getattr(rebuilt, name)
+        _assert_same_bits(table, getattr(grid, name))
+        assert not table.flags.writeable
 
 
-def test_a_stroke_rebuilds_its_grid_with_its_node_count():
+def test_a_stroke_rebuilds_its_grid_with_its_node_count(monkeypatch):
     # (n - 1) * step rounds past the requested t_max here, and a grid asked
-    # for that t_max would have one node more.
+    # for that t_max would have one node more.  The explicit-integral oracle
+    # rebuilds a stroke's grid with the stroke's node count.
     bath = nm.BathSpec(0.01, 0.4, 1.0)
-    grid = nm.build_kernel_grid(bath, 1.0, 1228.8, 0.05)
+    grid = _grid(bath, 1228.8)
     assert (grid.n_points, grid.t_max) == (24577, 1228.8000000000002)
-    assert nm.build_kernel_grid(bath, 1.0, grid.t_max, 0.05).n_points == 24578
-    _assert_stroke_derives_its_grid(_stroke(bath, 1228.8), grid)
+    assert _grid(bath, grid.t_max).n_points == 24578
+    stroke = _stroke(bath, 1228.8)
+    cold = sweep.stroke_tables(nm.BathSpec(0.01, 0.4, 0.2), 0.5, 10.0)
+    lc = nm.fixed_point(grid.t_max, 10.0, stroke, cold)
+    builds, build = [], nm.energetics.build_kernel_grid
+
+    def counted(*args):
+        builds.append(build(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(nm.energetics, "build_kernel_grid", counted)
+    value = nm.eq_interaction_integral(lc, "hot", stroke, grid.t_max)
+    assert [built.n_points for built in builds] == [24577]
+    assert value.hex() == nm.eq_interaction_integral(lc, "hot", grid, grid.t_max).hex()
 
 
 def test_a_pickled_stroke_carries_no_derived_table():
@@ -194,3 +223,27 @@ def test_a_long_stroke_peaks_at_the_tables_it_keeps():
     n = ctx.hot_grid.n_points
     assert n >= 4 * special.CACHE_BLOCK
     assert peak <= 6.2 * 8 * n
+
+
+@pytest.mark.parametrize("command, bound", [("kernels", 11.5), ("stroke", 6.0)])
+def test_a_dump_peaks_near_the_tables_of_its_grid(tmp_path, command, bound):
+    # A dump forms its node times, D2 and the mix of the traces one cache
+    # block of rows at a time.  The kernels dump holds D1, b, A and the rate
+    # a, and the stroke dump the two traces once the grid is dropped, beside
+    # the CSV text of one block (~6.5 hot table sizes on this grid): 10.69
+    # and 5.41 hot table sizes measured.  Dumps that formed tau, D2, a and
+    # the mix as whole tables peaked at 14.03 and 9.78.
+    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    path = tmp_path / f"{command}.csv"
+    tracemalloc.start()
+    try:
+        if command == "kernels":
+            sweep.write_kernel_csv(config, str(path), "hot")
+        else:
+            sweep.write_trace_csv(config, str(path), "hot", 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = path.read_bytes().count(b"\n") - 1
+    assert n >= 4 * special.CACHE_BLOCK
+    assert peak <= bound * 8 * n

@@ -33,14 +33,14 @@ class TestStrokePopulations:
         for final in stroke.populations(stroke.t_max):
             assert final == pytest.approx(stationary, abs=1e-3)
 
-    def test_traces_in_unit_interval(self, hot_grid):
-        for trace in nm.transition_traces(hot_grid):
+    def test_traces_in_unit_interval(self, hot_kernels):
+        for trace in nm.transition_traces(hot_kernels):
             assert trace.min() >= -1e-9
             assert trace.max() <= 1.0 + 1e-9
 
-    def test_off_node_time_is_linear_interpolation(self, hot_grid):
+    def test_off_node_time_is_linear_interpolation(self, hot_grid, hot_kernels):
         h = hot_grid.step
-        expected = [0.7 * trace[10] + 0.3 * trace[11] for trace in nm.transition_traces(hot_grid)]
+        expected = [0.7 * trace[10] + 0.3 * trace[11] for trace in nm.transition_traces(hot_kernels)]
         assert hot_grid.populations(10.0 * h + 0.3 * h) == pytest.approx(expected, abs=1e-15)
 
     def test_bad_times_rejected(self, hot_grid):
@@ -79,7 +79,8 @@ class TestStrokePopulations:
         i1, i2 = int(30.0 / grid.step), int(60.0 / grid.step)
         dev1 = from_ground[i1] - stationary
         dev2 = from_ground[i2] - stationary
-        estimated = -(math.log(abs(dev2)) - math.log(abs(dev1))) / (grid.tau[i2] - grid.tau[i1])
+        tau = np.arange(grid.n_points) * grid.step
+        estimated = -(math.log(abs(dev2)) - math.log(abs(dev1))) / (tau[i2] - tau[i1])
         assert estimated == pytest.approx(rate, rel=0.02)
 
 
@@ -112,7 +113,7 @@ class TestStrokeDump:
             tau, rho = _dump(directory, x, t_h=t)
         k = rho.shape[0] - 1
         assert k == min(int(math.floor(t / step + 1e-9)), hot_grid.n_points - 1)
-        assert np.array_equal(tau, hot_grid.tau[: k + 1])
+        assert np.array_equal(tau, (np.arange(hot_grid.n_points) * step)[: k + 1])
         # a grid's traces are the prefix of a longer grid's
         mixed = x * hot_grid.from_ground + (1.0 - x) * hot_grid.from_excited
         assert np.array_equal(rho, mixed[: k + 1])
@@ -151,10 +152,10 @@ class TestTransitionPopulations:
             assert 0.0 <= r0 <= 1.0
             assert 0.0 <= r1 <= 1.0
 
-    def test_difference_equals_exp_big_a(self, hot_grid):
+    def test_difference_equals_exp_big_a(self, hot_kernels):
         # subtracting the two solutions cancels the inhomogeneous term
-        from_ground, from_excited = nm.transition_traces(hot_grid)
-        residual = np.abs((from_ground - from_excited) - np.exp(hot_grid.A))
+        from_ground, from_excited = nm.transition_traces(hot_kernels)
+        residual = np.abs((from_ground - from_excited) - np.exp(hot_kernels.A))
         assert residual.max() < 1e-10
 
     def test_rounding_past_t_max_reads_t_max(self, hot_grid):
@@ -169,8 +170,9 @@ class TestTransitionPopulations:
 
     def test_stroke_tables_are_read_only(self, hot_bath):
         stroke = nm.stroke_tables(hot_bath, OMEGA_H, 20.0)
-        for name in ("tau", "D1", "D2", "a", "b", "A", "from_ground", "from_excited", "base", "pop"):
-            table = getattr(stroke, name)
+        grid = nm.build_kernel_grid(hot_bath, OMEGA_H, 20.0)
+        tables = [grid.D1, grid.b, grid.A, stroke.from_ground, stroke.from_excited, stroke.base, stroke.pop]
+        for table in tables:
             assert table.shape == (stroke.n_points,)
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -182,7 +184,7 @@ def _linear_read(grid, t, tables):
     # took any number of tables, with its own validation of t.
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
-    t_max = float(grid.tau[-1])
+    t_max = (grid.n_points - 1) * grid.step  # the last node time
     if t > t_max + 1e-9 * grid.step:
         raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
     pos = min(t, t_max) / grid.step
@@ -203,8 +205,9 @@ def _outcome(read, *args):
 
 def _read_times(grid):
     t_max, step = grid.t_max, grid.step
+    tau = np.arange(grid.n_points) * step
     return st.one_of(
-        st.integers(0, grid.n_points - 1).map(lambda k: grid.tau.item(k)),
+        st.integers(0, grid.n_points - 1).map(lambda k: tau.item(k)),
         st.integers(0, grid.n_points - 1).map(lambda k: k * step),
         st.floats(0.0, t_max),
         st.just(t_max),
@@ -279,15 +282,16 @@ def _strong_damping_grid(t_max=14.0):
 
 
 class TestGuardedPropagation:
-    def test_matches_plain_form_on_mild_grids(self, hot_grid, tmp_path):
-        assert np.max(np.abs(hot_grid.A)) <= 500.0
-        c = nm.cumulative_simpson(hot_grid.b * np.exp(-hot_grid.A), hot_grid.step)
-        growth = np.exp(hot_grid.A)
-        from_ground, from_excited = nm.transition_traces(hot_grid)
+    def test_matches_plain_form_on_mild_grids(self, hot_kernels, tmp_path):
+        grid = hot_kernels
+        assert np.max(np.abs(grid.A)) <= 500.0
+        c = nm.cumulative_simpson(grid.b * np.exp(-grid.A), grid.step)
+        growth = np.exp(grid.A)
+        from_ground, from_excited = nm.transition_traces(grid)
         assert np.array_equal(from_ground, growth * (1.0 - c))
         assert np.array_equal(from_excited, growth * (0.0 - c))
-        _, mixed = _dump(tmp_path, 0.7, t_h=hot_grid.t_max)
-        segments = _propagate_segments(hot_grid.b, hot_grid.A, hot_grid.step, 0.7)
+        _, mixed = _dump(tmp_path, 0.7, t_h=grid.t_max)
+        segments = _propagate_segments(grid.b, grid.A, grid.step, 0.7)
         assert np.max(np.abs(mixed - segments)) < 1e-12
 
     @pytest.mark.parametrize("t_max", [14.0, 14.002])
@@ -335,10 +339,10 @@ def _count_cumulative_simpson(monkeypatch):
 class TestOneSolve:
     """Both transition traces come from one guarded pass."""
 
-    def test_one_prefix_per_guard_segment(self, monkeypatch, hot_grid):
+    def test_one_prefix_per_guard_segment(self, monkeypatch, hot_kernels):
         calls = _count_cumulative_simpson(monkeypatch)
-        nm.transition_traces(hot_grid)
-        assert calls == [hot_grid.n_points]
+        nm.transition_traces(hot_kernels)
+        assert calls == [hot_kernels.n_points]
         _, strong = _strong_damping_grid()
         calls.clear()
         nm.transition_traces(strong)

@@ -7,7 +7,7 @@ import nmotto as nm
 from nmotto.errors import GridError
 from nmotto.kernels import MAX_GRID_NODES
 
-from conftest import (CUTOFF, LAMBDA, OMEGA_H, T_H, dissipation_kernel_oracle,
+from conftest import (CUTOFF, LAMBDA, OMEGA_H, T_H, dissipation_kernel_oracle, kernel_dump,
                       noise_kernel_oracle)
 
 
@@ -81,47 +81,54 @@ class TestKernelClosedForms:
 
 
 class TestKernelGrid:
-    def test_zero_entries_at_origin(self, hot_grid):
-        assert hot_grid.a[0] == 0.0
-        assert hot_grid.b[0] == 0.0
-        assert hot_grid.A[0] == 0.0
-        assert hot_grid.D2[0] == 0.0
+    def test_zero_entries_at_origin(self, hot_kernels):
+        dump = kernel_dump(t_h=130.0)
+        assert dump["a"][0] == 0.0
+        assert hot_kernels.b[0] == 0.0
+        assert hot_kernels.A[0] == 0.0
+        assert dump["D2"][0] == 0.0
 
-    def test_tables_finite_and_immutable(self, hot_grid):
-        for name in ("tau", "D1", "D2", "a", "b", "A"):
-            arr = getattr(hot_grid, name)
+    def test_tables_finite_and_immutable(self, hot_kernels):
+        for name in ("D1", "b", "A"):
+            arr = getattr(hot_kernels, name)
             assert np.all(np.isfinite(arr))
             assert not arr.flags.writeable
+        for column in kernel_dump(t_h=130.0).values():
+            assert np.all(np.isfinite(column))
 
-    def test_uniform_tau(self, hot_grid):
-        assert np.array_equal(hot_grid.tau, np.arange(hot_grid.n_points) * hot_grid.step)
+    def test_uniform_tau(self, hot_kernels):
+        assert np.array_equal(kernel_dump(t_h=130.0)["tau"],
+                              np.arange(hot_kernels.n_points) * hot_kernels.step)
 
-    def test_real_b_matches_complex_form(self, hot_grid):
+    def test_real_b_matches_complex_form(self, hot_kernels, hot_bath):
         # b via Phi(u) e^{i w0 u} + Phi(-u) e^{-i w0 u}, Phi = (D1 - i D2)/2
-        g = hot_grid
-        phi_plus = 0.5 * (g.D1 - 1j * g.D2)
-        phi_minus = 0.5 * (g.D1 + 1j * g.D2)
-        integrand = -(phi_plus * np.exp(1j * g.omega0 * g.tau)
-                      + phi_minus * np.exp(-1j * g.omega0 * g.tau))
+        g = hot_kernels
+        tau = np.arange(g.n_points) * g.step
+        d2 = nm.dissipation_kernel(tau, hot_bath)
+        phi_plus = 0.5 * (g.D1 - 1j * d2)
+        phi_minus = 0.5 * (g.D1 + 1j * d2)
+        integrand = -(phi_plus * np.exp(1j * g.omega0 * tau)
+                      + phi_minus * np.exp(-1j * g.omega0 * tau))
         complex_b = nm.cumulative_simpson(integrand, g.step)
         assert np.max(np.abs(complex_b.imag)) < 1e-14
         assert np.max(np.abs(complex_b.real - g.b)) < 1e-10
 
-    def test_long_time_rate_limit(self, hot_grid, hot_bath):
+    def test_long_time_rate_limit(self, hot_bath):
         # cosine transform of D1 concentrates at omega0 for tau >> 1/cutoff
         coth = 1.0 / math.tanh(OMEGA_H / (2.0 * hot_bath.temperature))
         expected = -2.0 * math.pi * nm.spectral_density(OMEGA_H, hot_bath) * coth
-        assert hot_grid.a[-1] == pytest.approx(expected, rel=1e-2)
+        assert kernel_dump(t_h=130.0)["a"][-1] == pytest.approx(expected, rel=1e-2)
 
     def test_grid_convergence_under_halving(self, hot_bath):
         coarse = nm.build_kernel_grid(hot_bath, OMEGA_H, 20.0, 0.0125)
         fine = nm.build_kernel_grid(hot_bath, OMEGA_H, 20.0, 0.00625)
+        coarse_a = kernel_dump(t_h=20.0, h=0.0125)["a"]
+        fine_a = kernel_dump(t_h=20.0, h=0.00625)["a"]
         shared = fine.A[::2][: coarse.n_points]
         # a, b entry-wise; A against its own scale (it vanishes quadratically
         # at early nodes, where an entry-wise quotient is ill-posed)
-        for name in ("a", "b"):
-            c = getattr(coarse, name)
-            f = getattr(fine, name)[::2][: coarse.n_points]
+        for c, f in ((coarse_a, fine_a), (coarse.b, fine.b)):
+            f = f[::2][: coarse.n_points]
             nz = f != 0.0
             assert np.max(np.abs(c[nz] - f[nz]) / np.abs(f[nz])) < 1e-8
         assert np.max(np.abs(coarse.A - shared)) < 1e-8 * np.max(np.abs(shared))
@@ -130,8 +137,12 @@ class TestKernelGrid:
     def test_coupling_scaling_is_exact_for_powers_of_two(self):
         base = nm.build_kernel_grid(nm.BathSpec(0.01, 0.4, 1.0), 1.0, 10.0)
         scaled = nm.build_kernel_grid(nm.BathSpec(0.02, 0.4, 1.0), 1.0, 10.0)
-        for name in ("D1", "D2", "a", "b", "A"):
+        for name in ("D1", "b", "A"):
             assert np.array_equal(2.0 * getattr(base, name), getattr(scaled, name))
+        base_dump = kernel_dump(lambda_h=0.01, t_h=10.0)
+        scaled_dump = kernel_dump(lambda_h=0.02, t_h=10.0)
+        for name in ("D2", "a"):
+            assert np.array_equal(2.0 * base_dump[name], scaled_dump[name])
 
     def test_step_validation(self, hot_bath):
         with pytest.raises(GridError, match="^step 11 exceeds t_max 10: "):
