@@ -47,7 +47,7 @@ from .kernels import (
     spectral_density,
 )
 from .limit_cycle import LimitCycleState, fixed_point, fixed_point_from_populations, iterate_map
-from .special import cumulative_simpson, simpson, trigamma, trigamma_values
+from .special import cumulative_simpson, simpson, trigamma_values
 from .sweep import (
     CSV_HEADER,
     CycleContext,

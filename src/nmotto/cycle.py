@@ -163,7 +163,10 @@ def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
 
 def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
                        rtol: float = 1e-6) -> float:
-    """Root of f by bisection on a bracketing interval, to relative width rtol."""
+    """Root of f by bisection on a bracketing interval lo < hi, to relative
+    width rtol; any other bracket raises ValueError before f is called."""
+    if not lo < hi:
+        raise ValueError(f"bisection bracket needs lo < hi, got ({lo!r}, {hi!r})")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:

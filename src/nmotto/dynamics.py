@@ -106,10 +106,11 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
     solved per call in one pass: C and exp(A) do not depend on rho00(0).
 
     A guard segment starts at an even node s and ends at the last even node
-    before |A - A[s]| exceeds _EXP_GUARD (at least one Simpson pair on), so
-    the pairs are those of the global rule.  In it the closed form runs with
-    A rebased to A[s], each trace starting from its value at s; the first odd
-    node takes the backward quadratic through s-1, as the one-shot rule does.
+    before |A - A[s]| exceeds _EXP_GUARD (at least one Simpson pair on, or
+    the grid's last node), so the pairs are those of the global rule.  In it
+    the closed form runs with A rebased to A[s], each trace starting from
+    its value at s; the first odd node takes the backward quadratic through
+    s-1, as the one-shot rule does.
     Since A[0] == 0, max|A| <= _EXP_GUARD is one segment: the plain form.
     The segment's C is taken in place in the first trace's slice, and the
     growth exp(A - A[s]) is applied one cache block at a time.
@@ -130,7 +131,11 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
                 np.exp(c, out=c)
                 c *= b[start:end + 1]
                 y0, y1 = c[0], c[1]
-                cumulative_simpson(c, step, out=c)
+                # A two-node segment (the grid's last, odd node) has no pair: C is
+                # 0 at its start and the backward quadratic below at its end.
+                if end > start + 1:
+                    cumulative_simpson(c, step)
+                c[0] = 0.0
                 if start > 0:
                     c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
                                           + 8.0 * y0 + 5.0 * y1)

@@ -113,8 +113,8 @@ def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarr
         cos_w = np.cos(omega0 * tau)
         base[block] = (2.0 * from_excited[block] - 1.0) * d1 * sin_w + dissipation_kernel(tau, bath) * cos_w
         pop[block] = 2.0 * (from_ground[block] - from_excited[block]) * d1 * sin_w
-    cumulative_simpson(base, step, out=base)
-    cumulative_simpson(pop, step, out=pop)
+    cumulative_simpson(base, step)
+    cumulative_simpson(pop, step)
     base.setflags(write=False)
     pop.setflags(write=False)
     return StrokeTables(bath=bath, omega0=omega0, step=step, n_points=n, t_max=(n - 1) * step,

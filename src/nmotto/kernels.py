@@ -180,9 +180,9 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
             sin_w = np.sin(omega0 * t)
             big_a[block] = -2.0 * d1[block] * cos_w
             b[block] = -(d1[block] * cos_w + d2 * sin_w)
-        cumulative_simpson(big_a, step, out=big_a)
-        cumulative_simpson(b, step, out=b)
-        cumulative_simpson(big_a, step, out=big_a)
+        cumulative_simpson(big_a, step)
+        cumulative_simpson(b, step)
+        cumulative_simpson(big_a, step)
     # Any non-finite D1 or D2 value spreads into b, and D1's into A too.
     if not (np.isfinite(b).all() and np.isfinite(big_a).all()):
         raise GridError("kernel tables are not finite; the bath scales overflow float64")

@@ -13,11 +13,11 @@ shared by the kernel tables and the stroke propagation.
 Full-length tables are built in cache blocks of CACHE_BLOCK nodes
 (`cache_blocks`): the cumulative prefix takes its Simpson pairs one cache
 block at a time, carrying the running sum from block to block, and the
-kernel and flow tables fill their integrands the same way.  The prefix may
-be taken in place, over its integrand (`out=y`): a table then holds its
-integrand and then its prefix, and no second full-length table is needed.
-Neither trigamma nor the prefix depends on where the blocks fall or on
-where the prefix is written, so a table has the bits of a one-pass build.
+kernel and flow tables fill their integrands the same way.  The prefix is
+taken in place, over its integrand: a table holds its integrand and then
+its prefix, and no second full-length table is needed.  Neither trigamma
+nor the prefix depends on where the blocks fall, so a table has the bits of
+a one-pass build.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import PoleError
 
 __all__ = [
-    "trigamma",
     "trigamma_values",
     "simpson",
     "cumulative_simpson",
@@ -55,12 +54,13 @@ CACHE_BLOCK = 1 << 15
 
 
 def trigamma_values(z) -> np.ndarray:
-    """psi'(z) = sum_{k>=0} 1/(z+k)^2 for an array of complex arguments.
+    """psi'(z) = sum_{k>=0} 1/(z+k)^2 elementwise, in z's shape (0-d for a scalar).
 
     Every argument must be finite with Re z > 0, else PoleError is raised
     before any work.  Each element is computed from its own argument alone,
     with at most 10 recurrence steps, so a batch gives the same bits as
-    per-point calls.
+    per-point calls.  Within 1.1e-14 relative of mpmath (the series
+    truncation at |z| = 10 sets it).
     """
     zc = np.asarray(z, dtype=np.complex128)
     w = zc.flatten()
@@ -100,15 +100,6 @@ def trigamma_values(z) -> np.ndarray:
     return out.reshape(zc.shape)
 
 
-def trigamma(z) -> complex:
-    """psi'(z) for a single complex argument.
-
-    Within 1.1e-14 relative of mpmath on kernel-grid arguments and random
-    points with Re z > 0 (the series truncation at |z| = 10 sets it).
-    """
-    return complex(trigamma_values(np.array([z], dtype=np.complex128))[0])
-
-
 def simpson(y, step: float) -> float:
     """Composite Simpson for uniformly sampled values.
 
@@ -138,33 +129,25 @@ def cache_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def cumulative_simpson(y, step: float, out=None) -> np.ndarray:
-    """Running integral of uniformly sampled values at every grid node.
+def cumulative_simpson(y: np.ndarray, step: float) -> np.ndarray:
+    """Running integral of uniform samples at every grid node, written over y and returned.
 
     Interior pairs integrate the local quadratic interpolant, so the value
-    at even nodes coincides with composite Simpson; out[0] is 0.  The prefix
-    is taken one cache block of pairs at a time, each block's running sum
-    starting from the last even node of the one before.  `out` may be `y`
-    itself: the prefix then replaces the integrand, with the same bits.
+    at even nodes coincides with composite Simpson; y[0] becomes 0.  The
+    prefix is taken one cache block of pairs at a time, each block's running
+    sum starting from the last even node of the one before.  A grid needs at
+    least 3 nodes (one Simpson pair), else ValueError.
     """
-    if out is None:
-        y = np.ascontiguousarray(y)
-        out = np.zeros_like(y)
     step = float(step)
     n = y.shape[0]
-    if n < 2:
-        out.fill(0.0)
-        return out
-    if n == 2:
-        out[1] = 0.5 * step * (y[0] + y[1])
-        out[0] = 0.0
-        return out
+    if n < 3:
+        raise ValueError(f"cumulative Simpson needs at least 3 nodes, got {n}")
     # Odd nodes integrate the backward-looking quadratic (forward at node 1,
     # which has no left neighbour), matching the one-shot rule's tail so the
     # prefix at any node equals the truncated composite rule.
     # A block reads its integrand from its first node to one past its last
     # even node, the next block's first two nodes; their prefix values are
-    # held until that block has read them, and out[0] is set last.
+    # held until that block has read them, and y[0] is set last.
     held_at, held = 1, [step / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])]
     carry = 0.0
     for block in cache_blocks(2 * ((n - 1) // 2)):
@@ -174,7 +157,7 @@ def cumulative_simpson(y, step: float, out=None) -> np.ndarray:
         # at the block's even nodes start+2 .. end.  numpy accumulates in
         # order, so the sums are those of one cumsum over the whole grid.
         pairs = (end - start) // 2
-        run = np.empty(pairs + 1, dtype=out.dtype)
+        run = np.empty(pairs + 1, dtype=y.dtype)
         run[0] = carry
         run[1:] = step / 3.0 * (y[start:end - 1:2] + 4.0 * y[start + 1:end:2] + y[start + 2:end + 1:2])
         # Odd nodes start+3 .. end+1, the last one only if the grid has it.
@@ -185,11 +168,11 @@ def cumulative_simpson(y, step: float, out=None) -> np.ndarray:
         head = 1 if start == 0 else 0
         np.cumsum(run[head:], out=run[head:])
         np.add(run[1:odd + 1], tail, out=tail)
-        out[held_at:held_at + len(held)] = held
-        out[start + 2:end:2] = run[1:pairs]
-        out[start + 3:end:2] = tail[:pairs - 1]
+        y[held_at:held_at + len(held)] = held
+        y[start + 2:end:2] = run[1:pairs]
+        y[start + 3:end:2] = tail[:pairs - 1]
         carry = run[pairs]
         held_at, held = end, [carry, *tail[pairs - 1:odd]]
-    out[held_at:held_at + len(held)] = held
-    out[0] = 0.0
-    return out
+    y[held_at:held_at + len(held)] = held
+    y[0] = 0.0
+    return y

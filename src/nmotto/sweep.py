@@ -21,8 +21,8 @@ The dumps write one stroke's grid: `write_kernel_csv` its tables and
 `write_trace_csv` its population from a given start, the one place the mix
 of the two transition traces is formed.  A dump forms its node times, and
 whatever else the grid does not keep (D2, the mix), one cache block of rows
-at a time as it writes them; the rate a, whose prefix needs the whole
-integrand, is its one extra table.
+at a time, and writes their text a slice of rows at a time; the rate a,
+whose prefix needs the whole integrand, is its one extra table.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -208,11 +206,14 @@ def _map(fn, items: list, workers: int):
     Each worker receives `fn` once, through the pool initializer (a forked
     worker inherits it unpickled), and the items go out one per task, so the
     parent holds only the results not yet written, not a worker's whole share.
+    The pool modules are imported only when a pool runs, never by a serial run.
     """
     workers = min(workers, len(items), _usable_cpus())
     if workers <= 1:
         yield from map(fn, items)
         return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     try:
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix
@@ -258,15 +259,22 @@ def _write_csv(*files) -> None:
         raise
 
 
+# Rows per piece of a dump's CSV text, whose rows cost several times their floats.
+_TEXT_ROWS = 4096
+
+
 def _column_blocks(n: int, step: float, columns):
-    """The first n grid nodes as CSV text, one cache block of rows at a time:
-    each row is the node time tau, then the columns that `columns(block,
-    tau)` returns for the block's nodes."""
+    """The first n grid nodes as CSV text: each row is the node time tau,
+    then the columns that `columns(block, tau)` returns for the block's
+    nodes.  The columns are formed one cache block of rows at a time, and
+    their text _TEXT_ROWS rows at a time."""
     for block in cache_blocks(n):
         tau = node_times(block, step)
         values = (tau, *columns(block, tau))
         line = ",".join(["%.17g"] * len(values)) + "\n"
-        yield "".join([line % row for row in zip(*(v.tolist() for v in values))])
+        for start in range(0, len(tau), _TEXT_ROWS):
+            rows = zip(*(v[start:start + _TEXT_ROWS].tolist() for v in values))
+            yield "".join([line % row for row in rows])
 
 
 def run_sweep(config: RunConfig, out_path: str) -> None:
@@ -331,7 +339,7 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     a = np.empty(grid.n_points)
     for block in cache_blocks(grid.n_points):
         a[block] = -2.0 * grid.D1[block] * np.cos(grid.omega0 * node_times(block, grid.step))
-    cumulative_simpson(a, grid.step, out=a)
+    cumulative_simpson(a, grid.step)
     _write_csv((path, "tau,D1,D2,a,b,A", _column_blocks(grid.n_points, grid.step, lambda block, tau: (
         grid.D1[block], dissipation_kernel(tau, grid.bath), a[block], grid.b[block], grid.A[block]))))
 

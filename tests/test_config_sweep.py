@@ -369,7 +369,7 @@ class TestRunSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(nm.sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(nm.sweep, "_worker_fn", None)  # restored after the test
         monkeypatch.setattr(nm.sweep.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
@@ -400,6 +400,24 @@ class TestPool:
         fn = partial(_doubled, _CountedPickles())
         assert list(nm.sweep._map(fn, items, 2)) == [2 * x for x in items]
         assert _CountedPickles.pickles == 0
+
+    def test_a_serial_run_imports_no_pool(self, tmp_path):
+        # The pool modules load only when a pool runs; a fresh interpreter
+        # that imports the package and runs a serial sweep never loads them.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(base_config_dict(
+            t_h={"min": 1.0, "max": 2.0, "n": 2}, t_c={"min": 1.0, "max": 2.0, "n": 2}, workers=1)))
+        code = ("import sys, nmotto, nmotto.cli\n"
+                "loaded = lambda: [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+                "print(loaded())\n"
+                "assert nmotto.cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                "print(loaded())\n")
+        done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "s.csv")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "[]"]
+        assert (tmp_path / "s.csv").read_text().count("\n") == 1 + 4
 
 
 class TestRunPhase:

@@ -432,3 +432,20 @@ def test_bisection_with_zero_rtol_ends_inside_the_bracket():
     root = nm.bisect_sign_change(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, rtol=0.0)
     assert 0.0 <= root <= 1.0
     assert root == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi", [(10.0, 2.0), (3.0, 3.0), (math.nan, 10.0)],
+                         ids=["reversed", "empty", "nan"])
+def test_bisection_rejects_a_bracket_without_lo_below_hi(lo, hi):
+    # A reversed bracket's negative width used to pass the convergence test,
+    # so its midpoint came back as the root.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t - 3.0
+
+    with pytest.raises(ValueError, match="lo < hi"):
+        nm.bisect_sign_change(f, lo, hi)
+    assert calls == []
+    assert nm.bisect_sign_change(f, 2.0, 10.0) == 3.0

@@ -328,9 +328,9 @@ class TestGuardedPropagation:
 def _count_cumulative_simpson(monkeypatch):
     calls, original = [], nm.dynamics.cumulative_simpson
 
-    def counted(y, step, out=None):
+    def counted(y, step):
         calls.append(y.shape[0])
-        return original(y, step, out=out)
+        return original(y, step)
 
     monkeypatch.setattr(nm.dynamics, "cumulative_simpson", counted)
     return calls
@@ -338,6 +338,25 @@ def _count_cumulative_simpson(monkeypatch):
 
 class TestOneSolve:
     """Both transition traces come from one guarded pass."""
+
+    def test_a_lone_last_odd_node_ends_a_segment_of_its_own(self, monkeypatch):
+        # An even node count, and |A| first passes the guard at the last node:
+        # the first guard segment ends on the even node before it, and the
+        # last node is a segment of two nodes, whose C is the backward
+        # quadratic alone.  The prefix never sees fewer than 3 nodes.
+        _, grid = _strong_damping_grid(10.426)
+        n = grid.n_points
+        assert n == 5214
+        assert np.max(np.abs(grid.A[:-1])) <= 500.0 < abs(grid.A[-1])
+        calls = _count_cumulative_simpson(monkeypatch)
+        from_ground, from_excited = nm.transition_traces(grid)
+        assert calls == [n - 1]
+        for initial, trace in ((1.0, from_ground), (0.0, from_excited)):
+            segments = _propagate_segments(grid.b, grid.A, grid.step, initial)
+            assert np.max(np.abs(trace - segments)) <= 1e-12
+        # The bits of a build whose prefix took the two-node segment itself.
+        assert [from_ground[-1].hex(), from_excited[-1].hex()] == ["0x1.0b1a1d4bce6bdp-1"] * 2
+        assert from_ground[-2].hex() == "0x1.0b19ebf9f3089p-1"
 
     def test_one_prefix_per_guard_segment(self, monkeypatch, hot_kernels):
         calls = _count_cumulative_simpson(monkeypatch)

@@ -49,7 +49,7 @@ class TestSpectralDensity:
 class TestKernelClosedForms:
     def test_noise_kernel_at_zero_from_recurrence(self, hot_bath):
         # recompute psi'(T/cutoff) = psi'(2.5) via two recurrence steps off psi'(0.5)
-        psi_half = nm.trigamma(0.5).real
+        psi_half = nm.trigamma_values(0.5).real
         psi = psi_half - 1.0 / 0.25 - 1.0 / 2.25
         expected = 2.0 * LAMBDA * (-CUTOFF ** 2 + 2.0 * T_H ** 2 * psi)
         assert nm.noise_kernel(0.0, hot_bath) == pytest.approx(expected, rel=1e-13)

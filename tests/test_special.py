@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -19,12 +20,12 @@ PI2 = math.pi ** 2
 
 class TestTrigamma:
     def test_known_identities(self):
-        assert nm.trigamma(1.0).real == pytest.approx(PI2 / 6.0, rel=1e-12)
-        assert nm.trigamma(0.5).real == pytest.approx(PI2 / 2.0, rel=1e-12)
-        assert abs(nm.trigamma(1.0).imag) < 1e-14
+        assert nm.trigamma_values(1.0).real == pytest.approx(PI2 / 6.0, rel=1e-12)
+        assert nm.trigamma_values(0.5).real == pytest.approx(PI2 / 2.0, rel=1e-12)
+        assert abs(nm.trigamma_values(1.0).imag) < 1e-14
         # psi'(2.5) by peeling two recurrence steps off psi'(0.5)
         expected = PI2 / 2.0 - 4.0 - 1.0 / 2.25
-        assert nm.trigamma(2.5).real == pytest.approx(expected, rel=1e-12)
+        assert nm.trigamma_values(2.5).real == pytest.approx(expected, rel=1e-12)
 
     def test_complex_point_against_series_oracle(self):
         z = 2.5 + 1.0j
@@ -32,12 +33,12 @@ class TestTrigamma:
         frozen = 0.39838135667474245 - 0.19304498919054702j
         live = trigamma_series_oracle(z)
         assert abs(live - frozen) < 1e-13
-        assert abs(nm.trigamma(z) - frozen) < 1e-12 * abs(frozen)
+        assert abs(nm.trigamma_values(z) - frozen) < 1e-12 * abs(frozen)
 
     def test_real_points_against_series_oracle(self):
         for x in np.linspace(0.1, 10.0, 23):
             oracle = trigamma_series_oracle(complex(x))
-            assert abs(nm.trigamma(x) - oracle) < 1e-10 * abs(oracle)
+            assert abs(nm.trigamma_values(x) - oracle) < 1e-10 * abs(oracle)
 
     def test_recurrence_residual_random_arguments(self):
         rng = np.random.default_rng(42)
@@ -56,7 +57,7 @@ class TestTrigamma:
     @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, -3.0 + 1e-13j])
     def test_pole_inputs_raise(self, z):
         with pytest.raises(PoleError):
-            nm.trigamma(z)
+            nm.trigamma_values(z)
 
     @pytest.mark.parametrize("z", [complex(-0.0, 1.0), 1j, -2.0 + 1e-6j, -7.25 - 2.0j, -0.5,
                                    complex(-5e-324, 3.0)],
@@ -68,7 +69,7 @@ class TestTrigamma:
     def test_tiny_positive_real_part_is_the_leading_pole_term(self):
         # psi'(z) = 1/z^2 + psi'(1 + z), and psi'(1) = pi^2/6 is ~1e-25 of 1/z^2 here
         z = 1e-13
-        assert abs(nm.trigamma(z) - 1.0 / z ** 2) <= 1e-12 / z ** 2
+        assert abs(nm.trigamma_values(z) - 1.0 / z ** 2) <= 1e-12 / z ** 2
 
     @pytest.mark.parametrize("bad", [complex("-inf"), complex("inf"), complex(1.0, math.inf),
                                      complex(math.nan, 0.0), complex(2.0, math.nan)],
@@ -82,11 +83,11 @@ class TestTrigamma:
         # the argument noise_kernel passes: one real part at every node
         x = hot_bath.cutoff * np.arange(2001) * 0.05
         z = hot_bath.temperature * (1.0 + 1j * x) / hot_bath.cutoff
-        scalar = np.array([nm.trigamma(zi) for zi in z])
+        scalar = np.array([nm.trigamma_values(zi) for zi in z])
         assert np.array_equal(nm.trigamma_values(z), scalar)
         # points on both sides of |z| = 10 share one batch
         mixed = np.array([0.5 + 1.0j, 30.0 + 2.0j, 2.5, 12.0 - 5.0j, 10.5])
-        scalar = np.array([nm.trigamma(zi) for zi in mixed])
+        scalar = np.array([nm.trigamma_values(zi) for zi in mixed])
         assert np.array_equal(nm.trigamma_values(mixed), scalar)
 
     def test_mixed_real_parts_against_series_oracle(self):
@@ -142,7 +143,7 @@ class TestCumulativeSimpson:
     def test_matches_total_on_even_interval_counts(self):
         x = np.linspace(0.0, 3.0, 301)
         y = np.sin(2.0 * x) * np.exp(-0.3 * x)
-        cum = nm.cumulative_simpson(y, x[1] - x[0])
+        cum = nm.cumulative_simpson(y.copy(), x[1] - x[0])
         assert cum[0] == 0.0
         assert cum[-1] == pytest.approx(nm.simpson(y, x[1] - x[0]), abs=1e-15)
 
@@ -165,8 +166,13 @@ class TestCumulativeSimpson:
         cum = nm.cumulative_simpson(y, x[1] - x[0])
         assert cum[-1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_two_point_grid(self):
-        assert nm.cumulative_simpson(np.array([1.0, 3.0]), 0.5)[1] == pytest.approx(1.0)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_nodes_raise(self, n):
+        # A kernel grid has at least 3 nodes, and a two-node guard segment takes no prefix.
+        y = np.arange(1.0, n + 1.0)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            nm.cumulative_simpson(y, 0.5)
+        assert np.array_equal(y, np.arange(1.0, n + 1.0))
 
     def test_complex_values(self):
         x = np.linspace(0.0, 1.0, 101)
@@ -174,3 +180,13 @@ class TestCumulativeSimpson:
         cum = nm.cumulative_simpson(y, x[1] - x[0])
         expected = (np.exp(1j * x) - 1.0) / 1j
         assert np.max(np.abs(cum - expected)) < 1e-9
+
+
+def test_one_form_per_primitive():
+    # trigamma_values takes a scalar too (a 0-d array), and the prefix is
+    # always taken over its integrand.
+    assert not hasattr(nm, "trigamma")
+    assert not hasattr(nm.special, "trigamma")
+    assert "trigamma" not in nm.special.__all__
+    assert list(inspect.signature(nm.cumulative_simpson).parameters) == ["y", "step"]
+    assert nm.trigamma_values(1.0).shape == ()
