@@ -83,12 +83,6 @@ class CycleReport(NamedTuple):
     flow_h: Flow
     flow_c: Flow
 
-    def to_dict(self) -> dict:
-        out = self._asdict()
-        for name in LABEL_FIELDS:
-            out[name] = out[name].value
-        return out
-
 
 # The report schema: field order of the CSV columns and the JSON keys.
 # Label fields hold an Enum and are written as its value.

@@ -14,8 +14,10 @@ it arrives, so parallel runs are byte-identical to serial ones and a serial
 sweep holds one t_h row in memory.  Every file is written to `<out>.part` and
 renamed onto `<out>` once complete: a run that raises leaves `<out>` as it
 was.  The file is the run's only result (the runners return nothing), and
-the pool size is the config's `workers`.  Per-cell failures land in the CSV
-error column and the run continues.
+the pool size is the config's `workers`.  A cell's failure is a package error
+(`NmottoError`: a singular map, a rejected grid, or a config value that a
+phase cell derives); it lands in the CSV error column and the run continues.
+Any other exception is a program fault and stops the run.
 
 The dumps write one stroke's grid: `write_kernel_csv` its tables and
 `write_trace_csv` its population from a given start, the one place the mix
@@ -33,7 +35,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import Optional, get_type_hints
@@ -41,7 +43,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import energetics, limit_cycle
-from .config import RunConfig, _time_axis, require_scalar_times, sweep_axes
+from .config import RunConfig, _time_axis, parse_config, require_scalar_times, sweep_axes
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import StrokeSource, transition_traces
 from .errors import ConfigError, NmottoError
@@ -160,18 +162,13 @@ def _error_line(t_h: float, t_c: float, exc: Exception) -> str:
     return _csv_line(row)
 
 
-# Failures of the physics at one parameter point; anything else is a bug and
-# propagates.
-_CELL_ERRORS = (NmottoError, ValueError, ArithmeticError)
-
-
 def _sweep_chunk(ctx: CycleContext, t_c_values: list[float], t_h: float) -> str:
     """The CSV text of one t_h row of the sweep, t_c in axis order."""
     lines = []
     for t_c in t_c_values:
         try:
             report = evaluate_cycle(ctx, t_h, t_c)
-        except _CELL_ERRORS as exc:  # per-cell failure: record and continue
+        except NmottoError as exc:  # per-cell failure: record and continue
             lines.append(_error_line(t_h, t_c, exc))
         else:
             lines.append(_report_line(report))
@@ -291,12 +288,13 @@ def _phase_line(config: RunConfig, t_values: list[float],
     counts = dict.fromkeys(Mode, 0)  # Enum order is the CSV column order
     classification = error = ""
     try:
-        ctx = build_context(replace(config, omega_c=r_omega * config.omega_h,
-                                    T_c=r_temp * config.T_h),
-                            max(t_values), max(t_values))
+        # The cell's config passes parse_config's checks, as a config read from a file does.
+        cell = parse_config({**config.to_dict(), "omega_c": r_omega * config.omega_h,
+                             "T_c": r_temp * config.T_h})
+        ctx = build_context(cell, max(t_values), max(t_values))
         for t_h, t_c in product(t_values, t_values):
             counts[evaluate_cycle(ctx, t_h, t_c).mode] += 1
-    except _CELL_ERRORS as exc:  # the cell's first failure; counts so far stay
+    except NmottoError as exc:  # the cell's first failure; counts so far stay
         error = f"{type(exc).__name__}: {exc}"
     else:
         classification = "engine_only" if counts[Mode.ENGINE] == len(t_values) ** 2 else "mixed"
@@ -315,12 +313,13 @@ def run_phase(config: RunConfig, out_path: str) -> None:
 
 def write_cycle_csv(report: CycleReport, path: str, json_path: Optional[str] = None) -> None:
     """The report's CSV row at `path` and, given `json_path`, the report as
-    indented JSON there: both part files are complete before either is
-    renamed, so a failed write of either leaves both paths as they were.
+    indented JSON there (json writes a str Enum label as its value): both
+    part files are complete before either is renamed, so a failed write of
+    either leaves both paths as they were.
     """
     files = [(path, CSV_HEADER, [_report_line(report)])]
     if json_path is not None:
-        files.append((json_path, json.dumps(report.to_dict(), indent=2, sort_keys=True), []))
+        files.append((json_path, json.dumps(report._asdict(), indent=2, sort_keys=True), []))
     _write_csv(*files)
 
 

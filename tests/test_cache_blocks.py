@@ -241,5 +241,6 @@ def test_a_dump_peaks_near_the_tables_of_its_grid(tmp_path, command):
     finally:
         tracemalloc.stop()
     n = path.read_bytes().count(b"\n") - 1
+    assert n == 240001  # every node, at the production block size
     assert n >= 4 * special.CACHE_BLOCK
     assert peak <= 6.0 * 8 * n

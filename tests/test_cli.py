@@ -518,7 +518,8 @@ def test_import_emits_no_warning():
 # stroke time (t_h, t_c, t_box.t_max) is capped at 200, so a grid has at
 # most 200 / h nodes, except 1e300 and 10**30, which exceed the node limit
 # and are refused before any table is built; counts are at most 2; workers
-# stays 1.
+# stays 1.  A phase config has no cold keys, as configs/phase_small.json: each
+# cell derives its omega_c and T_c from the drawn hot ones.
 EXTREME = [5e-324, 1e-310, 1e-300, 1e300, -1e300]
 HUGE_INT = [10**30, 10**400]
 WRONG_TYPE = ["1", None, True, [1.0], {}]
@@ -535,6 +536,8 @@ def _object_values(*valid_or_boundary):
 
 CONTRACT_CONFIG = dict(base_config_dict(t_h=10.0, t_c=5.0), workers=1, omega_ratio=HALF_RATIO,
                        T_ratio={"min": 0.2, "max": 0.2, "n": 1}, t_box={"t_max": 10.0, "n": 2})
+PHASE_CONTRACT_CONFIG = {key: value for key, value in CONTRACT_CONFIG.items()
+                         if key not in ("omega_c", "T_c", "t_h", "t_c")}
 CONTRACT_VALUES = {
     "omega_h": _number_values(1.0, 2.0, 0, 0.5),  # 0.5 is omega_c
     "omega_c": _number_values(0.5, 0.25, 0, 1.0),  # 1.0 is omega_h
@@ -567,6 +570,14 @@ CONTRACT_COMMANDS = {
 changed_keys = st.lists(st.sampled_from(sorted(CONTRACT_VALUES)), max_size=3, unique=True)
 
 
+def _error_names(cls):
+    return {cls.__name__}.union(*map(_error_names, cls.__subclasses__()))
+
+
+# The text a cell's error field starts with: the name of a package error.
+CELL_ERROR_PREFIXES = tuple(f"{name}: " for name in sorted(_error_names(nmotto.NmottoError)))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(argv=st.sampled_from(sorted(CONTRACT_COMMANDS)),
        changes=changed_keys.flatmap(
@@ -574,7 +585,8 @@ changed_keys = st.lists(st.sampled_from(sorted(CONTRACT_VALUES)), max_size=3, un
 def test_cli_contract_holds_for_any_config(argv, changes):
     with tempfile.TemporaryDirectory() as directory:
         cfg, out = Path(directory) / "config.json", Path(directory) / "out.csv"
-        cfg.write_text(json.dumps({**CONTRACT_CONFIG, **changes}))
+        base = PHASE_CONTRACT_CONFIG if argv[0] == "phase" else CONTRACT_CONFIG
+        cfg.write_text(json.dumps({**base, **changes}))
         err = io.StringIO()
         # A numpy warning would be a second stderr line: here it is an error.
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
@@ -584,6 +596,10 @@ def test_cli_contract_holds_for_any_config(argv, changes):
         if code == 0:
             assert err.getvalue() == ""
             assert out.read_text().splitlines()[0] == CONTRACT_COMMANDS[argv]
+            if CONTRACT_COMMANDS[argv].endswith(",error"):
+                with open(out, newline="") as fh:
+                    errors = [row["error"] for row in csv.DictReader(fh) if row["error"]]
+                assert all(error.startswith(CELL_ERROR_PREFIXES) for error in errors), errors
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1

@@ -46,6 +46,9 @@ _JSON_VALUES = st.recursive(
     max_leaves=8)
 _CONFIG_KEYS = st.sampled_from([f.name for f in fields(nm.RunConfig)])
 
+# Exceptions that are not package errors: raised in a cell, each stops the run.
+PROGRAM_BUGS = [TypeError, ValueError, ZeroDivisionError]
+
 
 class TestConfigParsing:
     def test_minimal_round_trip(self):
@@ -253,7 +256,7 @@ class TestCycleContext:
                               cold_grid=nm.build_kernel_grid(cold_bath, 0.5, 20.0))
         with pytest.raises(AttributeError):
             nm.evaluate_cycle(ctx, 10.0, 10.0)
-        assert not issubclass(AttributeError, nm.sweep._CELL_ERRORS)
+        assert not issubclass(AttributeError, nm.NmottoError)
 
 
 @pytest.fixture(scope="module")
@@ -285,10 +288,11 @@ class TestRunSweep:
         assert t_h == sorted(t_h)
         assert [float(r["t_c"]) for r in rows[:6]] == sorted({float(r["t_c"]) for r in rows})
 
-    def test_worker_count_does_not_change_bytes(self, small_cfg, tmp_path):
+    @pytest.mark.parametrize("dynamics", ["tcl2", "markov"])
+    def test_worker_count_does_not_change_bytes(self, small_cfg, tmp_path, dynamics):
         p1, p4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        run_sweep(replace(small_cfg, workers=1), str(p1))
-        run_sweep(replace(small_cfg, workers=4), str(p4))
+        run_sweep(replace(small_cfg, dynamics=dynamics, workers=1), str(p1))
+        run_sweep(replace(small_cfg, dynamics=dynamics, workers=4), str(p4))
         assert p1.read_bytes() == p4.read_bytes()
 
     def test_single_cell_sweep_equals_cycle(self, tmp_path):
@@ -332,14 +336,15 @@ class TestRunSweep:
             assert "SingularMapError" in row[-1]
             assert row[2] == ""
 
-    def test_program_bug_propagates(self, small_cfg, tmp_path, monkeypatch):
-        # a TypeError is a bug, not a per-cell physics failure
+    @pytest.mark.parametrize("bug", PROGRAM_BUGS)
+    def test_program_bug_propagates(self, small_cfg, tmp_path, monkeypatch, bug):
+        # an exception that is not an NmottoError is a bug, not a per-cell physics failure
         def broken(ctx, t_h, t_c):
-            raise TypeError("unsupported operand")
+            raise bug("unsupported operand")
 
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", broken)
         out = tmp_path / "bug.csv"
-        with pytest.raises(TypeError, match="unsupported operand"):
+        with pytest.raises(bug, match="unsupported operand"):
             run_sweep(replace(small_cfg, workers=1), str(out))
         assert not out.exists()
 
@@ -421,10 +426,11 @@ class TestPool:
 
 
 class TestRunPhase:
+    @pytest.mark.parametrize("bug", PROGRAM_BUGS)
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_program_bug_propagates(self, tmp_path, monkeypatch, workers):
+    def test_program_bug_propagates(self, tmp_path, monkeypatch, workers, bug):
         def broken(ctx, t_h, t_c):
-            raise TypeError("unsupported operand")
+            raise bug("unsupported operand")
 
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", broken)
         cfg = parse_config({
@@ -434,8 +440,31 @@ class TestRunPhase:
             "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
             "t_box": {"t_max": 10.0, "n": 2},
         })
-        with pytest.raises(TypeError, match="unsupported operand"):
+        with pytest.raises(bug, match="unsupported operand"):
             run_phase(replace(cfg, workers=workers), str(tmp_path / "bug.csv"))
+
+    @pytest.mark.parametrize("key, dynamics, error", [
+        ("omega_h", "markov", "ConfigError: omega_c: must be > 0"),
+        ("omega_h", "tcl2", "ConfigError: omega_c: must be > 0"),
+        ("T_h", "tcl2", "ConfigError: T_c: must be > 0"),
+    ], ids=["omega_h-markov", "omega_h-tcl2", "T_h-tcl2"])
+    def test_a_derived_cold_value_is_checked_like_a_config_file(self, tmp_path, key, dynamics, error):
+        # 0.5 * omega_h and 0.2 * T_h round to 0, which the cell's config
+        # fails at parse_config, as a config file would
+        cfg = parse_config({
+            "omega_h": 1.0, "T_h": 1.0,
+            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
+            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
+            "t_box": {"t_max": 10.0, "n": 2},
+            "dynamics": dynamics, key: 5e-324,
+        })
+        out = tmp_path / "edge.csv"
+        run_phase(cfg, str(out))
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["error"] == error
+        assert row["classification"] == ""
 
     def test_small_phase_diagram(self, tmp_path):
         cfg = parse_config({

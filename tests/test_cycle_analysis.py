@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import struct
@@ -371,7 +372,7 @@ class TestFindBoundaries:
 class TestReportSerialization:
     def test_round_trip_fields(self, reference_context):
         rep = evaluate_cycle(reference_context, 60.0, 30.0)
-        d = rep.to_dict()
+        d = json.loads(json.dumps(rep._asdict()))
         assert d["mode"] == rep.mode.value
         assert d["t_h"] == 60.0
         assert d["W_total"] == rep.W_total
