@@ -153,17 +153,30 @@ def stroke_energetics(lc: LimitCycleState, label: str, stroke: StrokeSource, t: 
     return StrokeEnergetics(des, deb, -des - deb)
 
 
+# Where omega/T is so small that 1 + 2n overflows (n itself may be inf),
+# the Markov stroke takes the limits of the expressions that read n: the
+# stationary population (1 + n)/(1 + 2n) tends to 1/2, and the rate
+# 2*pi*J(omega)*(1 + 2n), with 2n ~ 2T/omega, to 4*pi*lam*T*exp(-omega/cutoff).
 def markov_rate(bath: BathSpec, omega: float) -> float:
     """GKSL relaxation rate 2*pi*J(omega)*(1 + 2n(omega))."""
     n = bose_occupation(omega, bath.temperature)
+    if 2.0 * n == math.inf:
+        return 4.0 * math.pi * bath.coupling * bath.temperature * math.exp(-omega / bath.cutoff)
     return 2.0 * math.pi * spectral_density(omega, bath) * (1.0 + 2.0 * n)
+
+
+def _markov_stationary(bath: BathSpec, omega: float) -> float:
+    """Stationary ground population (1 + n)/(1 + 2n) of the Markov stroke."""
+    n = bose_occupation(omega, bath.temperature)
+    if 2.0 * n == math.inf:
+        return 0.5
+    return (1.0 + n) / (1.0 + 2.0 * n)
 
 
 def markov_population(initial_rho00: float, bath: BathSpec, omega: float, t: float) -> float:
     """Ground population under the Born-Markov reference dynamics."""
     _check_stroke_time(t)
-    n = bose_occupation(omega, bath.temperature)
-    stationary = (1.0 + n) / (1.0 + 2.0 * n)
+    stationary = _markov_stationary(bath, omega)
     return stationary + (initial_rho00 - stationary) * math.exp(-markov_rate(bath, omega) * t)
 
 
@@ -179,8 +192,7 @@ class MarkovStroke:
     rate: float = field(init=False, repr=False)
 
     def __post_init__(self, bath: BathSpec):
-        n = bose_occupation(self.omega0, bath.temperature)
-        object.__setattr__(self, "stationary", (1.0 + n) / (1.0 + 2.0 * n))
+        object.__setattr__(self, "stationary", _markov_stationary(bath, self.omega0))
         object.__setattr__(self, "rate", markov_rate(bath, self.omega0))
 
     def populations(self, t: float) -> tuple[float, float]:

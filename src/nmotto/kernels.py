@@ -88,10 +88,13 @@ def spectral_density(omega, bath: BathSpec):
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
-    """Thermal occupation n(w) = 1 / (exp(w/T) - 1)."""
+    """Thermal occupation n(w) = 1 / (exp(w/T) - 1); inf, its limit, where
+    w/T underflows to 0."""
     x = omega / temperature
     if x > 700.0:  # expm1 overflows; the occupation is indistinguishable from 0
         return 0.0
+    if x == 0.0:
+        return math.inf
     return 1.0 / math.expm1(x)
 
 

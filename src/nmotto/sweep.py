@@ -2,10 +2,16 @@
 
 The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
 pair of strokes is built per sweep (`stroke_tables`: a grid, its traces and
-its flow prefixes) and shared read-only by every cell; a cell evaluation is
-O(1), under TCL2 and Markov dynamics alike.  A stroke lets each grid table
-go as soon as nothing more is taken from it: b and A once the traces are
-solved, D1 once the flow prefixes are taken.  Every batch is one lazy ordered
+its flow prefixes).  A stroke lets each grid table go as soon as nothing
+more is taken from it: b and A once the traces are solved, D1 once the flow
+prefixes are taken.  A cell reads the hot stroke at t_h only and the cold
+stroke at t_c only, so a sweep, and each phase cell over its t_box, reads
+each stroke once per distinct stroke time of its axis before the first cell
+(`_read_context`): the stroke's own `populations(t)` and `flow(t)`, kept in
+one dict per stroke that every cell answers from, under TCL2 and Markov
+dynamics alike.  The strokes then go.  `run_cycle` and any caller of
+`evaluate_cycle` with `build_context`'s context read the strokes per call,
+with the same bits.  Every batch is one lazy ordered
 map (`_map`): a sweep maps over its t_h values, each to one block of CSV
 text holding that row's t_c cells, and a phase diagram over its (omega
 ratio, T ratio) cells, each to its CSV line.  The map runs serially or
@@ -87,7 +93,9 @@ class CycleContext:
     """Everything one parameter point needs; immutable and picklable, tables included.
 
     `hot_grid` and `cold_grid` hold the strokes' sources (StrokeTables, or
-    MarkovStroke under Markov dynamics); perfbench/checks.py reads these names.
+    MarkovStroke under Markov dynamics; a batch run's cells get each read
+    once per stroke time, `_StrokeReads`); perfbench/checks.py reads these
+    names.
     """
 
     omega_h: float
@@ -131,6 +139,32 @@ def evaluate_cycle(ctx: CycleContext, t_h: float, t_c: float) -> CycleReport:
     hot = energetics.stroke_energetics(lc, "hot", ctx.hot_grid, t_h)
     cold = energetics.stroke_energetics(lc, "cold", ctx.cold_grid, t_c)
     return assemble_report(t_h, t_c, lc, ctx.omega_h, ctx.omega_c, hot, cold)
+
+
+class _StrokeReads:
+    """A stroke read once at each distinct stroke time of a run, `{t:
+    (populations, flow)}`, answering a cell from that dict: the stroke's own
+    values, bit for bit, with no table read per cell."""
+
+    __slots__ = ("omega0", "reads")
+
+    def __init__(self, stroke: StrokeSource, times: list[float]):
+        self.omega0 = stroke.omega0
+        self.reads = {t: (stroke.populations(t), stroke.flow(t)) for t in dict.fromkeys(times)}
+
+    def populations(self, t: float) -> tuple[float, float]:
+        return self.reads[t][0]
+
+    def flow(self, t: float) -> tuple[float, float]:
+        return self.reads[t][1]
+
+
+def _read_context(ctx: CycleContext, t_h_values: list[float], t_c_values: list[float]) -> CycleContext:
+    """`ctx` with the hot stroke read at t_h_values and the cold at t_c_values:
+    the cells of a run read these dicts, and the strokes can go."""
+    return CycleContext(omega_h=ctx.omega_h, omega_c=ctx.omega_c,
+                        hot_grid=_StrokeReads(ctx.hot_grid, t_h_values),
+                        cold_grid=_StrokeReads(ctx.cold_grid, t_c_values))
 
 
 def run_cycle(config: RunConfig) -> CycleReport:
@@ -277,7 +311,8 @@ def _column_blocks(n: int, step: float, columns):
 def run_sweep(config: RunConfig, out_path: str) -> None:
     """Row-major (t_h outer, t_c inner) sweep written as CSV, one t_h row at a time."""
     t_h_values, t_c_values = sweep_axes(config)
-    ctx = build_context(config, max(t_h_values), max(t_c_values))
+    ctx = _read_context(build_context(config, max(t_h_values), max(t_c_values)),
+                        t_h_values, t_c_values)
     _write_csv((out_path, CSV_HEADER,
                 _map(partial(_sweep_chunk, ctx, t_c_values), t_h_values, config.workers)))
 
@@ -291,7 +326,7 @@ def _phase_line(config: RunConfig, t_values: list[float],
         # The cell's config passes parse_config's checks, as a config read from a file does.
         cell = parse_config({**config.to_dict(), "omega_c": r_omega * config.omega_h,
                              "T_c": r_temp * config.T_h})
-        ctx = build_context(cell, max(t_values), max(t_values))
+        ctx = _read_context(build_context(cell, max(t_values), max(t_values)), t_values, t_values)
         for t_h, t_c in product(t_values, t_values):
             counts[evaluate_cycle(ctx, t_h, t_c).mode] += 1
     except NmottoError as exc:  # the cell's first failure; counts so far stay

@@ -1,0 +1,119 @@
+"""A batch run reads each stroke once per stroke time, with the per-cell bits.
+
+`run_sweep` and each phase cell read the hot stroke at the t_h (or t_box)
+values and the cold stroke at the t_c (or t_box) values before the first
+cell.  The files they write must be the text that a per-cell
+`evaluate_cycle` on `build_context`'s context gives.
+"""
+
+from dataclasses import replace
+from itertools import product
+
+import pytest
+
+import nmotto as nm
+from nmotto.config import parse_config, sweep_axes
+from nmotto.cycle import Mode
+from nmotto.sweep import (CSV_HEADER, PHASE_HEADER, _csv_line, _error_line, _fmt, _report_line,
+                          run_phase, run_sweep)
+
+from conftest import base_config_dict
+
+# Axes off the grid nodes (step 0.05): every read interpolates between nodes.
+OFF_NODE = {"t_h": {"min": 3.33, "max": 97.01, "n": 5}, "t_c": {"min": 1.17, "max": 55.55, "n": 4}}
+# A t_c axis of one stroke time, three times over.
+REPEATED = {"t_h": {"min": 3.33, "max": 97.01, "n": 5}, "t_c": {"min": 7.77, "max": 7.77, "n": 3}}
+SWEEPS = {
+    "tcl2": base_config_dict(**OFF_NODE),
+    "tcl2-repeated": base_config_dict(**REPEATED),
+    "decoupled": base_config_dict(lambda_h=0.0, lambda_c=0.0, **OFF_NODE),
+    "markov": base_config_dict(dynamics="markov", **OFF_NODE),
+}
+PHASES = {
+    dynamics: {
+        "omega_h": 1.0, "T_h": 1.0,
+        "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+        "omega_ratio": {"min": 0.3, "max": 0.7, "n": 2},
+        "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
+        "t_box": {"t_max": 61.7, "n": 3},  # t = 20.566..., 41.133..., 61.7
+        "dynamics": dynamics,
+    }
+    for dynamics in ("tcl2", "markov")
+}
+
+
+def _per_cell_sweep_text(config):
+    t_h_values, t_c_values = sweep_axes(config)
+    ctx = nm.build_context(config, max(t_h_values), max(t_c_values))
+    lines = [CSV_HEADER + "\n"]
+    for t_h, t_c in product(t_h_values, t_c_values):
+        try:
+            lines.append(_report_line(nm.evaluate_cycle(ctx, t_h, t_c)))
+        except nm.NmottoError as exc:
+            lines.append(_error_line(t_h, t_c, exc))
+    return "".join(lines)
+
+
+def _per_cell_phase_text(config):
+    t_values = config.t_box.values()
+    lines = [PHASE_HEADER + "\n"]
+    for r_omega, r_temp in product(config.omega_ratio.values(), config.T_ratio.values()):
+        cell = parse_config({**config.to_dict(), "omega_c": r_omega * config.omega_h,
+                             "T_c": r_temp * config.T_h})
+        ctx = nm.build_context(cell, max(t_values), max(t_values))
+        modes = [nm.evaluate_cycle(ctx, t_h, t_c).mode for t_h, t_c in product(t_values, t_values)]
+        counts = [modes.count(mode) for mode in Mode]
+        classification = "engine_only" if counts[0] == len(modes) else "mixed"
+        lines.append(_csv_line([_fmt(r_omega), _fmt(r_temp), *map(str, counts), classification, ""]))
+    return "".join(lines)
+
+
+@pytest.fixture()
+def stroke_reads(monkeypatch):
+    """The stroke times of every table read (`dynamics._stroke_end`) in this process."""
+    times = []
+    read = nm.energetics._stroke_end
+
+    def counted(stroke, t, first, second):
+        times.append(t)
+        return read(stroke, t, first, second)
+
+    monkeypatch.setattr(nm.energetics, "_stroke_end", counted)
+    return times
+
+
+@pytest.mark.parametrize("name", ["tcl2", "tcl2-repeated"])
+def test_a_sweep_reads_each_stroke_once_per_stroke_time(stroke_reads, tmp_path, name):
+    config = replace(parse_config(SWEEPS[name]), workers=1)
+    t_h_values, t_c_values = sweep_axes(config)
+    run_sweep(config, str(tmp_path / "sweep.csv"))
+    # populations and flow, once at each distinct t_h and each distinct t_c
+    assert len(stroke_reads) == 2 * (len(set(t_h_values)) + len(set(t_c_values)))
+    assert sorted(stroke_reads) == sorted(2 * [*set(t_h_values), *set(t_c_values)])
+
+
+def test_a_phase_cell_reads_each_stroke_once_per_box_time(stroke_reads, tmp_path):
+    config = replace(parse_config(PHASES["tcl2"]), workers=1)
+    run_phase(config, str(tmp_path / "phase.csv"))
+    # two ratio cells, each reading both strokes' populations and flow at every t_box value
+    assert len(stroke_reads) == 2 * 4 * len(config.t_box.values())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_a_sweep_writes_the_per_cell_text(tmp_path, name, workers):
+    config = replace(parse_config(SWEEPS[name]), workers=workers)
+    run_sweep(config, str(tmp_path / "sweep.csv"))
+    text = (tmp_path / "sweep.csv").read_text()
+    assert text == _per_cell_sweep_text(config)
+    if name == "decoupled":  # a decoupled cycle has no unique fixed point
+        assert all(line.split(",")[-1].startswith("SingularMapError: ")
+                   for line in text.splitlines()[1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dynamics", sorted(PHASES))
+def test_a_phase_diagram_writes_the_per_cell_text(tmp_path, dynamics, workers):
+    config = replace(parse_config(PHASES[dynamics]), workers=workers)
+    run_phase(config, str(tmp_path / "phase.csv"))
+    assert (tmp_path / "phase.csv").read_text() == _per_cell_phase_text(config)

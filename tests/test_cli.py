@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shlex
 import shutil
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 
 import nmotto
 from nmotto.cli import main
+from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS
 
 from conftest import base_config_dict
 
 REPO = Path(__file__).resolve().parents[1]
+FLOAT_FIELDS = [name for name in REPORT_FIELDS if name not in LABEL_FIELDS]
 SWEEP_HEADER = ("t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
                 "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
                 "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error")
@@ -305,6 +308,19 @@ class TestReadmeCommands:
             assert list(report) == sorted(header.split(",")[:-1])
 
 
+def _assert_rows_finite_and_balanced(path):
+    """Every float field of every `cycle` or `sweep` row is finite, and each
+    stroke's dE_S + dE_B + dE_I is 0 to rounding.  An error row's empty
+    fields hold no number."""
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            values = {name: float(row[name]) for name in FLOAT_FIELDS if row[name]}
+            assert all(map(math.isfinite, values.values())), row
+            for stroke in ("h", "c") if "dE_S_h" in values else ():
+                terms = [values[f"dE_{part}_{stroke}"] for part in "SBI"]
+                assert abs(sum(terms)) <= 4 * sys.float_info.epsilon * sum(map(abs, terms)), row
+
+
 def _run_reference_variant(tmp_path, changes, argv):
     """The CLI in a subprocess, which sees every line numpy would print to
     stderr, on the reference config with `changes`: (the run, its --out path)."""
@@ -446,6 +462,36 @@ class TestErrorPaths:
         assert main(["cycle", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[0] == SWEEP_HEADER
+
+    @pytest.mark.parametrize("omega_c", [1e-310, 5e-324])
+    def test_vanishing_cold_frequency_under_markov_writes_finite_rows(self, tmp_path, capsys, omega_c):
+        # omega_c / T_c so small that 1 + 2n overflows (5e-324: n's argument
+        # underflows to 0): the Markov stroke takes the limits, stationary
+        # population 1/2 and rate 4 pi lam T exp(-omega/cutoff)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(base_config_dict(dynamics="markov", omega_c=omega_c, T_c=3.0,
+                                                   T_h=4.0, t_h=10.0, t_c=10.0)))
+        out = tmp_path / "x.csv"
+        assert main(["cycle", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _assert_rows_finite_and_balanced(out)
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["error"] == ""
+
+    def test_vanishing_derived_frequency_under_markov_classifies_the_cell(self, tmp_path, capsys):
+        # the phase cell derives omega_c = 0.5 * 1e-323 = 5e-324
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({
+            "omega_h": 1e-323, "T_h": 100.0, "dynamics": "markov",
+            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
+            "omega_ratio": HALF_RATIO, "T_ratio": HALF_RATIO, "t_box": {"t_max": 10.0, "n": 2}}))
+        out = tmp_path / "x.csv"
+        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["error"] == "" and row["classification"] != ""
 
     def test_huge_count_exits_2(self, tmp_path, capsys):
         # a count beyond the float range used to escape as an OverflowError
@@ -600,6 +646,8 @@ def test_cli_contract_holds_for_any_config(argv, changes):
                 with open(out, newline="") as fh:
                     errors = [row["error"] for row in csv.DictReader(fh) if row["error"]]
                 assert all(error.startswith(CELL_ERROR_PREFIXES) for error in errors), errors
+            if argv[0] in ("cycle", "sweep"):
+                _assert_rows_finite_and_balanced(out)
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1

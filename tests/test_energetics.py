@@ -174,6 +174,19 @@ class TestMarkovReference:
         frozen_cold = nm.BathSpec(LAMBDA, CUTOFF, 1e-4)
         assert nm.markov_population(0.3, frozen_cold, OMEGA_H, 1e9) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("omega", [1e-308, 1e-310, 5e-324])
+    def test_vanishing_frequency_takes_the_limits(self, hot_bath, omega):
+        # 1 + 2n overflows (n itself is inf below ~5.6e-309 * T): the stationary
+        # population is 1/2 and the rate 4 pi lam T exp(-omega/cutoff), the
+        # values that omega = 1e-300 already approaches through n
+        limit = 4.0 * math.pi * LAMBDA * T_H * math.exp(-omega / CUTOFF)
+        assert nm.markov_rate(hot_bath, omega) == limit
+        assert nm.markov_rate(hot_bath, 1e-300) == pytest.approx(limit, rel=1e-15)
+        stroke = nm.MarkovStroke(hot_bath, omega)
+        assert (stroke.stationary, stroke.rate) == (0.5, limit)
+        assert nm.markov_population(0.25, hot_bath, omega, 1e7 / limit) == 0.5
+        assert nm.markov_population(0.25, hot_bath, 1e-300, 1e7 / limit) == pytest.approx(0.5, abs=1e-15)
+
     def test_cycle_has_no_interaction_energy(self, markov_context):
         for t_h in (5.0, 40.0, 120.0):
             for t_c in (3.0, 66.0):
