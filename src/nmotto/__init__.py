@@ -24,7 +24,6 @@ from .energetics import (
     MarkovStroke,
     StrokeTables,
     eq_interaction_integral,
-    markov_population,
     markov_rate,
     stroke_energetics,
 )

@@ -84,7 +84,7 @@ class CycleReport(NamedTuple):
     flow_c: Flow
 
 
-# The report schema: field order of the CSV columns and the JSON keys.
+# The report schema: the CSV column order, and the JSON keys (written sorted).
 # Label fields hold an Enum and are written as its value.
 REPORT_FIELDS = CycleReport._fields
 LABEL_FIELDS = tuple(

@@ -29,7 +29,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import GridError, PositivityError
-from .kernels import KernelGrid, bose_occupation
+from .kernels import KernelGrid, gibbs_populations
 from .special import cache_blocks, cumulative_simpson
 
 __all__ = ["StrokeSource", "transition_populations", "transition_traces"]
@@ -52,8 +52,8 @@ def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
     if rho[low] < -_POSITIVITY_TOL or rho[high] > 1.0 + _POSITIVITY_TOL:
         below, above = -float(rho[low]), float(rho[high]) - 1.0
         peak = low if below > above else high
-        n = bose_occupation(grid.omega0, grid.bath.temperature)
-        raise PositivityError(max(below, above), peak * grid.step, n / (1.0 + 2.0 * n))
+        raise PositivityError(max(below, above), peak * grid.step,
+                              gibbs_populations(grid.omega0, grid.bath.temperature)[1])
 
 
 def _check_stroke_time(t: float) -> None:

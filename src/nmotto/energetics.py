@@ -26,7 +26,8 @@ grid from those inputs once per call and forms tau and D2 at the nodes it
 integrates.
 
 The Markovian reference (detailed-balance rates, long-time limit) is the
-stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically.
+stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically; it
+relaxes at `markov_rate` to the Gibbs state (`kernels.gibbs_populations`).
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ import numpy as np
 from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, _check_stroke_time, _stroke_end, _validate_t, transition_traces
 from .kernels import (BathSpec, KernelGrid, bose_occupation, build_kernel_grid, dissipation_kernel,
-                      node_times, spectral_density)
+                      gibbs_populations, node_times, spectral_density)
 from .limit_cycle import LimitCycleState
 from .special import cache_blocks, cumulative_simpson, simpson
 
 __all__ = ["MarkovStroke", "StrokeTables", "bath_flow_tables", "eq_interaction_integral",
-           "stroke_energetics", "markov_population", "markov_rate"]
+           "stroke_energetics", "markov_rate"]
 
 
 def _entry(lc: LimitCycleState, label: str) -> tuple[float, float, float]:
@@ -153,37 +154,21 @@ def stroke_energetics(lc: LimitCycleState, label: str, stroke: StrokeSource, t: 
     return StrokeEnergetics(des, deb, -des - deb)
 
 
-# Where omega/T is so small that 1 + 2n overflows (n itself may be inf),
-# the Markov stroke takes the limits of the expressions that read n: the
-# stationary population (1 + n)/(1 + 2n) tends to 1/2, and the rate
-# 2*pi*J(omega)*(1 + 2n), with 2n ~ 2T/omega, to 4*pi*lam*T*exp(-omega/cutoff).
 def markov_rate(bath: BathSpec, omega: float) -> float:
-    """GKSL relaxation rate 2*pi*J(omega)*(1 + 2n(omega))."""
+    """GKSL relaxation rate 2*pi*J(omega)*(1 + 2n(omega)); where omega/T is
+    so small that 2n overflows (n itself may be inf), its limit
+    4*pi*lam*T*exp(-omega/cutoff), with 2n ~ 2T/omega."""
     n = bose_occupation(omega, bath.temperature)
     if 2.0 * n == math.inf:
         return 4.0 * math.pi * bath.coupling * bath.temperature * math.exp(-omega / bath.cutoff)
-    return 2.0 * math.pi * spectral_density(omega, bath) * (1.0 + 2.0 * n)
-
-
-def _markov_stationary(bath: BathSpec, omega: float) -> float:
-    """Stationary ground population (1 + n)/(1 + 2n) of the Markov stroke."""
-    n = bose_occupation(omega, bath.temperature)
-    if 2.0 * n == math.inf:
-        return 0.5
-    return (1.0 + n) / (1.0 + 2.0 * n)
-
-
-def markov_population(initial_rho00: float, bath: BathSpec, omega: float, t: float) -> float:
-    """Ground population under the Born-Markov reference dynamics."""
-    _check_stroke_time(t)
-    stationary = _markov_stationary(bath, omega)
-    return stationary + (initial_rho00 - stationary) * math.exp(-markov_rate(bath, omega) * t)
+    return 2.0 * math.pi * float(spectral_density(omega, bath)) * (1.0 + 2.0 * n)
 
 
 @dataclass(frozen=True)
 class MarkovStroke:
     """One stroke of the Markovian reference: closed-form populations, no flow
-    term.  Its stationary population and rate are computed once, from the bath.
+    term.  Its stationary population, the Gibbs ground population, and its
+    rate are computed once, from the bath.
     """
 
     bath: InitVar[BathSpec]
@@ -192,7 +177,7 @@ class MarkovStroke:
     rate: float = field(init=False, repr=False)
 
     def __post_init__(self, bath: BathSpec):
-        object.__setattr__(self, "stationary", _markov_stationary(bath, self.omega0))
+        object.__setattr__(self, "stationary", gibbs_populations(self.omega0, bath.temperature)[0])
         object.__setattr__(self, "rate", markov_rate(bath, self.omega0))
 
     def populations(self, t: float) -> tuple[float, float]:

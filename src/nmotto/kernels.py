@@ -9,7 +9,9 @@ real correlation kernels have closed forms:
     D2(tau) = 4*lam*cutoff^3*tau / (1 + cutoff^2*tau^2)^2
 
 equal to the cosine / sine transforms of J(w)*coth(w/2T) and J(w).  The
-rate tables on a uniform time grid are
+closed forms take any shape, a scalar giving a numpy scalar.  The Gibbs
+state, which the Markov stroke relaxes to and a PositivityError quotes, has
+one home, `gibbs_populations`.  The rate tables on a uniform time grid are
 
     a(tau) = -2 * int_0^tau D1(u) cos(w0 u) du
     b(tau) = -  int_0^tau [D1(u) cos(w0 u) + D2(u) sin(w0 u)] du
@@ -46,6 +48,7 @@ __all__ = [
     "noise_kernel",
     "dissipation_kernel",
     "bose_occupation",
+    "gibbs_populations",
     "default_grid_step",
     "build_kernel_grid",
     "node_times",
@@ -83,8 +86,7 @@ def spectral_density(omega, bath: BathSpec):
     """Ohmic spectral density lam * w * exp(-w/cutoff), for w >= 0."""
     w = _as_nonnegative_array(omega, "omega")
     with np.errstate(over="ignore"):  # w / cutoff past the float range: J's limit, 0
-        out = bath.coupling * w * np.exp(-w / bath.cutoff)
-    return float(out) if np.isscalar(omega) else out
+        return bath.coupling * w * np.exp(-w / bath.cutoff)
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -98,6 +100,16 @@ def bose_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def gibbs_populations(omega: float, temperature: float) -> tuple[float, float]:
+    """Gibbs (ground, excited) populations ((1 + n)/(1 + 2n), n/(1 + 2n)) of
+    a qubit of frequency w in a bath at T; (1/2, 1/2), their limit, where 2n
+    overflows (n itself may be inf)."""
+    n = bose_occupation(omega, temperature)
+    if 2.0 * n == math.inf:
+        return 0.5, 0.5
+    return (1.0 + n) / (1.0 + 2.0 * n), n / (1.0 + 2.0 * n)
+
+
 def noise_kernel(tau, bath: BathSpec):
     """Noise kernel D1(tau); agrees with the defining cosine transform."""
     t = _as_nonnegative_array(tau, "tau")
@@ -106,16 +118,14 @@ def noise_kernel(tau, bath: BathSpec):
     x2 = x * x
     vacuum = cut * cut * (x2 - 1.0) / (x2 + 1.0) ** 2
     psi = trigamma_values(temp * (1.0 + 1j * x) / cut)
-    out = 2.0 * lam * (vacuum + 2.0 * temp * temp * psi.real)
-    return float(out) if np.isscalar(tau) else out
+    return 2.0 * lam * (vacuum + 2.0 * temp * temp * psi.real)
 
 
 def dissipation_kernel(tau, bath: BathSpec):
     """Dissipation kernel D2(tau) (odd in tau; evaluated for tau >= 0)."""
     t = _as_nonnegative_array(tau, "tau")
     lam, cut = bath.coupling, bath.cutoff
-    out = 4.0 * lam * cut**3 * t / (1.0 + (cut * t) ** 2) ** 2
-    return float(out) if np.isscalar(tau) else out
+    return 4.0 * lam * cut**3 * t / (1.0 + (cut * t) ** 2) ** 2
 
 
 def default_grid_step(omega0: float, cutoff: float) -> float:

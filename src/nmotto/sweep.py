@@ -28,9 +28,9 @@ Any other exception is a program fault and stops the run.
 The dumps write one stroke's grid: `write_kernel_csv` its tables and
 `write_trace_csv` its population from a given start, the one place the mix
 of the two transition traces is formed.  A dump forms its node times, and
-whatever else the grid does not keep (D2, the mix), one cache block of rows
-at a time, and writes their text a slice of rows at a time; the rate a,
-whose prefix needs the whole integrand, is its one extra table.
+whatever else the grid does not keep (D2, the mix), and writes their text,
+one slice of rows at a time; the rate a, whose prefix needs the whole
+integrand, is its one extra table, filled one cache block at a time.
 """
 
 from __future__ import annotations
@@ -290,22 +290,20 @@ def _write_csv(*files) -> None:
         raise
 
 
-# Rows per piece of a dump's CSV text, whose rows cost several times their floats.
+# Rows per piece of a dump's columns and CSV text, whose rows cost several times their floats.
 _TEXT_ROWS = 4096
 
 
 def _column_blocks(n: int, step: float, columns):
-    """The first n grid nodes as CSV text: each row is the node time tau,
-    then the columns that `columns(block, tau)` returns for the block's
-    nodes.  The columns are formed one cache block of rows at a time, and
-    their text _TEXT_ROWS rows at a time."""
-    for block in cache_blocks(n):
-        tau = node_times(block, step)
-        values = (tau, *columns(block, tau))
+    """The first n grid nodes as CSV text, _TEXT_ROWS rows at a time: each
+    row is the node time tau, then the columns that `columns(rows, tau)`
+    returns for the nodes of the slice `rows`."""
+    for start in range(0, n, _TEXT_ROWS):
+        rows = slice(start, min(start + _TEXT_ROWS, n))
+        tau = node_times(rows, step)
+        values = (tau, *columns(rows, tau))
         line = ",".join(["%.17g"] * len(values)) + "\n"
-        for start in range(0, len(tau), _TEXT_ROWS):
-            rows = zip(*(v[start:start + _TEXT_ROWS].tolist() for v in values))
-            yield "".join([line % row for row in rows])
+        yield "".join([line % row for row in zip(*(v.tolist() for v in values))])
 
 
 def run_sweep(config: RunConfig, out_path: str) -> None:
@@ -374,8 +372,8 @@ def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     for block in cache_blocks(grid.n_points):
         a[block] = -2.0 * grid.D1[block] * np.cos(grid.omega0 * node_times(block, grid.step))
     cumulative_simpson(a, grid.step)
-    _write_csv((path, "tau,D1,D2,a,b,A", _column_blocks(grid.n_points, grid.step, lambda block, tau: (
-        grid.D1[block], dissipation_kernel(tau, grid.bath), a[block], grid.b[block], grid.A[block]))))
+    _write_csv((path, "tau,D1,D2,a,b,A", _column_blocks(grid.n_points, grid.step, lambda rows, tau: (
+        grid.D1[rows], dissipation_kernel(tau, grid.bath), a[rows], grid.b[rows], grid.A[rows]))))
 
 
 def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00: float) -> None:
@@ -391,5 +389,5 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
     step, n = grid.step, grid.n_points
     del grid  # the traces are all the dump reads: D1, b and A go before the text is formed
     k = min(int(math.floor(t / step + 1e-9)), n - 1)
-    _write_csv((path, "tau,rho00", _column_blocks(k + 1, step, lambda block, tau: (
-        initial_rho00 * from_ground[block] + (1.0 - initial_rho00) * from_excited[block],))))
+    _write_csv((path, "tau,rho00", _column_blocks(k + 1, step, lambda rows, tau: (
+        initial_rho00 * from_ground[rows] + (1.0 - initial_rho00) * from_excited[rows],))))

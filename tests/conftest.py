@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import nmotto as nm
+from oracles import markov_population
 
 # Reference scale: ratios omega_c/omega_h = 0.5, T_c/T_h = 0.2 anchored at
 # omega_h = T_h = 1 (see configs/reference_cycle.json).
@@ -77,10 +78,10 @@ def markov_context():
 def markov_reference_cycle(t_h, t_c, hot_bath, cold_bath, omega_h, omega_c):
     """The Markovian reference cycle written out on its own: four closed-form
     populations, the closed-form fixed point, then dE_B = -dE_S and dE_I = 0."""
-    r0_h = nm.markov_population(1.0, hot_bath, omega_h, t_h)
-    r1_h = nm.markov_population(0.0, hot_bath, omega_h, t_h)
-    r0_c = nm.markov_population(1.0, cold_bath, omega_c, t_c)
-    r1_c = nm.markov_population(0.0, cold_bath, omega_c, t_c)
+    r0_h = markov_population(1.0, hot_bath, omega_h, t_h)
+    r1_h = markov_population(0.0, hot_bath, omega_h, t_h)
+    r0_c = markov_population(1.0, cold_bath, omega_c, t_c)
+    r1_c = markov_population(0.0, cold_bath, omega_c, t_c)
     lc = nm.fixed_point_from_populations(r0_h, r1_h, r0_c, r1_c)
     des_h = omega_h * (lc.rho11_h - (1.0 - lc.P_h))
     des_c = omega_c * (lc.rho11_c - (1.0 - lc.P_c))

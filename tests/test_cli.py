@@ -479,6 +479,20 @@ class TestErrorPaths:
             (row,) = list(csv.DictReader(fh))
         assert row["error"] == ""
 
+    def test_positivity_error_at_a_vanishing_frequency_quotes_a_finite_gibbs_population(
+            self, tmp_path):
+        # omega_c / T_c so small that the Bose occupation is inf: the Gibbs
+        # excited population n/(1 + 2n) would read nan; its limit is 1/2
+        done, out = _run_reference_variant(tmp_path, {
+            "omega_c": 1e-310, "T_h": 60.0, "T_c": 50.0, "lambda_c": 0.2, "Omega_c": 0.5,
+            "t_h": 10.0, "t_c": 30.0}, ["cycle"])
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        summary = json.loads(line)
+        assert summary["error"] == "PositivityError"
+        assert summary["message"].endswith("at tau=29.95 (bath Gibbs excited population 5.0000e-01)")
+        assert not out.exists()
+
     def test_vanishing_derived_frequency_under_markov_classifies_the_cell(self, tmp_path, capsys):
         # the phase cell derives omega_c = 0.5 * 1e-323 = 5e-324
         cfg = tmp_path / "tiny.json"

@@ -5,10 +5,10 @@ import pytest
 
 import nmotto as nm
 from nmotto.errors import GridError
-from nmotto.kernels import MAX_GRID_NODES
+from nmotto.kernels import MAX_GRID_NODES, gibbs_populations
 
-from conftest import (CUTOFF, LAMBDA, OMEGA_H, T_H, dissipation_kernel_oracle, kernel_dump,
-                      noise_kernel_oracle)
+from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H, dissipation_kernel_oracle,
+                      kernel_dump, noise_kernel_oracle)
 
 
 class TestBathSpec:
@@ -44,6 +44,20 @@ class TestSpectralDensity:
     def test_negative_frequency_rejected(self, hot_bath):
         with pytest.raises(ValueError):
             nm.spectral_density(-0.1, hot_bath)
+
+
+class TestGibbsPopulations:
+    @pytest.mark.parametrize("omega, temperature", [(OMEGA_H, T_H), (OMEGA_C, T_C)])
+    def test_reference_values_are_the_closed_forms(self, omega, temperature):
+        n = nm.bose_occupation(omega, temperature)
+        assert gibbs_populations(omega, temperature) == ((1.0 + n) / (1.0 + 2.0 * n),
+                                                          n / (1.0 + 2.0 * n))
+
+    @pytest.mark.parametrize("omega, temperature", [(1e-308, 1.0), (1e-310, 50.0), (5e-324, 50.0)])
+    def test_overflowing_occupation_takes_the_limit(self, omega, temperature):
+        # 2n overflows: n/(1 + 2n) would read 0 where n is finite (1e-308)
+        # and nan where n is inf
+        assert gibbs_populations(omega, temperature) == (0.5, 0.5)
 
 
 class TestKernelClosedForms:
