@@ -83,10 +83,13 @@ def _as_nonnegative_array(x, what: str) -> np.ndarray:
 
 
 def spectral_density(omega, bath: BathSpec):
-    """Ohmic spectral density lam * w * exp(-w/cutoff), for w >= 0."""
+    """Ohmic spectral density lam * w * exp(-w/cutoff), for w >= 0; 0, its
+    limit, where the exponential underflows to 0, even where lam * w
+    overflows (inf * 0 would read nan)."""
     w = _as_nonnegative_array(omega, "omega")
-    with np.errstate(over="ignore"):  # w / cutoff past the float range: J's limit, 0
-        return bath.coupling * w * np.exp(-w / bath.cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-w / bath.cutoff)
+        return np.where(decay == 0.0, 0.0, bath.coupling * w * decay)[()]
 
 
 def bose_occupation(omega: float, temperature: float) -> float:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 import nmotto as nm
@@ -18,6 +19,12 @@ T_C = 0.2
 LAMBDA = 0.01
 CUTOFF = 0.4
 T_HOT_STROKE = 60.0
+
+# Every property test draws the same examples on every run: a failure is the
+# program's, reproducible, and not a draw that the next run may miss.  A test
+# sets only its max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,9 @@ import nmotto as nm
 from nmotto.config import parse_config
 from nmotto.cycle import Flow, Mode
 from nmotto.sweep import evaluate_cycle, run_sweep
-from nmotto.work_extraction import DIM, _index
 
-from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, T_C, T_H, base_config_dict,
-                      dissipation_kernel_oracle, noise_kernel_oracle, trigamma_series_oracle)
+from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, base_config_dict,
+                      dissipation_kernel_oracle, noise_kernel_oracle)
 
 
 def _report(number, name, elapsed):

@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmotto
@@ -638,10 +638,13 @@ def _error_names(cls):
 CELL_ERROR_PREFIXES = tuple(f"{name}: " for name in sorted(_error_names(nmotto.NmottoError)))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(argv=st.sampled_from(sorted(CONTRACT_COMMANDS)),
        changes=changed_keys.flatmap(
            lambda keys: st.fixed_dictionaries({key: CONTRACT_VALUES[key] for key in keys})))
+# lambda * omega overflows where exp(-omega / cutoff) underflows: J(omega_h)
+# was inf * 0, and the Markov row nan in every number.
+@example(argv=("cycle",), changes={"omega_h": 1e300, "lambda_h": 1e300, "dynamics": "markov"})
 def test_cli_contract_holds_for_any_config(argv, changes):
     with tempfile.TemporaryDirectory() as directory:
         cfg, out = Path(directory) / "config.json", Path(directory) / "out.csv"

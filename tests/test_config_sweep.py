@@ -159,7 +159,7 @@ class TestConfigParsing:
         assert data.items() <= echo.items()  # the echo drops no key
         assert parse_config(echo) == cfg
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(overrides=st.dictionaries(_CONFIG_KEYS, _JSON_SCALARS | _JSON_VALUES, max_size=4),
            root=_JSON_VALUES)
     def test_any_json_input_fails_only_as_config_error(self, overrides, root):

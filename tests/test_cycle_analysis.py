@@ -14,7 +14,7 @@ import nmotto as nm
 from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS, SIGN_EPS, Flow, Mode
 from nmotto.sweep import evaluate_cycle
 
-from conftest import OMEGA_C, OMEGA_H, T_C, T_H
+from conftest import T_C, T_H
 
 
 def _report(hot=(0.0, 0.0, 0.0), cold=(0.0, 0.0, 0.0), lc=None):
@@ -188,7 +188,7 @@ _strokes = st.builds(nm.StrokeEnergetics, _values, _values, _values)
 _states = st.builds(nm.LimitCycleState, *[_values] * 7)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_states, _values, _values, _strokes, _strokes)
 def test_assembled_columns_have_the_bits_of_the_former_helpers(lc, omega_h, omega_c, hot, cold):
     rep = nm.assemble_report(60.0, 10.0, lc, omega_h, omega_c, hot, cold)
@@ -268,7 +268,7 @@ def _synthetic_searches(draw):
 
 
 class TestFindBoundaries:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_synthetic_searches())
     def test_lazy_search_equals_eager_reference(self, search):
         heat, work, t_c_min, t_c_max, step, rtol = search

@@ -102,7 +102,7 @@ class TestStrokeDump:
         pure = mu * _dump(tmp_path, 1.0, t_h=80.0)[1] + (1.0 - mu) * _dump(tmp_path, 0.0, t_h=80.0)[1]
         assert np.max(np.abs(mixed - pure)) < 1e-10
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(data=st.data(), x=st.floats(0.0, 1.0))
     def test_dump_is_the_mix_of_the_traces(self, hot_grid, data, x):
         # any stroke time from one grid step to the fixture's t_max, on a node or off it
@@ -221,7 +221,7 @@ def _read_times(grid):
 class TestStrokeEndRead:
     """The pair read equals the parent linear read bit for bit, errors included."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_stroke_tables_match_linear_read(self, hot_grid, data):
         t = data.draw(_read_times(hot_grid))

@@ -207,11 +207,25 @@ class TestMarkovReference:
                 (OMEGA_H - OMEGA_C) * (rep.dE_S_h / OMEGA_H), rel=1e-10)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0],
-                         ids=["nan", "inf", "-inf", "negative"])
-@pytest.mark.parametrize("source", ["tables", "markov"])
-def test_stroke_sources_reject_the_same_times(source, t, hot_grid, hot_bath):
+# Each stroke time, and what both reads of a source do there: raise a
+# ValueError with this text, or (None) read the value at t_max.  Only the
+# table source has a t_max, its last node (130 on the hot fixture grid, step
+# 0.05); a time up to 1e-9 steps past it is t_max rounded up.
+@pytest.mark.parametrize("source, t, error", [
+    *(pytest.param(source, t, r"^t must be finite and >= 0$", id=f"{source}-{name}")
+      for source in ("tables", "markov")
+      for name, t in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("negative", -1.0))),
+    pytest.param("tables", 131.0, r"^t=131 exceeds grid t_max=130$", id="tables-past_t_max"),
+    pytest.param("tables", 130.0 + 2e-9 * 0.05, r"^t=130 exceeds grid t_max=130$",
+                 id="tables-2e-9_steps_past_t_max"),
+    pytest.param("tables", 130.0 + 0.5e-9 * 0.05, None, id="tables-0.5e-9_steps_past_t_max"),
+])
+def test_stroke_sources_reject_the_same_times(source, t, error, hot_grid, hot_bath):
     stroke = hot_grid if source == "tables" else nm.MarkovStroke(hot_bath, OMEGA_H)
     for read in (stroke.populations, stroke.flow):
-        with pytest.raises(ValueError, match=r"^t must be finite and >= 0$"):
-            read(t)
+        if error is None:
+            assert t > stroke.t_max
+            assert read(t) == read(stroke.t_max)
+        else:
+            with pytest.raises(ValueError, match=error):
+                read(t)

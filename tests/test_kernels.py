@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +45,19 @@ class TestSpectralDensity:
     def test_negative_frequency_rejected(self, hot_bath):
         with pytest.raises(ValueError):
             nm.spectral_density(-0.1, hot_bath)
+
+    def test_zero_where_the_exponential_underflows(self, hot_bath):
+        # lam * w overflows to inf where exp(-w/cutoff) is 0: inf * 0 would be
+        # nan, and J's limit is 0.  Everywhere else J has the expression's bits.
+        j = nm.spectral_density(1e300, nm.BathSpec(1e300, CUTOFF, T_H))
+        assert type(j) is np.float64 and j == 0.0  # a numpy scalar for a scalar
+        assert nm.spectral_density(math.inf, hot_bath) == 0.0
+        w = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 121)])
+        for lam, cutoff in itertools.product([0.0, 1e-300, LAMBDA, 1e300], [1e-300, CUTOFF, 1e300]):
+            got = nm.spectral_density(w, nm.BathSpec(lam, cutoff, T_H))
+            for x, j in zip(w.tolist(), got.tolist()):
+                decay = math.exp(-x / cutoff)
+                assert j.hex() == (lam * x * decay if decay else 0.0).hex()
 
 
 class TestGibbsPopulations:

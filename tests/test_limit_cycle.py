@@ -4,7 +4,7 @@ import pytest
 import nmotto as nm
 from nmotto.errors import SingularMapError
 
-from conftest import CUTOFF, LAMBDA, OMEGA_H, T_H
+from conftest import CUTOFF, OMEGA_H, T_H
 
 
 class TestFixedPoint:

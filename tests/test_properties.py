@@ -42,7 +42,7 @@ def _strokes_or_model_limit(*bath):
         return None
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(couplings, cutoffs, temperatures, frequencies, node_counts,
        couplings, cutoffs, temperatures, frequencies, node_counts)
 # A high cutoff, a low temperature and a high frequency: the hot population
@@ -73,7 +73,7 @@ def test_limit_cycle_and_stroke_records(lam_h, cut_h, temp_h, omega_h, k_h,
         assert fields == (s.dE_S, s.dE_B, s.dE_I)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(couplings, cutoffs, temperatures, frequencies, stroke_times,
        couplings, cutoffs, temperatures, frequencies, stroke_times)
 def test_markov_context_matches_the_reference_cycle(lam_h, cut_h, temp_h, omega_h, t_h,
@@ -92,7 +92,7 @@ def test_markov_context_matches_the_reference_cycle(lam_h, cut_h, temp_h, omega_
     assert nm.evaluate_cycle(ctx, t_h, t_c) == expected
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.floats(0.0, 130.0, exclude_min=True), st.floats(0.0, 130.0, exclude_min=True))
 def test_first_law_over_one_cycle(reference_context, markov_context, t_h, t_c):
     # The adiabatic works move (omega_h - omega_c) per excitation and the
@@ -117,7 +117,7 @@ def _reference_contexts(coupling):
         for dynamics in ("tcl2", "markov")]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from([0.01, 0.1, 0.4]), st.floats(0.05, 600.0), st.floats(0.05, 600.0))
 def test_second_law_over_one_cycle(coupling, t_h, t_c):
     # Over a limit cycle the qubit returns to its state, so the entropy

@@ -122,7 +122,7 @@ class TestTrigamma:
         assert done.returncode == 0, done.stderr
         assert "outside Re z > 0" in done.stdout
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(re=st.floats(0.0, 60.0, exclude_min=True), im=st.floats(-1e3, 1e3))
     def test_recurrence_identity(self, re, im):
         z = complex(re, im)
