@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,6 +11,20 @@ from scipy.integrate import quad
 
 import nmotto as nm
 from oracles import markov_population
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
+DATA = REPO / "tests" / "data"
+SRC = REPO / "src"
+
+# The output headers, written out so that a test pins the schema rather than
+# reading it from the code under test.
+SWEEP_HEADER = ("t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
+                "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
+                "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error")
+PHASE_HEADER = "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
+KERNELS_HEADER = "tau,D1,D2,a,b,A"
+STROKE_HEADER = "tau,rho00"
 
 # Reference scale: ratios omega_c/omega_h = 0.5, T_c/T_h = 0.2 anchored at
 # omega_h = T_h = 1 (see configs/reference_cycle.json).
@@ -53,16 +69,44 @@ def hot_kernels(hot_bath):
     return nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0)
 
 
+def read_rows(path):
+    """The rows of a CSV output file as lists of fields, its header first."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def read_records(path):
+    """The rows of a CSV output file after its header, as {column name: field}."""
+    header, *rows = read_rows(path)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def dump_columns(path):
+    """A `kernels` or `stroke` dump as {column name: array}.  Its "%.17g" text
+    parses back to the same floats, signs of zeros included."""
+    header, *rows = read_rows(path)
+    return dict(zip(header, np.array([[float(x) for x in row] for row in rows]).T))
+
+
 def kernel_dump(**keys):
     """The hot `kernels` dump of the reference config, keys overridden, as
-    {column name: array}.  The dump is the only producer of the rate a, and
-    its "%.17g" text parses back to the same floats, signs of zeros included."""
+    {column name: array}.  The dump is the only producer of the rate a."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "kernels.csv"
         nm.sweep.write_kernel_csv(nm.parse_config(base_config_dict(**keys)), str(path), "hot")
-        lines = path.read_text().splitlines()
-    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return dict(zip(lines[0].split(","), rows.T))
+        return dump_columns(path)
+
+
+def write_config(path, data):
+    """`data` as the JSON config file `path`, which is returned."""
+    path.write_text(json.dumps(data))
+    return path
+
+
+def readme_cli_lines():
+    """The `nmotto ...` lines of the README's CLI block."""
+    return [line for line in (REPO / "README.md").read_text().splitlines()
+            if line.startswith("nmotto ")]
 
 
 @pytest.fixture(scope="session")
@@ -130,5 +174,17 @@ def base_config_dict(**overrides):
         "lambda_h": LAMBDA, "lambda_c": LAMBDA, "Omega_h": CUTOFF, "Omega_c": CUTOFF,
         "t_h": T_HOT_STROKE, "t_c": 10.0,
     }
+    data.update(overrides)
+    return data
+
+
+def phase_config_dict(**overrides):
+    """One phase cell of the reference baths (omega ratio 0.5, T ratio 0.2) over a
+    small t_box, keys overridden.  A phase config has no cold keys or stroke
+    times, as configs/phase_small.json: each cell derives omega_c and T_c."""
+    data = {key: value for key, value in base_config_dict().items()
+            if key not in ("omega_c", "T_c", "t_h", "t_c")}
+    data.update(omega_ratio={"min": 0.5, "max": 0.5, "n": 1}, T_ratio={"min": 0.2, "max": 0.2, "n": 1},
+                t_box={"t_max": 10.0, "n": 2})
     data.update(overrides)
     return data

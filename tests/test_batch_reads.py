@@ -17,7 +17,7 @@ from nmotto.cycle import Mode
 from nmotto.sweep import (CSV_HEADER, PHASE_HEADER, _csv_line, _error_line, _fmt, _report_line,
                           run_phase, run_sweep)
 
-from conftest import base_config_dict
+from conftest import base_config_dict, phase_config_dict
 
 # Axes off the grid nodes (step 0.05): every read interpolates between nodes.
 OFF_NODE = {"t_h": {"min": 3.33, "max": 97.01, "n": 5}, "t_c": {"min": 1.17, "max": 55.55, "n": 4}}
@@ -30,14 +30,9 @@ SWEEPS = {
     "markov": base_config_dict(dynamics="markov", **OFF_NODE),
 }
 PHASES = {
-    dynamics: {
-        "omega_h": 1.0, "T_h": 1.0,
-        "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-        "omega_ratio": {"min": 0.3, "max": 0.7, "n": 2},
-        "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-        "t_box": {"t_max": 61.7, "n": 3},  # t = 20.566..., 41.133..., 61.7
-        "dynamics": dynamics,
-    }
+    dynamics: phase_config_dict(omega_ratio={"min": 0.3, "max": 0.7, "n": 2},
+                                t_box={"t_max": 61.7, "n": 3},  # t = 20.566..., 41.133..., 61.7
+                                dynamics=dynamics)
     for dynamics in ("tcl2", "markov")
 }
 

@@ -8,7 +8,6 @@ has -0.0 integrands, which "%.17g" prints as -0).
 
 import pickle
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +15,8 @@ import pytest
 import nmotto as nm
 from nmotto import special, sweep
 
-from conftest import base_config_dict, kernel_dump
+from conftest import DATA, base_config_dict, kernel_dump
 
-REPO = Path(__file__).resolve().parents[1]
 GRID_TABLES = ("D1", "b", "A")
 STROKE_TABLES = ("from_ground", "from_excited", "base", "pop")
 BLOCKS = (2, 4, 6)
@@ -169,7 +167,7 @@ def test_a_stroke_rebuilds_its_grid_with_its_node_count(monkeypatch):
 
 
 def test_a_pickled_stroke_carries_no_derived_table():
-    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    config = nm.load_config(str(DATA / "multiblock_cycle.json"))
     stroke = sweep.stroke_tables(*config.stroke("hot"), config.t_h, config.h)
     # Four tables, the two traces, base and pop: 4.00 table sizes measured.
     # A stroke that kept D1, a, b and A too measured 8.00.
@@ -188,7 +186,7 @@ def test_the_transition_traces_peak_near_their_two_tables():
     # temporaries beside them: 2.41 table sizes measured on this grid.  A pass
     # that kept its exponential and C in tables of their own peaked at ~4.3,
     # and one that broadcast a (2, segment) temporary for the pair at ~6.6.
-    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    config = nm.load_config(str(DATA / "multiblock_cycle.json"))
     grid = nm.build_kernel_grid(*config.stroke("hot"), config.t_h, config.h)
     tracemalloc.start()
     try:
@@ -208,7 +206,7 @@ def test_a_long_stroke_peaks_at_the_tables_it_keeps():
     # measured on this grid.  Strokes that kept their grid's D1, a, b and A
     # peaked at 8.83, and a build that also filled its integrands into tables
     # of their own and stored tau and D2 at ~11.4.
-    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    config = nm.load_config(str(DATA / "multiblock_cycle.json"))
     tracemalloc.start()
     try:
         ctx = sweep.build_context(config, config.t_h, config.t_c)
@@ -229,7 +227,7 @@ def test_a_dump_peaks_near_the_tables_of_its_grid(tmp_path, command):
     # measured on this grid.  A kernels dump that formed the text of a whole
     # cache block at once peaked at 10.69, and dumps that formed tau, D2, a
     # and the mix as whole tables at 14.03 and 9.78.
-    config = nm.load_config(str(REPO / "tests" / "data" / "multiblock_cycle.json"))
+    config = nm.load_config(str(DATA / "multiblock_cycle.json"))
     path = tmp_path / f"{command}.csv"
     tracemalloc.start()
     try:

@@ -20,21 +20,16 @@ import nmotto
 from nmotto.cli import main
 from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS
 
-from conftest import base_config_dict
+from conftest import (CONFIGS, KERNELS_HEADER, PHASE_HEADER, SRC, STROKE_HEADER, SWEEP_HEADER,
+                      base_config_dict, phase_config_dict, read_records, readme_cli_lines,
+                      write_config)
 
-REPO = Path(__file__).resolve().parents[1]
 FLOAT_FIELDS = [name for name in REPORT_FIELDS if name not in LABEL_FIELDS]
-SWEEP_HEADER = ("t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
-                "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
-                "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error")
-PHASE_HEADER = "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
 
 
 @pytest.fixture()
 def config_path(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(base_config_dict()))
-    return str(path)
+    return str(write_config(tmp_path / "config.json", base_config_dict()))
 
 
 class TestCycleCommand:
@@ -54,8 +49,7 @@ class TestCycleCommand:
         out = tmp_path / "markov.csv"
         assert main(["cycle", "--config", config_path, "--out", str(out),
                      "--dynamics", "markov"]) == 0
-        with open(out) as fh:
-            row = next(csv.DictReader(fh))
+        row = read_records(out)[0]
         assert row["mode"] == "Engine"
         assert float(row["dE_I_h"]) == 0.0
 
@@ -64,8 +58,7 @@ class TestCycleCommand:
         out, jout = tmp_path / "cycle.csv", tmp_path / "cycle.json"
         assert main(["cycle", "--config", config_path, "--out", str(out),
                      "--json", str(jout)]) == 0
-        with open(out) as fh:
-            row = next(csv.DictReader(fh))
+        row = read_records(out)[0]
         report = json.loads(jout.read_text())
         assert row.pop("error") == ""
         assert row.keys() == report.keys()
@@ -123,13 +116,8 @@ class TestOutputNamingTheConfig:
         ("phase", "--out"), ("kernels", "--out"), ("stroke", "--out"),
     ])
     def test_is_a_usage_error_and_the_config_stays(self, tmp_path, capsys, command, flag, via_link):
-        data = base_config_dict()
-        if command == "phase":
-            data = {k: v for k, v in data.items() if k not in ("omega_c", "T_c", "t_h", "t_c")}
-            data.update(omega_ratio={"min": 0.5, "max": 0.5, "n": 1},
-                        T_ratio={"min": 0.2, "max": 0.2, "n": 1}, t_box={"t_max": 10.0, "n": 1})
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(data))
+        data = phase_config_dict(t_box={"t_max": 10.0, "n": 1}) if command == "phase" else base_config_dict()
+        cfg = write_config(tmp_path / "config.json", data)
         before = cfg.read_bytes()
         target = cfg
         if via_link:
@@ -154,13 +142,9 @@ class TestEmptyOutputPath:
         ("phase", "--out"), ("kernels", "--out"), ("stroke", "--out"),
     ])
     def test_is_a_usage_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command, flag):
-        data = base_config_dict(t_h=2.0, t_c=2.0)
-        if command == "phase":
-            data = {k: v for k, v in data.items() if k not in ("omega_c", "T_c", "t_h", "t_c")}
-            data.update(omega_ratio={"min": 0.5, "max": 0.5, "n": 1},
-                        T_ratio={"min": 0.2, "max": 0.2, "n": 1}, t_box={"t_max": 2.0, "n": 1})
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(data))
+        data = (phase_config_dict(t_box={"t_max": 2.0, "n": 1}) if command == "phase"
+                else base_config_dict(t_h=2.0, t_c=2.0))
+        cfg = write_config(tmp_path / "config.json", data)
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
@@ -180,7 +164,7 @@ class TestKernelAndStrokeDumps:
         assert main(["kernels", "--config", config_path, "--out", str(out),
                      "--bath", "cold"]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "tau,D1,D2,a,b,A"
+        assert lines[0] == KERNELS_HEADER
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[2]) == 0.0  # D2(0)
@@ -191,7 +175,7 @@ class TestKernelAndStrokeDumps:
         assert main(["stroke", "--config", config_path, "--out", str(out),
                      "--bath", "hot", "--rho00", "0.25"]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "tau,rho00"
+        assert lines[0] == STROKE_HEADER
         assert float(lines[1].split(",")[1]) == 0.25
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values)
@@ -199,8 +183,8 @@ class TestKernelAndStrokeDumps:
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_stroke_under_markov_exits_2(self, tmp_path, capsys, where):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(base_config_dict(**({"dynamics": "markov"} if where == "config" else {}))))
+        cfg = write_config(tmp_path / "config.json",
+                           base_config_dict(**({"dynamics": "markov"} if where == "config" else {})))
         out = tmp_path / "trace.csv"
         flag = ["--dynamics", "markov"] if where == "flag" else []
         assert main(["stroke", "--config", str(cfg), "--out", str(out), *flag]) == 2
@@ -211,13 +195,12 @@ class TestKernelAndStrokeDumps:
 
     @pytest.mark.parametrize("command", ["kernels", "stroke"])
     def test_hot_dump_needs_no_cold_key(self, tmp_path, command):
-        full = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
+        full = json.loads((CONFIGS / "reference_cycle.json").read_text())
         hot_only = {key: value for key, value in full.items()
                     if key not in ("t_c", "omega_c", "T_c")}
         dumps = []
         for name, data in (("full", full), ("hot_only", hot_only)):
-            cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps(data))
+            cfg = write_config(tmp_path / f"{name}.json", data)
             dumps.append(tmp_path / f"{name}.csv")
             assert main([command, "--config", str(cfg), "--out", str(dumps[-1]),
                          "--bath", "hot"]) == 0
@@ -225,8 +208,8 @@ class TestKernelAndStrokeDumps:
 
     @pytest.mark.parametrize("bath, key", [("hot", "t_h"), ("cold", "t_c")])
     def test_dump_names_its_missing_stroke_time(self, tmp_path, capsys, bath, key):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({k: v for k, v in base_config_dict().items() if k != key}))
+        cfg = write_config(tmp_path / "config.json",
+                           {k: v for k, v in base_config_dict().items() if k != key})
         out = tmp_path / "kern.csv"
         assert main(["kernels", "--config", str(cfg), "--out", str(out), "--bath", bath]) == 2
         summary = json.loads(capsys.readouterr().err)
@@ -238,8 +221,8 @@ class TestKernelAndStrokeDumps:
     @pytest.mark.parametrize("argv", [["cycle"], ["sweep"], ["kernels", "--bath", "cold"],
                                       ["stroke", "--bath", "cold"]], ids=lambda argv: argv[0])
     def test_a_missing_cold_key_is_named(self, tmp_path, capsys, argv, key):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({k: v for k, v in base_config_dict().items() if k != key}))
+        cfg = write_config(tmp_path / "config.json",
+                           {k: v for k, v in base_config_dict().items() if k != key})
         out = tmp_path / "out.csv"
         assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 2
         summary = json.loads(capsys.readouterr().err)
@@ -259,27 +242,17 @@ class TestSweepCommand:
     def test_sweep_and_worker_independence(self, tmp_path):
         data = base_config_dict(t_h={"min": 30.0, "max": 90.0, "n": 3},
                                 t_c={"min": 5.0, "max": 45.0, "n": 3})
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "sweep.json", data)
         one, four = tmp_path / "w1.csv", tmp_path / "w4.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(one), "--workers", "1"]) == 0
         assert main(["sweep", "--config", str(cfg), "--out", str(four), "--workers", "4"]) == 0
         assert one.read_bytes() == four.read_bytes()
-        with open(one) as fh:
-            assert len(list(csv.DictReader(fh))) == 9
+        assert len(read_records(one)) == 9
 
 
 class TestPhaseCommand:
     def test_phase_runs(self, tmp_path):
-        data = {
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-            "t_box": {"t_max": 60.0, "n": 2},
-        }
-        cfg = tmp_path / "phase.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "phase.json", phase_config_dict(t_box={"t_max": 60.0, "n": 2}))
         out = tmp_path / "phase.csv"
         assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0].startswith("omega_ratio,T_ratio")
@@ -292,14 +265,13 @@ class TestReadmeCommands:
         ("cycle", "cycle.csv", SWEEP_HEADER),
         ("sweep", "sweep.csv", SWEEP_HEADER),
         ("phase", "phase.csv", PHASE_HEADER),
-        ("kernels", "kernels.csv", "tau,D1,D2,a,b,A"),
-        ("stroke", "trace.csv", "tau,rho00"),
+        ("kernels", "kernels.csv", KERNELS_HEADER),
+        ("stroke", "trace.csv", STROKE_HEADER),
     ], ids=["cycle", "sweep", "phase", "kernels", "stroke"])
     def test_command_runs(self, tmp_path, monkeypatch, command, out, header):
-        lines = [line for line in (REPO / "README.md").read_text().splitlines()
-                 if line.startswith(f"nmotto {command} ")]
+        lines = [line for line in readme_cli_lines() if line.startswith(f"nmotto {command} ")]
         assert len(lines) == 1
-        shutil.copytree(REPO / "configs", tmp_path / "configs")
+        shutil.copytree(CONFIGS, tmp_path / "configs")
         monkeypatch.chdir(tmp_path)
         assert main(shlex.split(lines[0])[1:]) == 0
         assert (tmp_path / out).read_text().splitlines()[0] == header
@@ -312,22 +284,21 @@ def _assert_rows_finite_and_balanced(path):
     """Every float field of every `cycle` or `sweep` row is finite, and each
     stroke's dE_S + dE_B + dE_I is 0 to rounding.  An error row's empty
     fields hold no number."""
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            values = {name: float(row[name]) for name in FLOAT_FIELDS if row[name]}
-            assert all(map(math.isfinite, values.values())), row
-            for stroke in ("h", "c") if "dE_S_h" in values else ():
-                terms = [values[f"dE_{part}_{stroke}"] for part in "SBI"]
-                assert abs(sum(terms)) <= 4 * sys.float_info.epsilon * sum(map(abs, terms)), row
+    for row in read_records(path):
+        values = {name: float(row[name]) for name in FLOAT_FIELDS if row[name]}
+        assert all(map(math.isfinite, values.values())), row
+        for stroke in ("h", "c") if "dE_S_h" in values else ():
+            terms = [values[f"dE_{part}_{stroke}"] for part in "SBI"]
+            assert abs(sum(terms)) <= 4 * sys.float_info.epsilon * sum(map(abs, terms)), row
 
 
 def _run_reference_variant(tmp_path, changes, argv):
     """The CLI in a subprocess, which sees every line numpy would print to
     stderr, on the reference config with `changes`: (the run, its --out path)."""
-    data = json.loads((REPO / "configs" / "reference_cycle.json").read_text())
-    cfg, out = tmp_path / "variant.json", tmp_path / "x.csv"
-    cfg.write_text(json.dumps({**data, **changes}))
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    data = json.loads((CONFIGS / "reference_cycle.json").read_text())
+    cfg = write_config(tmp_path / "variant.json", {**data, **changes})
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-m", "nmotto.cli", argv[0], "--config", str(cfg),
                            "--out", str(out), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -336,8 +307,7 @@ def _run_reference_variant(tmp_path, changes, argv):
 
 class TestErrorPaths:
     def test_config_error_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(base_config_dict(lambda_hot=0.01)))
+        bad = write_config(tmp_path / "bad.json", base_config_dict(lambda_hot=0.01))
         out = tmp_path / "x.csv"
         assert main(["cycle", "--config", str(bad), "--out", str(out)]) == 2
         summary = json.loads(capsys.readouterr().err)
@@ -348,8 +318,7 @@ class TestErrorPaths:
         # the sign threshold is fixed (cycle.SIGN_EPS); no config key sets it
         data = base_config_dict(t_h={"min": 30.0, "max": 60.0, "n": 2},
                                 tolerances={"sign_zero": 1e-12})
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "sweep.json", data)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         summary = json.loads(capsys.readouterr().err)
@@ -358,8 +327,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_a_stroke_shorter_than_one_grid_step_names_both(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(base_config_dict(t_c=0.01)))  # the default h is 0.05
+        cfg = write_config(tmp_path / "config.json", base_config_dict(t_c=0.01))  # the default h is 0.05
         assert main(["cycle", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
         summary = json.loads(capsys.readouterr().err)
         assert summary["error"] == "GridError"
@@ -369,8 +337,7 @@ class TestErrorPaths:
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         # decoupled baths: the cycle map is singular
         data = base_config_dict(lambda_h=0.0, lambda_c=0.0)
-        cfg = tmp_path / "singular.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "singular.json", data)
         out = tmp_path / "x.csv"
         assert main(["cycle", "--config", str(cfg), "--out", str(out)]) == 1
         summary = json.loads(capsys.readouterr().err)
@@ -378,8 +345,7 @@ class TestErrorPaths:
 
     def test_zero_workers_exits_2(self, tmp_path, capsys):
         data = base_config_dict(t_h={"min": 30.0, "max": 60.0, "n": 2})
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "sweep.json", data)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "0"]) == 2
         summary = json.loads(capsys.readouterr().err)
@@ -405,8 +371,7 @@ class TestErrorPaths:
         # one Simpson pair, which config validation cannot foresee
         data = base_config_dict(omega_h=0.4, omega_c=0.2, T_h=50.0, T_c=1.0,
                                 lambda_h=400.0, lambda_c=0.01, h=0.4, t_h=20.0, t_c=10.0)
-        cfg = tmp_path / "overflow.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "overflow.json", data)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -456,8 +421,7 @@ class TestErrorPaths:
     def test_tiny_cutoff_under_markov_warns_nothing(self, tmp_path, capsys, key):
         # omega / cutoff overflows in J(omega); exp(-inf) = 0 is J's limit, so
         # the run succeeds, and no numpy warning (an error in this suite) reaches stderr
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps(base_config_dict(dynamics="markov", **{key: 5e-324})))
+        cfg = write_config(tmp_path / "tiny.json", base_config_dict(dynamics="markov", **{key: 5e-324}))
         out = tmp_path / "x.csv"
         assert main(["cycle", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
@@ -468,15 +432,13 @@ class TestErrorPaths:
         # omega_c / T_c so small that 1 + 2n overflows (5e-324: n's argument
         # underflows to 0): the Markov stroke takes the limits, stationary
         # population 1/2 and rate 4 pi lam T exp(-omega/cutoff)
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps(base_config_dict(dynamics="markov", omega_c=omega_c, T_c=3.0,
-                                                   T_h=4.0, t_h=10.0, t_c=10.0)))
+        cfg = write_config(tmp_path / "tiny.json", base_config_dict(
+            dynamics="markov", omega_c=omega_c, T_c=3.0, T_h=4.0, t_h=10.0, t_c=10.0))
         out = tmp_path / "x.csv"
         assert main(["cycle", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         _assert_rows_finite_and_balanced(out)
-        with open(out, newline="") as fh:
-            (row,) = list(csv.DictReader(fh))
+        (row,) = read_records(out)
         assert row["error"] == ""
 
     def test_positivity_error_at_a_vanishing_frequency_quotes_a_finite_gibbs_population(
@@ -495,23 +457,18 @@ class TestErrorPaths:
 
     def test_vanishing_derived_frequency_under_markov_classifies_the_cell(self, tmp_path, capsys):
         # the phase cell derives omega_c = 0.5 * 1e-323 = 5e-324
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps({
-            "omega_h": 1e-323, "T_h": 100.0, "dynamics": "markov",
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": HALF_RATIO, "T_ratio": HALF_RATIO, "t_box": {"t_max": 10.0, "n": 2}}))
+        cfg = write_config(tmp_path / "tiny.json", phase_config_dict(
+            omega_h=1e-323, T_h=100.0, dynamics="markov", T_ratio=HALF_RATIO))
         out = tmp_path / "x.csv"
         assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        with open(out, newline="") as fh:
-            (row,) = list(csv.DictReader(fh))
+        (row,) = read_records(out)
         assert row["error"] == "" and row["classification"] != ""
 
     def test_huge_count_exits_2(self, tmp_path, capsys):
         # a count beyond the float range used to escape as an OverflowError
         data = base_config_dict(t_h={"min": 10.0, "max": 120.0, "n": 10**400})
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "sweep.json", data)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -520,6 +477,14 @@ class TestErrorPaths:
         assert summary["error"] == "ConfigError"
         assert summary["message"].startswith("t_h.n: ")
         assert not out.exists()
+
+    def test_nan_literal_exits_2(self, tmp_path, capsys):
+        # JSON's NaN literal: it also fails omega_h > omega_c, but the error names omega_h
+        cfg = write_config(tmp_path / "nan.json", base_config_dict(omega_h=math.nan))
+        assert main(["cycle", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ConfigError"
+        assert summary["message"] == "omega_h: must be finite"
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["cycle", "--config", str(tmp_path / "nope.json"),
@@ -564,8 +529,7 @@ class TestErrorPaths:
 
 
 def test_import_emits_no_warning():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nmotto.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-W", "error", "-c", "import nmotto"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -622,10 +586,10 @@ CONTRACT_COMMANDS = {
     ("cycle",): SWEEP_HEADER,
     ("sweep",): SWEEP_HEADER,
     ("phase",): PHASE_HEADER,
-    ("kernels", "--bath", "hot"): "tau,D1,D2,a,b,A",
-    ("kernels", "--bath", "cold"): "tau,D1,D2,a,b,A",
-    ("stroke", "--bath", "hot", "--rho00", "0.3"): "tau,rho00",
-    ("stroke", "--bath", "cold"): "tau,rho00",
+    ("kernels", "--bath", "hot"): KERNELS_HEADER,
+    ("kernels", "--bath", "cold"): KERNELS_HEADER,
+    ("stroke", "--bath", "hot", "--rho00", "0.3"): STROKE_HEADER,
+    ("stroke", "--bath", "cold"): STROKE_HEADER,
 }
 changed_keys = st.lists(st.sampled_from(sorted(CONTRACT_VALUES)), max_size=3, unique=True)
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -21,18 +22,12 @@ from nmotto.errors import ConfigError
 from nmotto.kernels import MAX_GRID_NODES
 from nmotto.sweep import CSV_HEADER, run_cycle, run_phase, run_sweep, write_cycle_csv
 
-from conftest import base_config_dict
+from conftest import (CONFIGS, PHASE_HEADER, SRC, SWEEP_HEADER, base_config_dict,
+                      phase_config_dict, read_records, read_rows, write_config)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-PHASE_WITH_OPTIONS = {
-    "omega_h": 1.0, "T_h": 1.0,
-    "lambda_h": 0.01, "lambda_c": 0.0, "Omega_h": 0.4, "Omega_c": 0.4,
-    "omega_ratio": {"min": 0.3, "max": 0.7, "n": 3},
-    "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-    "t_box": {"t_max": 60.0, "n": 4},
-    "h": 0.1, "dynamics": "markov", "workers": 3,
-}
+PHASE_WITH_OPTIONS = phase_config_dict(lambda_c=0.0, omega_ratio={"min": 0.3, "max": 0.7, "n": 3},
+                                       t_box={"t_max": 60.0, "n": 4}, h=0.1, dynamics="markov",
+                                       workers=3)
 
 # JSON-like values: numbers of every size (NaN, inf and integers far beyond
 # the float range included), strings, lists and objects with schema sub-keys.
@@ -144,7 +139,10 @@ class TestConfigParsing:
         ("t_c", 10**400, "t_c"),
         ("lambda_c", -10**400, "lambda_c"),
         ("t_h", {"min": 1.0, "max": 10**400, "n": 2}, "t_h.max"),
-    ], ids=["omega_h", "t_c", "lambda_c", "t_h.max"])
+        ("omega_h", math.nan, "omega_h"),  # JSON's NaN and Infinity literals
+        ("t_c", math.inf, "t_c"),
+        ("lambda_c", -math.inf, "lambda_c"),
+    ], ids=["omega_h", "t_c", "lambda_c", "t_h.max", "nan", "inf", "-inf"])
     def test_integer_beyond_float_range(self, key, value, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path + ": must be finite")):
             parse_config(base_config_dict(**{key: value}))
@@ -272,17 +270,14 @@ class TestRunSweep:
     def test_header_is_pinned(self, small_cfg, tmp_path):
         run_sweep(small_cfg, str(tmp_path / "s.csv"))
         first = (tmp_path / "s.csv").read_text().splitlines()[0]
-        assert first == ("t_h,t_c,dE_S_h,dE_B_h,dE_I_h,dE_S_c,dE_B_c,dE_I_c,"
-                         "W_adiab_h,W_adiab_c,W_detach_h,W_detach_c,W_total,"
-                         "alpha_h,alpha_c,eta,cop,mode,flow_h,flow_c,error")
+        assert first == SWEEP_HEADER
 
     def test_row_major_order_and_determinism(self, small_cfg, tmp_path):
         p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
         run_sweep(small_cfg, str(p1))
         run_sweep(small_cfg, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-        with open(p1) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_records(p1)
         assert len(rows) == 36
         t_h = [float(r["t_h"]) for r in rows]
         assert t_h == sorted(t_h)
@@ -304,8 +299,7 @@ class TestRunSweep:
 
     def test_values_have_full_precision(self, small_cfg, tmp_path):
         run_sweep(small_cfg, str(tmp_path / "p.csv"))
-        with open(tmp_path / "p.csv") as fh:
-            row = next(csv.DictReader(fh))
+        row = read_records(tmp_path / "p.csv")[0]
         ctx_value = float(row["dE_S_h"])
         rep = nm.evaluate_cycle(
             nm.build_context(small_cfg, 120.0, 120.0), float(row["t_h"]), float(row["t_c"]))
@@ -313,8 +307,7 @@ class TestRunSweep:
 
     def test_sign_change_curves_exist_in_box(self, small_cfg, tmp_path):
         run_sweep(small_cfg, str(tmp_path / "box.csv"))
-        with open(tmp_path / "box.csv") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_records(tmp_path / "box.csv")
         w = np.array([float(r["W_total"]) for r in rows])
         des_c = np.array([float(r["dE_S_c"]) for r in rows])
         assert (w > 0).any() and (w < 0).any()
@@ -329,8 +322,7 @@ class TestRunSweep:
             t_c={"min": 1.0, "max": 2.0, "n": 2},
         ))
         run_sweep(cfg, str(tmp_path / "err.csv"))
-        with open(tmp_path / "err.csv", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+        rows = read_rows(tmp_path / "err.csv")[1:]
         assert len(rows) == 4
         for row in rows:
             assert "SingularMapError" in row[-1]
@@ -409,10 +401,9 @@ class TestPool:
     def test_a_serial_run_imports_no_pool(self, tmp_path):
         # The pool modules load only when a pool runs; a fresh interpreter
         # that imports the package and runs a serial sweep never loads them.
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(base_config_dict(
-            t_h={"min": 1.0, "max": 2.0, "n": 2}, t_c={"min": 1.0, "max": 2.0, "n": 2}, workers=1)))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        cfg = write_config(tmp_path / "sweep.json", base_config_dict(
+            t_h={"min": 1.0, "max": 2.0, "n": 2}, t_c={"min": 1.0, "max": 2.0, "n": 2}, workers=1))
         code = ("import sys, nmotto, nmotto.cli\n"
                 "loaded = lambda: [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
                 "print(loaded())\n"
@@ -433,13 +424,7 @@ class TestRunPhase:
             raise bug("unsupported operand")
 
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", broken)
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-            "t_box": {"t_max": 10.0, "n": 2},
-        })
+        cfg = parse_config(phase_config_dict())
         with pytest.raises(bug, match="unsupported operand"):
             run_phase(replace(cfg, workers=workers), str(tmp_path / "bug.csv"))
 
@@ -451,49 +436,30 @@ class TestRunPhase:
     def test_a_derived_cold_value_is_checked_like_a_config_file(self, tmp_path, key, dynamics, error):
         # 0.5 * omega_h and 0.2 * T_h round to 0, which the cell's config
         # fails at parse_config, as a config file would
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-            "t_box": {"t_max": 10.0, "n": 2},
-            "dynamics": dynamics, key: 5e-324,
-        })
+        cfg = parse_config(phase_config_dict(dynamics=dynamics, **{key: 5e-324}))
         out = tmp_path / "edge.csv"
         run_phase(cfg, str(out))
-        with open(out, newline="") as fh:
-            (row,) = list(csv.DictReader(fh))
+        (row,) = read_records(out)
         assert row["error"] == error
         assert row["classification"] == ""
 
     def test_small_phase_diagram(self, tmp_path):
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.8, "n": 2},
-            "t_box": {"t_max": 90.0, "n": 3},
-            "dynamics": "tcl2",
-        })
+        cfg = parse_config(phase_config_dict(T_ratio={"min": 0.2, "max": 0.8, "n": 2},
+                                             t_box={"t_max": 90.0, "n": 3}, dynamics="tcl2"))
         run_phase(cfg, str(tmp_path / "phase.csv"))
-        with open(tmp_path / "phase.csv", newline="") as fh:
-            cells = list(csv.DictReader(fh))
+        cells = read_records(tmp_path / "phase.csv")
         assert len(cells) == 2
         by_ratio = {float(c["T_ratio"]): c for c in cells}
         # efficient corner mixes modes; inverted corner cannot run as an engine
         assert int(by_ratio[0.2]["engine"]) > 0
         assert int(by_ratio[0.8]["engine"]) == 0
         header = (tmp_path / "phase.csv").read_text().splitlines()[0]
-        assert header == "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
+        assert header == PHASE_HEADER
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.3, "max": 0.7, "n": 2},
-            "T_ratio": {"min": 0.2, "max": 0.6, "n": 2},
-            "t_box": {"t_max": 60.0, "n": 3},
-        })
+        cfg = parse_config(phase_config_dict(omega_ratio={"min": 0.3, "max": 0.7, "n": 2},
+                                             T_ratio={"min": 0.2, "max": 0.6, "n": 2},
+                                             t_box={"t_max": 60.0, "n": 3}))
         p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         run_phase(replace(cfg, workers=1), str(p1))
         run_phase(replace(cfg, workers=2), str(p2))
@@ -502,17 +468,11 @@ class TestRunPhase:
     def test_per_cell_failure_lands_in_error_column(self, tmp_path):
         # a decoupled cycle has no unique fixed point: each ratio cell reports
         # the singular map once, under its own type name
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.0, "lambda_c": 0.0, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.4, "n": 2},
-            "t_box": {"t_max": 10.0, "n": 2},
-        })
+        cfg = parse_config(phase_config_dict(lambda_h=0.0, lambda_c=0.0,
+                                             T_ratio={"min": 0.2, "max": 0.4, "n": 2}))
         out = tmp_path / "err.csv"
         run_phase(cfg, str(out))
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_records(out)
         assert len(rows) == 2
         for row in rows:
             assert row["error"].startswith("SingularMapError: ")
@@ -532,44 +492,23 @@ class TestRunPhase:
             return evaluate(ctx, t_h, t_c)
 
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", third_fails)
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-            "t_box": {"t_max": 10.0, "n": 2},
-        })
+        cfg = parse_config(phase_config_dict())
         out = tmp_path / "partial.csv"
         run_phase(cfg, str(out))
-        with open(out, newline="") as fh:
-            (row,) = list(csv.DictReader(fh))
+        (row,) = read_records(out)
         assert sum(int(row[mode]) for mode in ("engine", "heater", "heat_pump", "other")) == 2
         assert row["classification"] == ""
         assert row["error"] == "SingularMapError: third pair"
 
     def test_markov_phase_is_engine_only_when_otto_efficient(self, tmp_path):
-        cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-            "t_box": {"t_max": 90.0, "n": 4},
-            "dynamics": "markov",
-        })
+        cfg = parse_config(phase_config_dict(t_box={"t_max": 90.0, "n": 4}, dynamics="markov"))
         run_phase(cfg, str(tmp_path / "mphase.csv"))
-        with open(tmp_path / "mphase.csv", newline="") as fh:
-            cells = list(csv.DictReader(fh))
+        cells = read_records(tmp_path / "mphase.csv")
         assert cells[0]["classification"] == "engine_only"
 
     def test_single_cell_phase_matches_sweep_summary(self, tmp_path):
         t_box = {"t_max": 80.0, "n": 4}
-        phase_cfg = parse_config({
-            "omega_h": 1.0, "T_h": 1.0,
-            "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-            "omega_ratio": {"min": 0.5, "max": 0.5, "n": 1},
-            "T_ratio": {"min": 0.2, "max": 0.2, "n": 1},
-            "t_box": t_box,
-        })
+        phase_cfg = parse_config(phase_config_dict(t_box=t_box))
         run_phase(phase_cfg, str(tmp_path / "cell.csv"))
         times = nm.TimeBox(**t_box).values()
         sweep_cfg = parse_config(base_config_dict(
@@ -577,10 +516,8 @@ class TestRunPhase:
             t_c={"min": times[0], "max": times[-1], "n": len(times)},
         ))
         run_sweep(sweep_cfg, str(tmp_path / "cell_sweep.csv"))
-        with open(tmp_path / "cell_sweep.csv", newline="") as fh:
-            modes = [row[17] for row in list(csv.reader(fh))[1:]]
-        with open(tmp_path / "cell.csv", newline="") as fh:
-            counts = next(csv.DictReader(fh))
+        modes = [row[17] for row in read_rows(tmp_path / "cell_sweep.csv")[1:]]
+        counts = read_records(tmp_path / "cell.csv")[0]
         for label, column in (("Engine", "engine"), ("Heater", "heater"),
                               ("HeatPump", "heat_pump"), ("Other", "other")):
             assert int(counts[column]) == modes.count(label)
@@ -593,21 +530,14 @@ class TestRunPhase:
 
 _QUOTED_MESSAGE = 'a, "b"\nc'
 
-_SMALL_PHASE = {
-    "omega_h": 1.0, "T_h": 1.0,
-    "lambda_h": 0.01, "lambda_c": 0.01, "Omega_h": 0.4, "Omega_c": 0.4,
-    "omega_ratio": {"min": 0.3, "max": 0.7, "n": 2},
-    "T_ratio": {"min": 0.2, "max": 0.4, "n": 2},
-    "t_box": {"t_max": 10.0, "n": 2},
-}
+_SMALL_PHASE = phase_config_dict(omega_ratio={"min": 0.3, "max": 0.7, "n": 2},
+                                 T_ratio={"min": 0.2, "max": 0.4, "n": 2})
 
 
 def _rewritten(path) -> bytes:
     """The file's rows parsed and written back by csv.writer."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(read_rows(path))
     return buf.getvalue().encode()
 
 
@@ -624,8 +554,7 @@ class TestCsvText:
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", one_cell_fails)
         out = tmp_path / "quoted.csv"
         run_sweep(replace(small_cfg, workers=1), str(out))
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_records(out)
         errors = [row["error"] for row in rows if row["error"]]
         assert errors == [f"SingularMapError: {_QUOTED_MESSAGE}"]
         assert out.read_bytes() == _rewritten(out)
@@ -641,16 +570,14 @@ class TestCsvText:
         monkeypatch.setattr(nm.sweep, "evaluate_cycle", one_ratio_fails)
         out = tmp_path / "quoted_phase.csv"
         run_phase(parse_config(dict(_SMALL_PHASE, workers=1)), str(out))
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_records(out)
         assert [row["error"] for row in rows] == ["", ""] + [f"SingularMapError: {_QUOTED_MESSAGE}"] * 2
         assert out.read_bytes() == _rewritten(out)
 
     def test_numbers_round_trip_at_17_digits(self, tmp_path):
         out = tmp_path / "small.csv"
         run_sweep(load_config(str(CONFIGS / "sweep_small.json")), str(out))
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+        rows = read_rows(out)[1:]
         n_numbers = len(REPORT_FIELDS) - len(LABEL_FIELDS)
         numbers = [x for row in rows for x in row[:n_numbers] if x]
         assert len(rows) == 144 and len(numbers) > 144 * (n_numbers - 4)
@@ -763,7 +690,7 @@ class TestOutputFile:
     def test_dev_stdout_redirected_to_a_file(self, tmp_path):
         # `--out /dev/stdout > f.csv`: f.csv gets the file, /dev/stdout stays
         cfg = str(CONFIGS / "reference_cycle.json")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         direct, redirected = tmp_path / "direct.csv", tmp_path / "redirected.csv"
         stdout_was_link = os.path.islink("/dev/stdout")
         subprocess.run([sys.executable, "-m", "nmotto.cli", "cycle", "--config", cfg,

@@ -435,6 +435,13 @@ def test_bisection_with_zero_rtol_ends_inside_the_bracket():
     assert root == pytest.approx(0.3, abs=1e-15)
 
 
+def test_bisection_returns_a_zero_at_either_end_and_needs_a_sign_change():
+    assert nm.bisect_sign_change(lambda t: t - 2.0, 2.0, 10.0) == 2.0
+    assert nm.bisect_sign_change(lambda t: t - 10.0, 2.0, 10.0) == 10.0
+    with pytest.raises(ValueError, match="^interval does not bracket a sign change$"):
+        nm.bisect_sign_change(lambda t: t + 1.0, 2.0, 10.0)
+
+
 @pytest.mark.parametrize("lo, hi", [(10.0, 2.0), (3.0, 3.0), (math.nan, 10.0)],
                          ids=["reversed", "empty", "nan"])
 def test_bisection_rejects_a_bracket_without_lo_below_hi(lo, hi):

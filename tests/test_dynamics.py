@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 import nmotto as nm
 from nmotto.errors import PositivityError
 
-from conftest import CUTOFF, LAMBDA, OMEGA_H, base_config_dict
+from conftest import CUTOFF, LAMBDA, OMEGA_H, STROKE_HEADER, base_config_dict, dump_columns
 
 
 def _dump(directory, initial, **keys):
     """The hot `stroke` dump of the reference config, keys overridden, as (tau, rho00) arrays."""
     path = Path(directory) / "trace.csv"
     nm.sweep.write_trace_csv(nm.parse_config(base_config_dict(**keys)), str(path), "hot", initial)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tau,rho00"
-    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return rows[:, 0], rows[:, 1]
+    columns = dump_columns(path)
+    assert ",".join(columns) == STROKE_HEADER
+    return columns["tau"], columns["rho00"]
 
 
 class TestStrokePopulations:

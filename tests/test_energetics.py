@@ -207,6 +207,19 @@ class TestMarkovReference:
                 (OMEGA_H - OMEGA_C) * (rep.dE_S_h / OMEGA_H), rel=1e-10)
 
 
+def test_a_stroke_label_is_hot_or_cold(hot_grid, cold_grid):
+    lc = nm.fixed_point(60.0, 10.0, hot_grid, cold_grid)
+    for energetics in (nm.stroke_energetics, nm.eq_interaction_integral):
+        with pytest.raises(ValueError, match="^label must be 'hot' or 'cold', got 'warm'$"):
+            energetics(lc, "warm", hot_grid, 60.0)
+
+
+def test_the_explicit_integral_reads_only_at_a_node(hot_grid, cold_grid):
+    lc = nm.fixed_point(60.0, 10.0, hot_grid, cold_grid)
+    with pytest.raises(ValueError, match="^the explicit-integral route requires t on a grid node$"):
+        nm.eq_interaction_integral(lc, "hot", hot_grid, 60.013)
+
+
 # Each stroke time, and what both reads of a source do there: raise a
 # ValueError with this text, or (None) read the value at t_max.  Only the
 # table source has a t_max, its last node (130 on the hot fixture grid, step

@@ -181,6 +181,11 @@ class TestKernelGrid:
         with pytest.raises(GridError):
             nm.build_kernel_grid(hot_bath, OMEGA_H, -5.0)
 
+    def test_omega0_validation(self, hot_bath):
+        for omega0 in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(GridError, match="^omega0 must be finite and > 0$"):
+                nm.build_kernel_grid(hot_bath, omega0, 10.0)
+
     def test_node_budget_enforced(self, hot_bath):
         with pytest.raises(GridError):
             nm.build_kernel_grid(hot_bath, OMEGA_H, 1e6, step=1e-2)

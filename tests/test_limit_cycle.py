@@ -71,6 +71,10 @@ class TestIterateMap:
     def test_zero_iterations_returns_seed(self, hot_grid, cold_grid):
         assert nm.iterate_map(0.33, 0, 60.0, 10.0, hot_grid, cold_grid) == 0.33
 
+    def test_negative_count_rejected(self, hot_grid, cold_grid):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            nm.iterate_map(0.33, -1, 60.0, 10.0, hot_grid, cold_grid)
+
     def test_contraction_is_monotone(self, hot_grid, cold_grid):
         values = [nm.iterate_map(0.0, n, 60.0, 10.0, hot_grid, cold_grid) for n in range(12)]
         steps = np.abs(np.diff(values))

@@ -16,10 +16,10 @@ import shlex
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
-PACKAGE = REPO / "src" / "nmotto"
+from conftest import CONFIGS, SRC, readme_cli_lines
+
+PACKAGE = SRC / "nmotto"
 
 _ERROR_PATH = "error path: every README run exits 0 and has no failing cell"
 _BOUNDARY_SCAN = "boundary search: perfbench's boundary_scan runs it; a CLI run after ROADMAP item 8"
@@ -75,12 +75,11 @@ def _readme_runs() -> list[list[str]]:
     """The argv of every `nmotto ...` line of the README, serial, and of
     `cycle` and `sweep` again under Markov dynamics."""
     runs = []
-    for line in (REPO / "README.md").read_text().splitlines():
-        if line.startswith("nmotto "):
-            argv = shlex.split(line)[1:] + ["--workers", "1"]
-            runs.append(argv)
-            if argv[0] in ("cycle", "sweep"):
-                runs.append(argv + ["--dynamics", "markov"])
+    for line in readme_cli_lines():
+        argv = shlex.split(line)[1:] + ["--workers", "1"]
+        runs.append(argv)
+        if argv[0] in ("cycle", "sweep"):
+            runs.append(argv + ["--dynamics", "markov"])
     return runs
 
 
@@ -107,12 +106,12 @@ def _package_functions() -> dict[tuple[str, int], str]:
 def test_every_package_function_is_entered_by_a_readme_run_or_listed(tmp_path):
     runs = _readme_runs()
     assert {argv[0] for argv in runs} == {"cycle", "sweep", "phase", "kernels", "stroke"}
-    shutil.copytree(REPO / "configs", tmp_path / "configs")
+    shutil.copytree(CONFIGS, tmp_path / "configs")
     result = tmp_path / "entered.json"
     done = subprocess.run(
         [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []), "-c", _CHILD,
          json.dumps(runs), os.path.realpath(PACKAGE), str(result)],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     reached = json.loads(result.read_text())

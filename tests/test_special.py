@@ -182,6 +182,11 @@ class TestCumulativeSimpson:
         assert np.max(np.abs(cum - expected)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_simpson_of_fewer_than_two_samples_is_zero(n):
+    assert nm.simpson(np.ones(n), 0.5) == 0.0
+
+
 def test_one_form_per_primitive():
     # trigamma_values takes a scalar too (a 0-d array), and the prefix is
     # always taken over its integrand.

@@ -12,10 +12,8 @@ phase counts and classification, JSON nulls, the error column) must match
 exactly.
 """
 
-import csv
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +21,10 @@ import pytest
 import nmotto as nm
 from nmotto.cycle import LABEL_FIELDS
 
-REPO = Path(__file__).resolve().parents[1]
-DATA = REPO / "tests" / "data"
+from conftest import CONFIGS, DATA, read_rows
+
 TEXT_FIELDS = set(LABEL_FIELDS) | {"error"}
 PHASE_TEXT_FIELDS = {"engine", "heater", "heat_pump", "other", "classification", "error"}
-
-
-def _rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
 
 
 def _same_number(got, want):
@@ -45,8 +38,8 @@ def _same_field(name, got, want, text_fields):
 
 
 def _assert_matches_reference(got_path, want_path, text_fields=TEXT_FIELDS):
-    want = _rows(want_path)
-    got = _rows(got_path)
+    want = read_rows(want_path)
+    got = read_rows(got_path)
     assert got[0] == want[0]
     assert len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
@@ -58,7 +51,7 @@ def _assert_matches_reference(got_path, want_path, text_fields=TEXT_FIELDS):
 
 @pytest.mark.parametrize("dynamics", ["tcl2", "markov"])
 def test_sweep_small_matches_the_reference_output(tmp_path, dynamics):
-    config = nm.load_config(str(REPO / "configs" / "sweep_small.json"))
+    config = nm.load_config(str(CONFIGS / "sweep_small.json"))
     config = nm.parse_config({**config.to_dict(), "dynamics": dynamics, "workers": 1})
     out = tmp_path / "sweep.csv"
     nm.run_sweep(config, str(out))
@@ -81,7 +74,7 @@ def test_multiblock_cycle_matches_the_reference_output(tmp_path):
 @pytest.mark.parametrize("command", ["kernels", "stroke"])
 def test_cold_dump_matches_the_reference_output(tmp_path, command):
     # `nmotto kernels --bath cold` and `nmotto stroke --bath cold --rho00 1.0`
-    config = nm.load_config(str(REPO / "configs" / "reference_cycle.json"))
+    config = nm.load_config(str(CONFIGS / "reference_cycle.json"))
     out = tmp_path / f"{command}.csv"
     if command == "kernels":
         nm.sweep.write_kernel_csv(config, str(out), "cold")
@@ -92,14 +85,14 @@ def test_cold_dump_matches_the_reference_output(tmp_path, command):
 
 def test_phase_small_matches_the_reference_output(tmp_path):
     # the mode counts come from the CycleReports of every t_box cell
-    config = nm.load_config(str(REPO / "configs" / "phase_small.json"))
+    config = nm.load_config(str(CONFIGS / "phase_small.json"))
     out = tmp_path / "phase.csv"
     nm.run_phase(nm.parse_config({**config.to_dict(), "workers": 1}), str(out))
     _assert_matches_reference(out, DATA / "phase_small.csv", PHASE_TEXT_FIELDS)
 
 
 def test_reference_cycle_json_matches_the_reference_output(tmp_path):
-    config = nm.load_config(str(REPO / "configs" / "reference_cycle.json"))
+    config = nm.load_config(str(CONFIGS / "reference_cycle.json"))
     out = tmp_path / "cycle.json"
     nm.sweep.write_cycle_csv(nm.run_cycle(config), str(tmp_path / "cycle.csv"), str(out))
     got = json.loads(out.read_text(encoding="utf-8"))

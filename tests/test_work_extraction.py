@@ -34,8 +34,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             nm.build_hamiltonian(1.0, -0.1)
 
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="^direction must be 'expansion' or 'compression'$"):
+            nm.build_hamiltonian(1.0, 0.5, "sideways")
+
 
 class TestUnitary:
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="^direction must be 'expansion' or 'compression'$"):
+            nm.build_unitary("sideways")
     def test_is_unitary_involution(self):
         for direction in (nm.EXPANSION, nm.COMPRESSION):
             u = nm.build_unitary(direction)
@@ -80,6 +87,13 @@ class TestExtraction:
         h = nm.build_hamiltonian(1.0, 0.5)
         with pytest.raises(ValueError):
             nm.apply_extraction(0.6, 0.6, h)
+
+    def test_negative_population_rejected(self):
+        # populations summing to 1 with one negative would quench to a
+        # state that is not positive semidefinite
+        h = nm.build_hamiltonian(1.0, 0.5)
+        with pytest.raises(ValueError, match="^qubit populations must be nonnegative$"):
+            nm.apply_extraction(1.5, -0.5, h)
 
 
 class TestMeasurement:
@@ -159,6 +173,9 @@ class TestConservationVerifier:
 
 
 class TestStateValidation:
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="^state must be 8x8$"):
+            nm.TripartiteState(np.eye(2) / 2.0)
     def test_rejects_non_hermitian(self):
         m = np.zeros((DIM, DIM), dtype=np.complex128)
         m[0, 0] = 1.0
