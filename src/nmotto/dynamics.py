@@ -12,7 +12,8 @@ solve and one read.  The population is affine in rho00(0):
 `transition_traces` solves the pure starts 1 and 0 in one pass, and any
 other start is their mix (formed only by the `stroke` dump,
 `sweep.write_trace_csv`).  `_stroke_end` reads a stroke's full-grid tables
-at its end time, for `energetics.StrokeTables`.  C takes the cumulative
+at its end time, for `energetics.StrokeTables`, which calls it once per
+stroke time and table pair and keeps the read.  C takes the cumulative
 Simpson rule of the tables, in cache blocks (`special.CACHE_BLOCK` nodes),
 in place in the first trace.  Where |A| would overflow exp (beyond 500),
 the stroke is solved in guard segments, each with A rebased to its first

@@ -78,6 +78,12 @@ class StrokeTables:
     t_max is the last node), not its tables: the grid is dropped once the
     traces and prefixes are taken, and only the explicit-integral oracle
     rebuilds it.
+
+    The stroke reads its tables once per stroke time: the first
+    `populations(t)` or `flow(t)` reads both table pairs (`_stroke_end`)
+    and keeps them in `_reads`, `{t: (populations, flow)}`, which answers
+    every later read at t, from any caller, with the same bits.  A read
+    that raises keeps nothing.
     """
 
     bath: BathSpec
@@ -89,12 +95,18 @@ class StrokeTables:
     from_excited: np.ndarray
     base: np.ndarray
     pop: np.ndarray
+    _reads: dict = field(default_factory=dict, init=False, repr=False)
 
     def populations(self, t: float) -> tuple[float, float]:
-        return _stroke_end(self, t, self.from_ground, self.from_excited)
+        return (self._reads.get(t) or self._read(t))[0]
 
     def flow(self, t: float) -> tuple[float, float]:
-        return _stroke_end(self, t, self.base, self.pop)
+        return (self._reads.get(t) or self._read(t))[1]
+
+    def _read(self, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        reads = self._reads[t] = (_stroke_end(self, t, self.from_ground, self.from_excited),
+                                  _stroke_end(self, t, self.base, self.pop))
+        return reads
 
 
 def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,

@@ -1,9 +1,12 @@
-"""A batch run reads each stroke once per stroke time, with the per-cell bits.
+"""Every caller reads each stroke once per stroke time, with the per-read bits.
 
-`run_sweep` and each phase cell read the hot stroke at the t_h (or t_box)
-values and the cold stroke at the t_c (or t_box) values before the first
-cell.  The files they write must be the text that a per-cell
-`evaluate_cycle` on `build_context`'s context gives.
+A TCL2 stroke reads its tables at the first `populations(t)` or `flow(t)`
+and answers every later read at t from what it kept.  So `run_sweep` and
+each phase cell read the hot stroke once per t_h (or t_box) value and the
+cold stroke once per t_c (or t_box) value, and a boundary search once per
+stroke time it evaluates.  The files a run writes must be the text that a
+per-cell `evaluate_cycle` on `build_context`'s context gives, and a search
+must find the crossings of strokes that read their tables at every call.
 """
 
 from dataclasses import replace
@@ -17,7 +20,7 @@ from nmotto.cycle import Mode
 from nmotto.sweep import (CSV_HEADER, PHASE_HEADER, _csv_line, _error_line, _fmt, _report_line,
                           run_phase, run_sweep)
 
-from conftest import base_config_dict, phase_config_dict
+from conftest import T_HOT_STROKE, base_config_dict, phase_config_dict
 
 # Axes off the grid nodes (step 0.05): every read interpolates between nodes.
 OFF_NODE = {"t_h": {"min": 3.33, "max": 97.01, "n": 5}, "t_c": {"min": 1.17, "max": 55.55, "n": 4}}
@@ -92,6 +95,38 @@ def test_a_phase_cell_reads_each_stroke_once_per_box_time(stroke_reads, tmp_path
     run_phase(config, str(tmp_path / "phase.csv"))
     # two ratio cells, each reading both strokes' populations and flow at every t_box value
     assert len(stroke_reads) == 2 * 4 * len(config.t_box.values())
+
+
+class _EveryRead:
+    """A TCL2 stroke that reads its tables at every call."""
+
+    def __init__(self, stroke):
+        self.stroke, self.omega0 = stroke, stroke.omega0
+
+    def populations(self, t):
+        return nm.dynamics._stroke_end(self.stroke, t, self.stroke.from_ground, self.stroke.from_excited)
+
+    def flow(self, t):
+        return nm.dynamics._stroke_end(self.stroke, t, self.stroke.base, self.stroke.pop)
+
+
+def test_a_boundary_search_reads_each_stroke_once_per_stroke_time(stroke_reads):
+    ctx = nm.build_context(parse_config(base_config_dict()), T_HOT_STROKE, 120.0)
+    evaluated = []
+
+    def evaluate(t_c):
+        evaluated.append(t_c)
+        return nm.evaluate_cycle(ctx, T_HOT_STROKE, t_c)
+
+    found = nm.find_boundaries(evaluate, 0.5, 120.0, 0.5)
+    # populations and flow, once at t_h and once at each t_c the search evaluated
+    assert len(stroke_reads) == 2 * (1 + len(set(evaluated)))
+    every_read = nm.CycleContext(omega_h=ctx.omega_h, omega_c=ctx.omega_c,
+                                 hot_grid=_EveryRead(ctx.hot_grid), cold_grid=_EveryRead(ctx.cold_grid))
+    expected = nm.find_boundaries(lambda t_c: nm.evaluate_cycle(every_read, T_HOT_STROKE, t_c),
+                                  0.5, 120.0, 0.5)
+    assert None not in found
+    assert [t.hex() for t in found] == [t.hex() for t in expected]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
+from nmotto.dynamics import _stroke_end
 from nmotto.errors import PositivityError
 
-from conftest import CUTOFF, LAMBDA, OMEGA_H, STROKE_HEADER, base_config_dict, dump_columns
+from conftest import CUTOFF, LAMBDA, OMEGA_H, STROKE_HEADER, T_H, base_config_dict, dump_columns
 
 
 def _dump(directory, initial, **keys):
@@ -233,8 +234,26 @@ class TestStrokeEndRead:
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0, 131.0])
     def test_error_texts(self, hot_grid, t):
         text = "t must be finite and >= 0" if t != 131.0 else "t=131 exceeds grid t_max=130"
-        for read in (hot_grid.populations, hot_grid.flow):
+        kept = dict(hot_grid._reads)
+        # A read that raises keeps nothing, so the next read of t raises again.
+        for read in 2 * (hot_grid.populations, hot_grid.flow):
             assert _outcome(read, t) == f"ValueError: {text}"
+        assert hot_grid._reads == kept
+
+    # On a node and between nodes, up to 1e-9 steps past the last node (10 on
+    # a stroke of step 0.05), and at 0.0 and -0.0, one key of the stroke's
+    # dict; a decoupled stroke (lambda 0) included.
+    @pytest.mark.parametrize("coupling", [LAMBDA, 0.0], ids=["coupled", "decoupled"])
+    @pytest.mark.parametrize("times", [[100 * 0.05], [5.013], [10.0 + 0.5e-9 * 0.05],
+                                       [0.0, -0.0], [-0.0, 0.0]],
+                             ids=["node", "off_node", "past_t_max", "zero_first", "minus_zero_first"])
+    def test_a_kept_read_has_the_bits_of_a_direct_read(self, coupling, times):
+        stroke = nm.stroke_tables(nm.BathSpec(coupling, CUTOFF, T_H), OMEGA_H, 10.0)
+        for t in 2 * times:  # the first read of a time keeps it, the later ones answer from it
+            for read, tables in ((stroke.populations, (stroke.from_ground, stroke.from_excited)),
+                                 (stroke.flow, (stroke.base, stroke.pop))):
+                assert _outcome(read, t) == _outcome(_stroke_end, stroke, t, *tables)
+        assert len(stroke._reads) == 1
 
 
 def _propagate_segments(b, big_a, step, rho_init):
