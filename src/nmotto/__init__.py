@@ -1,10 +1,11 @@
 """Non-Markovian quantum Otto cycle simulator.
 
 A spin-boson qubit alternates isochoric strokes with two Ohmic baths and
-measurement-based work extraction strokes.  The package computes the
-time-local second-order population dynamics, the limit cycle of the repeated
-protocol, per-stroke energy bookkeeping including the interaction energy,
-and classifies the cycle's operating mode (engine, heater, heat pump).
+adiabatic frequency quenches.  The package computes the time-local
+second-order population dynamics, the limit cycle of the repeated protocol,
+per-stroke energy bookkeeping including the interaction energy, the works in
+closed form, and classifies the cycle's operating mode (engine, heater, heat
+pump).
 """
 
 from .config import RunConfig, SweepRange, TimeBox, load_config, parse_config
@@ -56,19 +57,6 @@ from .sweep import (
     run_phase,
     run_sweep,
     stroke_tables,
-)
-from .work_extraction import (
-    COMPRESSION,
-    EXPANSION,
-    ConservationReport,
-    TripartiteHamiltonian,
-    TripartiteState,
-    WorkOutcome,
-    apply_extraction,
-    build_hamiltonian,
-    build_unitary,
-    measure_storage,
-    verify_conservation,
 )
 
 __version__ = "0.1.0"

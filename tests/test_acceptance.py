@@ -17,6 +17,7 @@ from nmotto.sweep import evaluate_cycle, run_sweep
 
 from conftest import (CUTOFF, LAMBDA, OMEGA_C, OMEGA_H, base_config_dict,
                       dissipation_kernel_oracle, noise_kernel_oracle)
+import work_extraction as we
 
 
 def _report(number, name, elapsed):
@@ -112,9 +113,9 @@ def test_criterion_05_energy_conservation(hot_bath, cold_bath):
 
 def test_criterion_06_work_extraction_verifiers():
     start = time.perf_counter()
-    hamiltonian = nm.build_hamiltonian(1.0, 0.5)
-    unitary = nm.build_unitary()
-    report = nm.verify_conservation(hamiltonian, unitary)
+    hamiltonian = we.build_hamiltonian(1.0, 0.5)
+    unitary = we.build_unitary()
+    report = we.verify_conservation(hamiltonian, unitary)
     assert report.commutator_max < 1e-13
     assert report.level1_max_residual < 1e-12
     assert report.level4_max_residual == 0.0
@@ -124,8 +125,8 @@ def test_criterion_06_work_extraction_verifiers():
         omega_c = float(rng.uniform(0.1, 2.0))
         omega_h = omega_c + float(rng.uniform(0.05, 2.0))
         rho11 = float(rng.uniform(0.0, 1.0))
-        h = nm.build_hamiltonian(omega_h, omega_c)
-        outcome = nm.measure_storage(nm.apply_extraction(rho11, 1.0 - rho11, h), h)
+        h = we.build_hamiltonian(omega_h, omega_c)
+        outcome = we.measure_storage(we.apply_extraction(rho11, 1.0 - rho11, h), h)
         assert abs(outcome.expected_work - rho11 * (omega_h - omega_c)) < 1e-13
     _report(6, "work-extraction conservation verifiers", time.perf_counter() - start)
 

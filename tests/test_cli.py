@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -20,9 +21,9 @@ import nmotto
 from nmotto.cli import main
 from nmotto.cycle import LABEL_FIELDS, REPORT_FIELDS
 
-from conftest import (CONFIGS, KERNELS_HEADER, PHASE_HEADER, SRC, STROKE_HEADER, SWEEP_HEADER,
-                      base_config_dict, phase_config_dict, read_records, readme_cli_lines,
-                      write_config)
+from conftest import (CONFIGS, KERNELS_HEADER, PHASE_HEADER, REPO, SRC, STROKE_HEADER,
+                      SWEEP_HEADER, base_config_dict, phase_config_dict, read_records,
+                      readme_cli_lines, write_config)
 
 FLOAT_FIELDS = [name for name in REPORT_FIELDS if name not in LABEL_FIELDS]
 
@@ -278,6 +279,16 @@ class TestReadmeCommands:
         if command == "cycle":  # the JSON report has the CSV's fields, keys sorted
             report = json.loads((tmp_path / "cycle.json").read_text())
             assert list(report) == sorted(header.split(",")[:-1])
+
+
+def test_readme_module_table_names_each_package_module_once():
+    """The README's "What is in here" table names each module of src/nmotto
+    once (a row's first cell may name several) and no module that is not there."""
+    section = (REPO / "README.md").read_text().split("## What is in here\n", 1)[1]
+    rows = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    named = sorted(name for row in rows for name in re.findall(r"`nmotto\.(\w+)`", row.split("|")[1]))
+    assert named == sorted(path.stem for path in (SRC / "nmotto").glob("*.py")
+                           if path.stem != "__init__")
 
 
 def _assert_rows_finite_and_balanced(path):

@@ -46,8 +46,6 @@ UNENTERED = {
     "dynamics.StrokeSource.populations": "Protocol stub: each source's own method runs",
     "dynamics.StrokeSource.flow": "Protocol stub: each source's own method runs",
 }
-# The paper's measurement model (criterion 6), which no CLI run reaches.
-UNENTERED_MODULES = {"work_extraction"}
 
 _CHILD = """
 import json, os, sys
@@ -117,6 +115,5 @@ def test_every_package_function_is_entered_by_a_readme_run_or_listed(tmp_path):
     reached = json.loads(result.read_text())
     assert reached["codes"] == [0] * len(runs), done.stderr
     entered = set(map(tuple, reached["entered"]))
-    unentered = {name for key, name in _package_functions().items()
-                 if key not in entered and name.split(".")[0] not in UNENTERED_MODULES}
+    unentered = {name for key, name in _package_functions().items() if key not in entered}
     assert unentered == set(UNENTERED)

@@ -1,5 +1,10 @@
 """Measurement-based work extraction on the system-clock-storage space.
 
+The paper's measurement model, which the tests use as an oracle for the
+report's adiabatic work columns: quenching the limit cycle's diagonal qubit
+into the clock and storage and reading the storage gives W_adiab_h (expansion)
+and W_adiab_c (compression) as its mean.  No CLI run reads it.
+
 Basis order |s> x |c> x |w> with s, c, w in {0, 1}, index 4s + 2c + w.
 The clock selects which qubit Hamiltonian is active (c=0 before the quench,
 c=1 after), the two-level storage receives the energy difference, and the
@@ -10,23 +15,10 @@ the storage bit flip, so the commutation with the swapped Hamiltonian holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "EXPANSION",
-    "COMPRESSION",
-    "TripartiteHamiltonian",
-    "TripartiteState",
-    "WorkOutcome",
-    "ConservationReport",
-    "build_hamiltonian",
-    "build_unitary",
-    "apply_extraction",
-    "measure_storage",
-    "verify_conservation",
-]
 
 DIM = 8
 EXPANSION = "expansion"
@@ -94,9 +86,10 @@ class TripartiteState:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (DIM, DIM):
             raise ValueError(f"state must be {DIM}x{DIM}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
+        # Each check is written so that NaN fails it.
+        if not np.max(np.abs(m - m.conj().T)) <= _HERMITICITY_TOL:
             raise ValueError("state is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
+        if not (abs(np.trace(m).real - 1.0) <= _TRACE_TOL and abs(np.trace(m).imag) <= _TRACE_TOL):
             raise ValueError("state trace must be 1")
         if np.linalg.eigvalsh(m).min() < -_EIGEN_TOL:
             raise ValueError("state is not positive semidefinite")
@@ -121,7 +114,7 @@ class WorkOutcome:
 
 def build_hamiltonian(omega_h: float, omega_c: float, direction: str = EXPANSION) -> TripartiteHamiltonian:
     """Assemble the diagonal clock-conditioned Hamiltonian plus storage term."""
-    if not omega_h > omega_c > 0.0:
+    if not (omega_h > omega_c > 0.0 and math.isfinite(omega_h)):
         raise ValueError("frequencies must satisfy omega_h > omega_c > 0")
     if direction not in (EXPANSION, COMPRESSION):
         raise ValueError(f"direction must be {EXPANSION!r} or {COMPRESSION!r}")
@@ -170,9 +163,9 @@ def apply_extraction(rho11: float, rho00: float, hamiltonian: TripartiteHamilton
     The qubit enters with populations (rho11, rho00), the clock in |0> and
     the storage in its protocol level; coherences are assumed projected away.
     """
-    if abs(rho11 + rho00 - 1.0) > _TRACE_TOL:
+    if not abs(rho11 + rho00 - 1.0) <= _TRACE_TOL:
         raise ValueError("qubit populations must sum to 1")
-    if rho11 < -_TRACE_TOL or rho00 < -_TRACE_TOL:
+    if not (rho11 >= -_TRACE_TOL and rho00 >= -_TRACE_TOL):
         raise ValueError("qubit populations must be nonnegative")
     rho = _pre_quench(rho11, rho00, hamiltonian.initial_storage_level)
     return TripartiteState(_quench(build_unitary(hamiltonian.direction), rho))
