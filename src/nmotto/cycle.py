@@ -5,6 +5,13 @@ outside; positive Delta E_S flows into the qubit.  The operating mode is a
 minimal sign predicate; regimes the prose does not name land in Other, and
 any sign within SIGN_EPS = 1e-12 of zero is treated as indefinite rather
 than guessed.
+
+A boundary search evaluates one scalar cell per step, so the cell's path
+is kept short: the labels are module constants bound once from their Enum
+classes (a member read from its class costs an Enum descriptor call), each
+bath's flow rule is one table, and the report is built with
+`limit_cycle._new` (`tuple.__new__`), without the NamedTuple's generated
+`__new__`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
-from .limit_cycle import LimitCycleState
+from .limit_cycle import LimitCycleState, _new
 
 __all__ = [
     "Mode",
@@ -49,6 +56,12 @@ class Flow(str, Enum):
     REVERSE = "ReverseEnergyFlow"
     NORMAL = "NormalEnergyFlow"
     UNDEFINED = "Undefined"
+
+
+# Each label as a module constant: the rules below read these, not the classes.
+_ENGINE, _HEATER, _HEAT_PUMP, _OTHER = Mode.ENGINE, Mode.HEATER, Mode.HEAT_PUMP, Mode.OTHER
+_ENERGY_DIVISION, _REVERSE, _NORMAL, _UNDEFINED = (
+    Flow.ENERGY_DIVISION, Flow.REVERSE, Flow.NORMAL, Flow.UNDEFINED)
 
 
 class StrokeEnergetics(NamedTuple):
@@ -96,12 +109,19 @@ LABEL_FIELDS = tuple(
 def classify_mode(w_total: float, dE_S_h: float, dE_S_c: float) -> Mode:
     """Engine / Heater / HeatPump by the signs of total work and qubit heats."""
     if w_total > SIGN_EPS:
-        return Mode.ENGINE
+        return _ENGINE
     if w_total < -SIGN_EPS and dE_S_c > SIGN_EPS:
-        return Mode.HEAT_PUMP
+        return _HEAT_PUMP
     if w_total < -SIGN_EPS and dE_S_h > SIGN_EPS and dE_S_c < -SIGN_EPS:
-        return Mode.HEATER
-    return Mode.OTHER
+        return _HEATER
+    return _OTHER
+
+
+# Each bath's flow by the signs of its stroke, indexed [dE_S > 0][dE_B > 0].
+_FLOWS = {
+    "hot": ((_UNDEFINED, _REVERSE), (_NORMAL, _ENERGY_DIVISION)),
+    "cold": ((_UNDEFINED, _NORMAL), (_REVERSE, _ENERGY_DIVISION)),
+}
 
 
 def classify_flow(dE_S: float, dE_B: float, label: str) -> Flow:
@@ -110,16 +130,17 @@ def classify_flow(dE_S: float, dE_B: float, label: str) -> Flow:
     (+,+) is EnergyDivision; a mixed pair is Normal when the qubit gains energy
     on the hot stroke or loses it on the cold one, and Reverse otherwise.  The
     (-,-) cell is unnamed for either bath and maps to Undefined, as do
-    sign-degenerate inputs.
+    sign-degenerate inputs.  Each bath's four sign cells are one table,
+    `_FLOWS[label]`; any label that is neither "hot" nor "cold" raises
+    ValueError, an unhashable one included.
     """
-    if label not in ("hot", "cold"):
-        raise ValueError(f"label must be 'hot' or 'cold', got {label!r}")
+    try:
+        flows = _FLOWS[label]
+    except (KeyError, TypeError):  # an unhashable label raises TypeError
+        raise ValueError(f"label must be 'hot' or 'cold', got {label!r}") from None
     if abs(dE_S) <= SIGN_EPS or abs(dE_B) <= SIGN_EPS:
-        return Flow.UNDEFINED
-    s_pos = dE_S > 0.0
-    if s_pos == (dE_B > 0.0):
-        return Flow.ENERGY_DIVISION if s_pos else Flow.UNDEFINED
-    return Flow.NORMAL if s_pos == (label == "hot") else Flow.REVERSE
+        return _UNDEFINED
+    return flows[dE_S > 0.0][dE_B > 0.0]
 
 
 def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
@@ -137,22 +158,24 @@ def assemble_report(t_h: float, t_c: float, lc: LimitCycleState,
       eta = W_total / dE_S_h for an Engine with dE_S_h > 0, else None;
       cop = |dE_S_c| / |W_total|, None when W_total is zero.
     """
+    s_h, b_h, i_h = hot
+    s_c, b_c, i_c = cold
     w_ad_h = (omega_h - omega_c) * lc.rho11_h
     w_ad_c = (omega_c - omega_h) * lc.rho11_c
-    total = w_ad_h + w_ad_c + hot.dE_I + cold.dE_I
-    mode = classify_mode(total, hot.dE_S, cold.dE_S)
-    # Positional, in REPORT_FIELDS order.
-    return CycleReport(
-        t_h, t_c, hot.dE_S, hot.dE_B, hot.dE_I, cold.dE_S, cold.dE_B, cold.dE_I,
-        w_ad_h, w_ad_c, hot.dE_I, cold.dE_I, total,
-        abs(hot.dE_I / cold.dE_S) if abs(cold.dE_S) > SIGN_EPS else None,
-        abs(cold.dE_I / cold.dE_B) if abs(cold.dE_B) > SIGN_EPS else None,
-        total / hot.dE_S if (mode is Mode.ENGINE and hot.dE_S > SIGN_EPS) else None,
-        abs(cold.dE_S) / abs(total) if abs(total) > SIGN_EPS else None,
+    total = w_ad_h + w_ad_c + i_h + i_c
+    mode = classify_mode(total, s_h, s_c)
+    # In REPORT_FIELDS order.
+    return _new(CycleReport, (
+        t_h, t_c, s_h, b_h, i_h, s_c, b_c, i_c,
+        w_ad_h, w_ad_c, i_h, i_c, total,
+        abs(i_h / s_c) if abs(s_c) > SIGN_EPS else None,
+        abs(i_c / b_c) if abs(b_c) > SIGN_EPS else None,
+        total / s_h if (mode is _ENGINE and s_h > SIGN_EPS) else None,
+        abs(s_c) / abs(total) if abs(total) > SIGN_EPS else None,
         mode,
-        classify_flow(hot.dE_S, hot.dE_B, "hot"),
-        classify_flow(cold.dE_S, cold.dE_B, "cold"),
-    )
+        classify_flow(s_h, b_h, "hot"),
+        classify_flow(s_c, b_c, "cold"),
+    ))
 
 
 def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,

@@ -41,20 +41,27 @@ from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, _check_stroke_time, _stroke_end, _validate_t, transition_traces
 from .kernels import (BathSpec, KernelGrid, bose_occupation, build_kernel_grid, dissipation_kernel,
                       gibbs_populations, node_times, spectral_density)
-from .limit_cycle import LimitCycleState
+from .limit_cycle import LimitCycleState, _new
 from .special import cache_blocks, cumulative_simpson, simpson
 
 __all__ = ["MarkovStroke", "StrokeTables", "bath_flow_tables", "eq_interaction_integral",
            "stroke_energetics", "markov_rate"]
 
 
+# Each stroke's (P, rho11_after) positions in a LimitCycleState.
+_ENTRIES = {label: tuple(map(LimitCycleState._fields.index, fields))
+            for label, fields in (("hot", ("P_h", "rho11_h")), ("cold", ("P_c", "rho11_c")))}
+
+
 def _entry(lc: LimitCycleState, label: str) -> tuple[float, float, float]:
-    """(P, rho11_after, rho11_entering) for the requested stroke."""
-    if label == "hot":
-        return lc.P_h, lc.rho11_h, 1.0 - lc.P_h
-    if label == "cold":
-        return lc.P_c, lc.rho11_c, 1.0 - lc.P_c
-    raise ValueError(f"label must be 'hot' or 'cold', got {label!r}")
+    """(P, rho11_after, rho11_entering) for the requested stroke; any label
+    that is neither "hot" nor "cold" raises ValueError."""
+    try:
+        p, after = _ENTRIES[label]
+    except (KeyError, TypeError):  # an unhashable label raises TypeError
+        raise ValueError(f"label must be 'hot' or 'cold', got {label!r}") from None
+    p = lc[p]
+    return p, lc[after], 1.0 - p
 
 
 def _kernel_grid(stroke) -> KernelGrid:
@@ -163,7 +170,7 @@ def stroke_energetics(lc: LimitCycleState, label: str, stroke: StrokeSource, t: 
     base, pop = stroke.flow(t)
     des = stroke.omega0 * (after - entering)
     deb = -des + (base + p_enter * pop)
-    return StrokeEnergetics(des, deb, -des - deb)
+    return _new(StrokeEnergetics, (des, deb, -des - deb))
 
 
 def markov_rate(bath: BathSpec, omega: float) -> float:

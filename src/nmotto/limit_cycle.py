@@ -24,6 +24,12 @@ __all__ = ["LimitCycleState", "fixed_point", "fixed_point_from_populations", "it
 
 _SINGULAR_TOL = 1e-12
 
+# A record built without the NamedTuple's generated __new__, which costs a
+# Python frame and an arity check per record: `_new(Cls, values)`, with
+# `values` a tuple in `Cls._fields` order.  The package's per-cell records
+# (LimitCycleState, StrokeEnergetics, CycleReport) are built this way.
+_new = tuple.__new__
+
 
 class LimitCycleState(NamedTuple):
     """Limit-cycle occupations: P^mu entering each stroke, rho^mu after it."""
@@ -47,18 +53,19 @@ def fixed_point_from_populations(r0_h: float, r1_h: float,
                                  r0_c: float, r1_c: float) -> LimitCycleState:
     """Closed-form limit cycle from the four stroke-end transition populations."""
     p0 = (r0_c - r1_c) * (r0_h - r1_h)
-    if abs(1.0 - p0) < _SINGULAR_TOL:
+    gap = 1.0 - p0
+    if abs(gap) < _SINGULAR_TOL:
         raise SingularMapError(
             f"one-cycle map is singular (p0={p0!r}); strokes do not mix the populations"
         )
     p_h = r0_c * r1_h + r1_c * (1.0 - r1_h)
     p_c = r0_h * r1_c + r1_h * (1.0 - r1_c)
-    big_p_h = p_h / (1.0 - p0)
-    big_p_c = p_c / (1.0 - p0)
+    big_p_h = p_h / gap
+    big_p_c = p_c / gap
     rho00_h = big_p_h * r0_h + (1.0 - big_p_h) * r1_h
     rho00_c = big_p_c * r0_c + (1.0 - big_p_c) * r1_c
-    return LimitCycleState(big_p_h, big_p_c, rho00_h, 1.0 - rho00_h,
-                           rho00_c, 1.0 - rho00_c, p0)
+    return _new(LimitCycleState, (big_p_h, big_p_c, rho00_h, 1.0 - rho00_h,
+                                  rho00_c, 1.0 - rho00_c, p0))
 
 
 def fixed_point(t_h: float, t_c: float, hot_grid: StrokeSource, cold_grid: StrokeSource) -> LimitCycleState:

@@ -188,8 +188,19 @@ class TestStateValidation:
         m[0, 1] = 0.5
         with pytest.raises(ValueError):
             we.TripartiteState(m)
-        with pytest.raises(ValueError, match="^state is not Hermitian$"):
-            we.TripartiteState(np.full((DIM, DIM), np.nan))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_rejects_non_finite_entries(self, entry, where):
+        # inf at [0, 0] alone once reached `m - m.conj().T`, whose inf - inf
+        # raised numpy's RuntimeWarning instead of a ValueError.
+        if where == "all":
+            m = np.full((DIM, DIM), entry, dtype=np.complex128)
+        else:
+            m = np.zeros((DIM, DIM), dtype=np.complex128)
+            m[0, 0] = entry
+        with pytest.raises(ValueError, match="^state entries must be finite$"):
+            we.TripartiteState(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):

@@ -86,7 +86,11 @@ class TripartiteState:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (DIM, DIM):
             raise ValueError(f"state must be {DIM}x{DIM}")
-        # Each check is written so that NaN fails it.
+        # A non-finite entry is rejected before any arithmetic on it: inf - inf
+        # would warn in the Hermiticity check.  Each later check is written so
+        # that NaN fails it too.
+        if not np.isfinite(m).all():
+            raise ValueError("state entries must be finite")
         if not np.max(np.abs(m - m.conj().T)) <= _HERMITICITY_TOL:
             raise ValueError("state is not Hermitian")
         if not (abs(np.trace(m).real - 1.0) <= _TRACE_TOL and abs(np.trace(m).imag) <= _TRACE_TOL):
