@@ -192,8 +192,8 @@ class TestStateValidation:
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("where", ["one", "all"])
     def test_rejects_non_finite_entries(self, entry, where):
-        # inf at [0, 0] alone once reached `m - m.conj().T`, whose inf - inf
-        # raised numpy's RuntimeWarning instead of a ValueError.
+        # inf at [0, 0] alone makes inf - inf in `m - m.conj().T`, a numpy
+        # RuntimeWarning (an error under tier-1) unless rejected first.
         if where == "all":
             m = np.full((DIM, DIM), entry, dtype=np.complex128)
         else:

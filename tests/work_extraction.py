@@ -87,8 +87,7 @@ class TripartiteState:
         if m.shape != (DIM, DIM):
             raise ValueError(f"state must be {DIM}x{DIM}")
         # A non-finite entry is rejected before any arithmetic on it: inf - inf
-        # would warn in the Hermiticity check.  Each later check is written so
-        # that NaN fails it too.
+        # would warn in the Hermiticity check.
         if not np.isfinite(m).all():
             raise ValueError("state entries must be finite")
         if not np.max(np.abs(m - m.conj().T)) <= _HERMITICITY_TOL:
