@@ -7,25 +7,23 @@ described by the ground-state population
     C(tau)     = int_0^tau b(s) exp(-A(s)) ds,
 
 with b and A (the running integral of the rate a) tabulated on the
-stroke's KernelGrid, the two tables the solve reads.  The module holds one
-solve and one read.  The population is affine in rho00(0):
+stroke's KernelGrid, the two tables the solve reads.  The module holds the
+one solve and the read contract.  The population is affine in rho00(0):
 `transition_traces` solves the pure starts 1 and 0 in one pass, and any
 other start is their mix (formed only by the `stroke` dump,
-`sweep.write_trace_csv`).  `_stroke_end` reads a stroke's full-grid tables
-at its end time, for `energetics.StrokeTables`, which calls it once per
-stroke time and table pair and keeps the read.  C takes the cumulative
-Simpson rule of the tables, in cache blocks (`special.CACHE_BLOCK` nodes),
-in place in the first trace.  Where |A| would overflow exp (beyond 500),
-the stroke is solved in guard segments, each with A rebased to its first
-node and chained through the segment end values; a guard segment is as long
-as the exp range allows, whatever the cache block, and is found one cache
-block at a time.
+`sweep.write_trace_csv`).  `StrokeSource` answers both reads a cycle makes
+of a stroke at a stroke time from one `_read(t)` per distinct time, which
+each source in `energetics` supplies.  C takes the cumulative Simpson rule
+of the tables, in cache blocks (`special.CACHE_BLOCK` nodes), in place in
+the first trace.  Where |A| would overflow exp (beyond 500), the stroke is
+solved in guard segments, each with A rebased to its first node and chained
+through the segment end values; a guard segment is as long as the exp range
+allows, whatever the cache block, and is found one cache block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 import numpy as np
 
@@ -39,13 +37,23 @@ _POSITIVITY_TOL = 1e-9
 _EXP_GUARD = 500.0
 
 
-class StrokeSource(Protocol):
-    """One stroke as a cycle reads it: energetics.StrokeTables or energetics.MarkovStroke."""
+class StrokeSource:
+    """One stroke as a cycle reads it: energetics.StrokeTables or energetics.MarkovStroke.
+
+    A source has its qubit frequency `omega0`, a dict `_reads`,
+    `{t: (populations, flow)}`, and `_read(t)`, which checks t, computes
+    both pairs at t, keeps them in `_reads` and returns them; a read that
+    raises keeps nothing.  So every read at t after the first, from any
+    caller, is answered from `_reads` with the same bits.
+    """
 
     omega0: float
 
-    def populations(self, t: float) -> tuple[float, float]: ...
-    def flow(self, t: float) -> tuple[float, float]: ...
+    def populations(self, t: float) -> tuple[float, float]:
+        return (self._reads.get(t) or self._read(t))[0]
+
+    def flow(self, t: float) -> tuple[float, float]:
+        return (self._reads.get(t) or self._read(t))[1]
 
 
 def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
@@ -55,40 +63,6 @@ def _check_positivity(rho: np.ndarray, grid: KernelGrid) -> None:
         peak = low if below > above else high
         raise PositivityError(max(below, above), peak * grid.step,
                               gibbs_populations(grid.omega0, grid.bath.temperature)[1])
-
-
-def _check_stroke_time(t: float) -> None:
-    """The one stroke-time rule: any finite t >= 0 (NaN fails the comparison)."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
-
-
-def _validate_t(grid: KernelGrid, t: float) -> float:
-    t_max = grid.t_max
-    if 0.0 <= t <= t_max:
-        return t
-    _check_stroke_time(t)
-    if t > t_max + 1e-9 * grid.step:
-        raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
-    return t_max
-
-
-def _stroke_end(grid: KernelGrid, t: float, first: np.ndarray,
-                second: np.ndarray) -> tuple[float, float]:
-    """Two full-grid tables of the stroke read at stroke time t.
-
-    The package's only off-node read of a stroke table: linear between the
-    bracketing nodes, the last node at and past t_max (t may exceed it by
-    rounding, see _validate_t).
-    """
-    pos = _validate_t(grid, t) / grid.step
-    i = int(pos)
-    if i >= grid.n_points - 1:
-        return first.item(-1), second.item(-1)
-    frac = pos - i
-    rest = 1.0 - frac
-    return (rest * first.item(i) + frac * first.item(i + 1),
-            rest * second.item(i) + frac * second.item(i + 1))
 
 
 def _guard_end(big_a: np.ndarray, start: int) -> int:

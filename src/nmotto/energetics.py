@@ -20,14 +20,17 @@ StrokeTables carries two cumulative prefix tables and a stroke evaluation is
 O(1).  Each prefix is taken in place over its integrand, which is filled one
 cache block at a time with that block's node times and D2.  A StrokeTables
 is the four tables a cycle reads, the two transition traces and the two
-prefixes, and its kernel grid's inputs, none of the grid's tables.  The
-explicit-integral route for dE_I survives as a cross-check; it rebuilds the
-grid from those inputs once per call and forms tau and D2 at the nodes it
-integrates.
+prefixes, and its kernel grid's inputs, none of the grid's tables; its one
+read (`_read`, see dynamics.StrokeSource) validates a stroke time and
+brackets it once for all four.  The explicit-integral route for dE_I
+survives as a cross-check; it rebuilds the grid from those inputs once per
+call and forms tau and D2 at the nodes it integrates.  The stroke-time rules
+(`_check_stroke_time`, `_validate_t`) sit here with their callers.
 
 The Markovian reference (detailed-balance rates, long-time limit) is the
 stroke source MarkovStroke, with dE_B = -dE_S and dE_I = 0 identically; it
-relaxes at `markov_rate` to the Gibbs state (`kernels.gibbs_populations`).
+relaxes at `markov_rate` to the Gibbs state (`kernels.gibbs_populations`),
+one `exp` per read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .cycle import StrokeEnergetics
-from .dynamics import StrokeSource, _check_stroke_time, _stroke_end, _validate_t, transition_traces
+from .dynamics import StrokeSource, transition_traces
 from .kernels import (BathSpec, KernelGrid, bose_occupation, build_kernel_grid, dissipation_kernel,
                       gibbs_populations, node_times, spectral_density)
 from .limit_cycle import LimitCycleState, _new
@@ -76,8 +79,24 @@ def _kernel_grid(stroke) -> KernelGrid:
                              stroke.step)
 
 
+def _check_stroke_time(t: float) -> None:
+    """The one stroke-time rule: any finite t >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
+
+
+def _validate_t(grid: KernelGrid | StrokeTables, t: float) -> float:
+    t_max = grid.t_max
+    if 0.0 <= t <= t_max:
+        return t
+    _check_stroke_time(t)
+    if t > t_max + 1e-9 * grid.step:
+        raise ValueError(f"t={t:g} exceeds grid t_max={t_max:g}")
+    return t_max
+
+
 @dataclass(frozen=True, eq=False)
-class StrokeTables:
+class StrokeTables(StrokeSource):
     """One TCL2 stroke as a cycle reads it: the transition traces from |0>
     and |1> and the flow prefixes base and pop, every array read-only.
 
@@ -86,11 +105,8 @@ class StrokeTables:
     traces and prefixes are taken, and only the explicit-integral oracle
     rebuilds it.
 
-    The stroke reads its tables once per stroke time: the first
-    `populations(t)` or `flow(t)` reads both table pairs (`_stroke_end`)
-    and keeps them in `_reads`, `{t: (populations, flow)}`, which answers
-    every later read at t, from any caller, with the same bits.  A read
-    that raises keeps nothing.
+    The stroke reads its four tables once per stroke time (`_read`, see
+    dynamics.StrokeSource).
     """
 
     bath: BathSpec
@@ -104,15 +120,23 @@ class StrokeTables:
     pop: np.ndarray
     _reads: dict = field(default_factory=dict, init=False, repr=False)
 
-    def populations(self, t: float) -> tuple[float, float]:
-        return (self._reads.get(t) or self._read(t))[0]
-
-    def flow(self, t: float) -> tuple[float, float]:
-        return (self._reads.get(t) or self._read(t))[1]
-
     def _read(self, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        reads = self._reads[t] = (_stroke_end(self, t, self.from_ground, self.from_excited),
-                                  _stroke_end(self, t, self.base, self.pop))
+        """The package's only off-node read of a stroke table, of all four
+        at once: linear between the bracketing nodes, the last node at and
+        past t_max (t may exceed it by rounding, see _validate_t)."""
+        pos = _validate_t(self, t) / self.step
+        i = int(pos)
+        ground, excited, base, pop = self.from_ground, self.from_excited, self.base, self.pop
+        if i >= self.n_points - 1:
+            reads = (ground.item(-1), excited.item(-1)), (base.item(-1), pop.item(-1))
+        else:
+            frac = pos - i
+            rest = 1.0 - frac
+            reads = ((rest * ground.item(i) + frac * ground.item(i + 1),
+                      rest * excited.item(i) + frac * excited.item(i + 1)),
+                     (rest * base.item(i) + frac * base.item(i + 1),
+                      rest * pop.item(i) + frac * pop.item(i + 1)))
+        self._reads[t] = reads
         return reads
 
 
@@ -184,27 +208,26 @@ def markov_rate(bath: BathSpec, omega: float) -> float:
 
 
 @dataclass(frozen=True)
-class MarkovStroke:
+class MarkovStroke(StrokeSource):
     """One stroke of the Markovian reference: closed-form populations, no flow
     term.  Its stationary population, the Gibbs ground population, and its
-    rate are computed once, from the bath.
+    rate are computed once, from the bath; its kept reads take no part in
+    equality or the hash.
     """
 
     bath: InitVar[BathSpec]
     omega0: float
     stationary: float = field(init=False, repr=False)
     rate: float = field(init=False, repr=False)
+    _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, bath: BathSpec):
         object.__setattr__(self, "stationary", gibbs_populations(self.omega0, bath.temperature)[0])
         object.__setattr__(self, "rate", markov_rate(bath, self.omega0))
 
-    def populations(self, t: float) -> tuple[float, float]:
+    def _read(self, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
         _check_stroke_time(t)
         s, decay = self.stationary, math.exp(-self.rate * t)
-        return s + (1.0 - s) * decay, s + (0.0 - s) * decay
-
-    def flow(self, t: float) -> tuple[float, float]:
-        _check_stroke_time(t)
-        return 0.0, 0.0
+        reads = self._reads[t] = (s + (1.0 - s) * decay, s + (0.0 - s) * decay), (0.0, 0.0)
+        return reads
 

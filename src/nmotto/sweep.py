@@ -5,9 +5,9 @@ pair of strokes is built per sweep (`stroke_tables`: a grid, its traces and
 its flow prefixes).  A stroke lets each grid table go as soon as nothing
 more is taken from it: b and A once the traces are solved, D1 once the flow
 prefixes are taken.  A cell reads the hot stroke at t_h only and the cold
-stroke at t_c only, and a TCL2 stroke reads its tables once per stroke time
-(`energetics.StrokeTables`), so a sweep, and each phase cell over its t_box,
-reads each table pair once per distinct stroke time of its axis.  Every
+stroke at t_c only, and either stroke source reads once per stroke time
+(`dynamics.StrokeSource`), so a sweep, and each phase cell over its t_box,
+reads each stroke once per distinct stroke time of its axis.  Every
 batch is one lazy ordered map (`_map`): a sweep maps over its t_h values,
 each to one block of CSV text holding that row's t_c cells, and a phase
 diagram over its (omega ratio, T ratio) cells, each to its CSV line.  The
@@ -89,10 +89,9 @@ _FLOATS_FORMAT = ",".join(["%.17g"] * _N_FLOATS)
 class CycleContext:
     """Everything one parameter point needs; immutable and picklable, tables included.
 
-    `hot_grid` and `cold_grid` hold the strokes' sources (StrokeTables,
-    which reads its tables once per stroke time for every caller, or
-    MarkovStroke under Markov dynamics); perfbench/checks.py reads these
-    names.
+    `hot_grid` and `cold_grid` hold the strokes' sources (StrokeTables, or
+    MarkovStroke under Markov dynamics), each of which reads once per stroke
+    time for every caller; perfbench/checks.py reads these names.
     """
 
     omega_h: float

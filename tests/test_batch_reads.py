@@ -1,12 +1,13 @@
 """Every caller reads each stroke once per stroke time, with the per-read bits.
 
-A TCL2 stroke reads its tables at the first `populations(t)` or `flow(t)`
-and answers every later read at t from what it kept.  So `run_sweep` and
-each phase cell read the hot stroke once per t_h (or t_box) value and the
-cold stroke once per t_c (or t_box) value, and a boundary search once per
-stroke time it evaluates.  The files a run writes must be the text that a
-per-cell `evaluate_cycle` on `build_context`'s context gives, and a search
-must find the crossings of strokes that read their tables at every call.
+A stroke source, TCL2 or Markov, reads at the first `populations(t)` or
+`flow(t)` (its `_read`, both pairs at once) and answers every later read at
+t from what it kept.  So `run_sweep` and each phase cell read the hot stroke
+once per t_h (or t_box) value and the cold stroke once per t_c (or t_box)
+value, and a boundary search once per stroke time it evaluates.  The files
+a run writes must be the text that a per-cell `evaluate_cycle` on
+`build_context`'s context gives, and a search must find the crossings of
+strokes that read their tables at every call.
 """
 
 from dataclasses import replace
@@ -68,33 +69,32 @@ def _per_cell_phase_text(config):
 
 @pytest.fixture()
 def stroke_reads(monkeypatch):
-    """The stroke times of every table read (`dynamics._stroke_end`) in this process."""
+    """The stroke times of every stroke read (each source's `_read`) in this process."""
     times = []
-    read = nm.energetics._stroke_end
+    for source in (nm.StrokeTables, nm.MarkovStroke):
+        def counted(stroke, t, read=source._read):
+            times.append(t)
+            return read(stroke, t)
 
-    def counted(stroke, t, first, second):
-        times.append(t)
-        return read(stroke, t, first, second)
-
-    monkeypatch.setattr(nm.energetics, "_stroke_end", counted)
+        monkeypatch.setattr(source, "_read", counted)
     return times
 
 
-@pytest.mark.parametrize("name", ["tcl2", "tcl2-repeated"])
+@pytest.mark.parametrize("name", ["tcl2", "tcl2-repeated", "markov"])
 def test_a_sweep_reads_each_stroke_once_per_stroke_time(stroke_reads, tmp_path, name):
     config = replace(parse_config(SWEEPS[name]), workers=1)
     t_h_values, t_c_values = sweep_axes(config)
     run_sweep(config, str(tmp_path / "sweep.csv"))
-    # populations and flow, once at each distinct t_h and each distinct t_c
-    assert len(stroke_reads) == 2 * (len(set(t_h_values)) + len(set(t_c_values)))
-    assert sorted(stroke_reads) == sorted(2 * [*set(t_h_values), *set(t_c_values)])
+    # populations and flow together, once at each distinct t_h and each distinct t_c
+    assert len(stroke_reads) == len(set(t_h_values)) + len(set(t_c_values))
+    assert sorted(stroke_reads) == sorted([*set(t_h_values), *set(t_c_values)])
 
 
 def test_a_phase_cell_reads_each_stroke_once_per_box_time(stroke_reads, tmp_path):
     config = replace(parse_config(PHASES["tcl2"]), workers=1)
     run_phase(config, str(tmp_path / "phase.csv"))
-    # two ratio cells, each reading both strokes' populations and flow at every t_box value
-    assert len(stroke_reads) == 2 * 4 * len(config.t_box.values())
+    # two ratio cells, each reading both strokes once at every t_box value
+    assert len(stroke_reads) == 2 * 2 * len(config.t_box.values())
 
 
 class _EveryRead:
@@ -104,10 +104,10 @@ class _EveryRead:
         self.stroke, self.omega0 = stroke, stroke.omega0
 
     def populations(self, t):
-        return nm.dynamics._stroke_end(self.stroke, t, self.stroke.from_ground, self.stroke.from_excited)
+        return self.stroke._read(t)[0]
 
     def flow(self, t):
-        return nm.dynamics._stroke_end(self.stroke, t, self.stroke.base, self.stroke.pop)
+        return self.stroke._read(t)[1]
 
 
 def test_a_boundary_search_reads_each_stroke_once_per_stroke_time(stroke_reads):
@@ -119,8 +119,8 @@ def test_a_boundary_search_reads_each_stroke_once_per_stroke_time(stroke_reads):
         return nm.evaluate_cycle(ctx, T_HOT_STROKE, t_c)
 
     found = nm.find_boundaries(evaluate, 0.5, 120.0, 0.5)
-    # populations and flow, once at t_h and once at each t_c the search evaluated
-    assert len(stroke_reads) == 2 * (1 + len(set(evaluated)))
+    # populations and flow together, once at t_h and once at each t_c the search evaluated
+    assert len(stroke_reads) == 1 + len(set(evaluated))
     every_read = nm.CycleContext(omega_h=ctx.omega_h, omega_c=ctx.omega_c,
                                  hot_grid=_EveryRead(ctx.hot_grid), cold_grid=_EveryRead(ctx.cold_grid))
     expected = nm.find_boundaries(lambda t_c: nm.evaluate_cycle(every_read, T_HOT_STROKE, t_c),

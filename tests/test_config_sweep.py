@@ -229,9 +229,10 @@ class TestCycleContext:
         assert nm.evaluate_cycle(pickle.loads(pickle.dumps(ctx)), 60.0, 10.0) == expected
 
     def test_pickled_markov_context_evaluates_equal(self, markov_context):
-        # A Markov stroke keeps its frequency, stationary population and rate, not its bath.
+        # A Markov stroke keeps its frequency, stationary population, rate and
+        # kept reads, not its bath.
         for stroke in (markov_context.hot_grid, markov_context.cold_grid):
-            assert vars(stroke).keys() == {"omega0", "stationary", "rate"}
+            assert vars(stroke).keys() == {"omega0", "stationary", "rate", "_reads"}
         copy = pickle.loads(pickle.dumps(markov_context))
         assert copy == markov_context
         for t_h, t_c in ((60.0, 10.0), (5.0, 66.0)):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto as nm
-from nmotto.dynamics import _stroke_end
 from nmotto.errors import PositivityError
 
 from conftest import CUTOFF, LAMBDA, OMEGA_H, STROKE_HEADER, T_H, base_config_dict, dump_columns
+from oracles import markov_population
 
 
 def _dump(directory, initial, **keys):
@@ -180,7 +180,7 @@ class TestTransitionPopulations:
 
 
 def _linear_read(grid, t, tables):
-    # Reference for dynamics._stroke_end: the linear read as it was when it
+    # Reference for StrokeTables._read: the linear read as it was when it
     # took any number of tables, with its own validation of t.
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
@@ -219,7 +219,8 @@ def _read_times(grid):
 
 
 class TestStrokeEndRead:
-    """The pair read equals the parent linear read bit for bit, errors included."""
+    """Each source's read equals its reference bit for bit, errors included:
+    the linear read of the tables for TCL2, the closed form for Markov."""
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -231,29 +232,55 @@ class TestStrokeEndRead:
         assert _outcome(nm.transition_populations, hot_grid, t) \
             == _outcome(hot_grid.populations, t)
 
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0, 131.0])
-    def test_error_texts(self, hot_grid, t):
+    # Markov strokes have no t_max: 131 is a time they read.
+    @pytest.mark.parametrize("source, t", [
+        *(pytest.param(source, t, id=f"{prefix}{t}")
+          for source, prefix in (("tables", ""), ("markov", "markov-"))
+          for t in (float("nan"), float("inf"), -float("inf"), -1.0)),
+        pytest.param("tables", 131.0, id="131.0"),
+    ])
+    def test_error_texts(self, hot_grid, hot_bath, source, t):
+        stroke = hot_grid if source == "tables" else nm.MarkovStroke(hot_bath, OMEGA_H)
         text = "t must be finite and >= 0" if t != 131.0 else "t=131 exceeds grid t_max=130"
-        kept = dict(hot_grid._reads)
+        kept = dict(stroke._reads)
         # A read that raises keeps nothing, so the next read of t raises again.
-        for read in 2 * (hot_grid.populations, hot_grid.flow):
+        for read in 2 * (stroke.populations, stroke.flow):
             assert _outcome(read, t) == f"ValueError: {text}"
-        assert hot_grid._reads == kept
+        assert stroke._reads == kept
 
     # On a node and between nodes, up to 1e-9 steps past the last node (10 on
-    # a stroke of step 0.05), and at 0.0 and -0.0, one key of the stroke's
-    # dict; a decoupled stroke (lambda 0) included.
-    @pytest.mark.parametrize("coupling", [LAMBDA, 0.0], ids=["coupled", "decoupled"])
+    # a TCL2 stroke of step 0.05), and at 0.0 and -0.0, one key of the
+    # stroke's dict; a decoupled TCL2 stroke (lambda 0) and a Markov stroke
+    # included.
+    @pytest.mark.parametrize("source", ["coupled", "decoupled", "markov"])
     @pytest.mark.parametrize("times", [[100 * 0.05], [5.013], [10.0 + 0.5e-9 * 0.05],
                                        [0.0, -0.0], [-0.0, 0.0]],
                              ids=["node", "off_node", "past_t_max", "zero_first", "minus_zero_first"])
-    def test_a_kept_read_has_the_bits_of_a_direct_read(self, coupling, times):
-        stroke = nm.stroke_tables(nm.BathSpec(coupling, CUTOFF, T_H), OMEGA_H, 10.0)
+    def test_a_kept_read_has_the_bits_of_a_direct_read(self, source, times):
+        bath = nm.BathSpec(0.0 if source == "decoupled" else LAMBDA, CUTOFF, T_H)
+        if source == "markov":
+            stroke = nm.MarkovStroke(bath, OMEGA_H)
+            references = (lambda t: (markov_population(1.0, bath, OMEGA_H, t),
+                                     markov_population(0.0, bath, OMEGA_H, t)),
+                          lambda t: (0.0, 0.0))
+        else:
+            stroke = nm.stroke_tables(bath, OMEGA_H, 10.0)
+            references = (lambda t: _linear_read(stroke, t, (stroke.from_ground, stroke.from_excited)),
+                          lambda t: _linear_read(stroke, t, (stroke.base, stroke.pop)))
         for t in 2 * times:  # the first read of a time keeps it, the later ones answer from it
-            for read, tables in ((stroke.populations, (stroke.from_ground, stroke.from_excited)),
-                                 (stroke.flow, (stroke.base, stroke.pop))):
-                assert _outcome(read, t) == _outcome(_stroke_end, stroke, t, *tables)
+            for read, reference in zip((stroke.populations, stroke.flow), references):
+                assert _outcome(read, t) == _outcome(reference, t)
         assert len(stroke._reads) == 1
+
+    def test_a_markov_stroke_with_kept_reads_pickles_compares_and_hashes(self, hot_bath):
+        fresh, stroke = nm.MarkovStroke(hot_bath, OMEGA_H), nm.MarkovStroke(hot_bath, OMEGA_H)
+        stroke.populations(5.0)
+        stroke.flow(7.5)
+        assert len(stroke._reads) == 2 and not fresh._reads
+        copy = pickle.loads(pickle.dumps(stroke))
+        assert copy._reads == stroke._reads
+        assert copy == stroke == fresh
+        assert hash(copy) == hash(stroke) == hash(fresh)
 
 
 def _propagate_segments(b, big_a, step, rho_init):

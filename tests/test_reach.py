@@ -43,8 +43,6 @@ UNENTERED = {
     "special.simpson": _CHECKS_ORACLE,
     "sweep._set_worker_fn": "pool worker side: runs in the workers, which criterion 9 runs",
     "sweep._call_worker_fn": "pool worker side: runs in the workers, which criterion 9 runs",
-    "dynamics.StrokeSource.populations": "Protocol stub: each source's own method runs",
-    "dynamics.StrokeSource.flow": "Protocol stub: each source's own method runs",
 }
 
 _CHILD = """
