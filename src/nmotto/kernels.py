@@ -25,10 +25,11 @@ The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1 and
 the two rate integrands are filled block by block, each integrand into the
 table that then takes its prefix in place, and A is taken in place over the
 prefix a, so a long grid's peak memory is three tables and not the
-temporaries of their products.  A grid is its D1, b and A, the tables the
-population solve and the flow prefixes read.  The node times tau, D2 and a
-are not kept: the dumps and the explicit-integral oracle form what they read
-of them, from `node_times`.
+temporaries of their products.  D1 depends on the bath, step and node count
+alone, so a batch run's grids may share it (`noise_tables`).  A grid is its
+D1, b and A, the tables the population solve and the flow prefixes read.
+The node times tau, D2 and a are not kept: the dumps and the
+explicit-integral oracle form what they read of them, from `node_times`.
 """
 
 from __future__ import annotations
@@ -160,8 +161,14 @@ class KernelGrid:
     A: np.ndarray
 
 
-def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float | None = None) -> KernelGrid:
-    """Precompute D1, b and A on a uniform grid covering [0, t_max]."""
+def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float | None = None,
+                      noise_tables: dict | None = None) -> KernelGrid:
+    """Precompute D1, b and A on a uniform grid covering [0, t_max].
+
+    A batch run (`sweep.run_phase`, no other caller) may pass `noise_tables`,
+    its dict of read-only D1 arrays keyed by (bath, step, n_points): a build
+    reads its D1 there, or stores it there once the grid is complete.
+    """
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise GridError("omega0 must be finite and > 0")
     omega0 = float(omega0)
@@ -180,6 +187,8 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
         raise GridError(f"grid would need {intervals + 1:.3g} nodes (> {MAX_GRID_NODES}); "
                         "increase step or reduce t_max")
     n = max(int(math.ceil(intervals)) + 1, 3)
+    key = (bath, step, n)
+    noise = None if noise_tables is None else noise_tables.get(key)
 
     # Extreme bath scales overflow the tables, and a tiny temperature puts the
     # trigamma argument at its pole (its square underflows to 0); that is
@@ -187,10 +196,12 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Each rate's integrand is filled one cache block at a time into the
         # table that keeps its prefix; A then replaces the prefix a.
-        d1, big_a, b = np.empty(n), np.empty(n), np.empty(n)
+        d1 = np.empty(n) if noise is None else noise
+        big_a, b = np.empty(n), np.empty(n)
         for block in cache_blocks(n):
             t = node_times(block, step)
-            d1[block] = noise_kernel(t, bath)
+            if noise is None:
+                d1[block] = noise_kernel(t, bath)
             d2 = dissipation_kernel(t, bath)
             cos_w = np.cos(omega0 * t)
             sin_w = np.sin(omega0 * t)
@@ -205,5 +216,7 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
 
     for arr in (d1, b, big_a):
         arr.setflags(write=False)
+    if noise_tables is not None:
+        noise_tables[key] = d1
     return KernelGrid(bath=bath, omega0=omega0, step=float(step), n_points=n,
                       t_max=(n - 1) * float(step), D1=d1, b=b, A=big_a)

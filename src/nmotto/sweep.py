@@ -1,11 +1,14 @@
 """Batch runners: single cycles, (t_h, t_c) sweeps, ratio phase diagrams.
 
 The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
-pair of strokes is built per sweep (`stroke_tables`: a grid, its traces and
-its flow prefixes).  A stroke lets each grid table go as soon as nothing
-more is taken from it: b and A once the traces are solved, D1 once the flow
-prefixes are taken.  A cell reads the hot stroke at t_h only and the cold
-stroke at t_c only, and either stroke source reads once per stroke time
+pair of strokes is built per sweep and per phase cell (`stroke_tables`: a
+grid, its traces and its flow prefixes).  D1 does not depend on the qubit
+frequency, so a phase run's cells share one dict of D1 tables and compute
+D1 once per distinct bath (a pool worker fills its own).  A stroke lets each
+grid table go as soon as nothing more is taken from it: b and A once the
+traces are solved, D1 once the flow prefixes are taken (unless a phase run
+keeps it).  A cell reads the hot stroke at t_h only and the cold stroke at
+t_c only, and either stroke source reads once per stroke time
 (`dynamics.StrokeSource`), so a sweep, and each phase cell over its t_box,
 reads each stroke once per distinct stroke time of its axis.  Every
 batch is one lazy ordered map (`_map`): a sweep maps over its t_h values,
@@ -100,32 +103,36 @@ class CycleContext:
     cold_grid: StrokeSource
 
 
-def stroke_tables(bath: BathSpec, omega0: float, t_max: float,
-                  step: Optional[float] = None) -> energetics.StrokeTables:
+def stroke_tables(bath: BathSpec, omega0: float, t_max: float, step: Optional[float] = None,
+                  noise_tables: Optional[dict] = None) -> energetics.StrokeTables:
     """One TCL2 stroke on the kernel grid of these inputs (`build_kernel_grid`'s):
     its transition traces, solved once, and its flow prefixes.
 
     The stroke holds the only reference to the grid, and drops it once the
     traces are solved: b and A go before the flow prefixes are allocated,
     and D1 once they are taken.  The stroke peaks at five tables and keeps
-    four.
+    four.  `noise_tables`, D1 arrays keyed by (bath, step, n_points), goes
+    to the build; only `run_phase` passes one, and then D1 outlives the grid.
     """
-    grid = build_kernel_grid(bath, omega0, t_max, step)
+    grid = build_kernel_grid(bath, omega0, t_max, step, noise_tables)
     traces = transition_traces(grid)
     bath, omega0, step, d1 = grid.bath, grid.omega0, grid.step, grid.D1
     del grid
     return energetics.bath_flow_tables(bath, omega0, step, d1, *traces)
 
 
-def build_context(config: RunConfig, t_max_h: float, t_max_c: float) -> CycleContext:
-    """Build the two stroke sources of the configured dynamics for the requested box."""
+def build_context(config: RunConfig, t_max_h: float, t_max_c: float,
+                  noise_tables: Optional[dict] = None) -> CycleContext:
+    """Build the two stroke sources of the configured dynamics for the requested box;
+    `noise_tables`, D1 arrays keyed by (bath, step, n_points), goes to both
+    TCL2 builds (only `run_phase` passes one)."""
     (hot, omega_h), (cold, omega_c) = config.stroke("hot"), config.stroke("cold")
     if config.dynamics == "markov":
         hot_stroke = energetics.MarkovStroke(hot, omega_h)
         cold_stroke = energetics.MarkovStroke(cold, omega_c)
     else:
-        hot_stroke = stroke_tables(hot, omega_h, t_max_h, config.h)
-        cold_stroke = stroke_tables(cold, omega_c, t_max_c, config.h)
+        hot_stroke = stroke_tables(hot, omega_h, t_max_h, config.h, noise_tables)
+        cold_stroke = stroke_tables(cold, omega_c, t_max_c, config.h, noise_tables)
     return CycleContext(omega_h=omega_h, omega_c=omega_c, hot_grid=hot_stroke, cold_grid=cold_stroke)
 
 
@@ -284,7 +291,7 @@ def run_sweep(config: RunConfig, out_path: str) -> None:
                 _map(partial(_sweep_chunk, ctx, t_c_values), t_h_values, config.workers)))
 
 
-def _phase_line(config: RunConfig, t_values: list[float],
+def _phase_line(config: RunConfig, t_values: list[float], noise_tables: dict,
                 ratios: tuple[float, float]) -> str:
     r_omega, r_temp = ratios
     counts = dict.fromkeys(Mode, 0)  # Enum order is the CSV column order
@@ -293,7 +300,7 @@ def _phase_line(config: RunConfig, t_values: list[float],
         # The cell's config passes parse_config's checks, as a config read from a file does.
         cell = parse_config({**config.to_dict(), "omega_c": r_omega * config.omega_h,
                              "T_c": r_temp * config.T_h})
-        ctx = build_context(cell, max(t_values), max(t_values))
+        ctx = build_context(cell, max(t_values), max(t_values), noise_tables)
         for t_h, t_c in product(t_values, t_values):
             counts[evaluate_cycle(ctx, t_h, t_c).mode] += 1
     except NmottoError as exc:  # the cell's first failure; counts so far stay
@@ -310,7 +317,7 @@ def run_phase(config: RunConfig, out_path: str) -> None:
         raise ConfigError("phase runs require omega_ratio, T_ratio and t_box")
     ratios = list(product(config.omega_ratio.values(), config.T_ratio.values()))
     _write_csv((out_path, PHASE_HEADER,
-                _map(partial(_phase_line, config, config.t_box.values()), ratios, config.workers)))
+                _map(partial(_phase_line, config, config.t_box.values(), {}), ratios, config.workers)))
 
 
 def write_cycle_csv(report: CycleReport, path: str, json_path: Optional[str] = None) -> None:

@@ -69,6 +69,19 @@ def hot_kernels(hot_bath):
     return nm.build_kernel_grid(hot_bath, OMEGA_H, 130.0)
 
 
+@pytest.fixture()
+def noise_builds(monkeypatch):
+    """The bath of every `noise_kernel` call of a grid build (one per cache block)."""
+    baths, noise_kernel = [], nm.kernels.noise_kernel
+
+    def counted(tau, bath):
+        baths.append(bath)
+        return noise_kernel(tau, bath)
+
+    monkeypatch.setattr(nm.kernels, "noise_kernel", counted)
+    return baths
+
+
 def read_rows(path):
     """The rows of a CSV output file as lists of fields, its header first."""
     with open(path, newline="", encoding="utf-8") as fh:

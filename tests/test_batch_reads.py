@@ -21,7 +21,7 @@ from nmotto.cycle import Mode
 from nmotto.sweep import (CSV_HEADER, PHASE_HEADER, _csv_line, _error_line, _fmt, _report_line,
                           run_phase, run_sweep)
 
-from conftest import T_HOT_STROKE, base_config_dict, phase_config_dict
+from conftest import CONFIGS, T_HOT_STROKE, base_config_dict, phase_config_dict
 
 # Axes off the grid nodes (step 0.05): every read interpolates between nodes.
 OFF_NODE = {"t_h": {"min": 3.33, "max": 97.01, "n": 5}, "t_c": {"min": 1.17, "max": 55.55, "n": 4}}
@@ -95,6 +95,26 @@ def test_a_phase_cell_reads_each_stroke_once_per_box_time(stroke_reads, tmp_path
     run_phase(config, str(tmp_path / "phase.csv"))
     # two ratio cells, each reading both strokes once at every t_box value
     assert len(stroke_reads) == 2 * 2 * len(config.t_box.values())
+
+
+def test_a_phase_run_computes_each_noise_kernel_once(monkeypatch, noise_builds, tmp_path):
+    # The cells share D1 by (bath, step, n_points): one hot bath and one cold
+    # bath per T ratio.  Each cell still builds its hot and cold grid, which
+    # perfbench's `kernels.grids_built` counts.
+    config = replace(nm.load_config(str(CONFIGS / "phase_small.json")), workers=1)
+    builds, build_kernel_grid = [], nm.sweep.build_kernel_grid
+
+    def counted_build(*args):
+        builds.append(args)
+        return build_kernel_grid(*args)
+
+    monkeypatch.setattr(nm.sweep, "build_kernel_grid", counted_build)
+    run_phase(config, str(tmp_path / "phase.csv"))
+    t_ratios = config.T_ratio.values()
+    assert len(builds) == 2 * len(config.omega_ratio.values()) * len(t_ratios) == 18
+    assert len(noise_builds) == len(set(noise_builds)) == 1 + len(t_ratios) == 4  # one cache block each
+    assert sorted(bath.temperature for bath in noise_builds) == sorted(
+        [config.T_h, *(r * config.T_h for r in t_ratios)])
 
 
 class _EveryRead:

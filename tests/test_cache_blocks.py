@@ -8,6 +8,7 @@ has -0.0 integrands, which "%.17g" prints as -0).
 
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import nmotto as nm
 from nmotto import special, sweep
 
-from conftest import DATA, base_config_dict, kernel_dump
+from conftest import DATA, base_config_dict, kernel_dump, phase_config_dict
 
 GRID_TABLES = ("D1", "b", "A")
 STROKE_TABLES = ("from_ground", "from_excited", "base", "pop")
@@ -172,6 +173,77 @@ def test_a_pickled_stroke_carries_no_derived_table():
     # Four tables, the two traces, base and pop: 4.00 table sizes measured.
     # A stroke that kept D1, a, b and A too measured 8.00.
     assert len(pickle.dumps(stroke)) <= 4.5 * 8 * stroke.n_points
+
+
+@pytest.mark.parametrize("block", (4, 1 << 20))
+def test_a_shared_noise_table_gives_the_bits_of_a_fresh_build(monkeypatch, noise_builds, block):
+    # D1 depends on the bath, step and node count, not on omega0: a build
+    # whose key is in the table reads D1 there and computes no noise kernel.
+    bath = nm.BathSpec(0.01, 0.4, 1.0)
+    monkeypatch.setattr(special, "CACHE_BLOCK", block)
+    tables = {}
+    first = nm.build_kernel_grid(bath, 1.0, 2.05, 0.05, tables)  # 42 nodes
+    assert tables == {(bath, 0.05, 42): first.D1}
+    stored = len(noise_builds)
+    assert stored == len(special.cache_blocks(42))
+    omegas = (1.0, 0.5, 3.0)
+    shared = [nm.build_kernel_grid(bath, omega0, 2.05, 0.05, tables) for omega0 in omegas]
+    assert len(noise_builds) == stored
+    assert list(tables) == [(bath, 0.05, 42)]
+    for omega0, grid in zip(omegas, shared):
+        assert grid.D1 is first.D1
+        fresh = nm.build_kernel_grid(bath, omega0, 2.05, 0.05)
+        for name in GRID_TABLES:
+            _assert_same_bits(getattr(grid, name), getattr(fresh, name))
+            assert not getattr(grid, name).flags.writeable
+
+
+def test_builds_of_another_bath_step_or_node_count_share_no_noise_table():
+    bath = nm.BathSpec(0.01, 0.4, 1.0)
+    tables = {}
+    inputs = [(bath, 2.0, 0.05), (bath, 2.05, 0.05), (bath, 2.0, 0.025),
+              (nm.BathSpec(0.01, 0.4, 0.2), 2.0, 0.05)]
+    grids = [nm.build_kernel_grid(b, 1.0, t_max, step, tables) for b, t_max, step in inputs]
+    assert list(tables) == [(b, step, grid.n_points) for (b, _, step), grid in zip(inputs, grids)]
+    assert [grid.n_points for grid in grids] == [41, 42, 81, 41]
+    assert len({id(table) for table in tables.values()}) == 4
+    for (b, t_max, step), grid in zip(inputs, grids):
+        _assert_same_bits(grid.D1, nm.build_kernel_grid(b, 1.0, t_max, step).D1)
+
+
+@pytest.mark.parametrize("temperature, error", [
+    (1e-310, nm.PoleError),  # the trigamma argument's square underflows to 0: its pole
+    (1e200, nm.GridError),  # T^2 overflows: D1 and the rate tables are not finite
+])
+def test_a_build_that_raises_stores_no_noise_table(temperature, error):
+    kept = nm.BathSpec(0.01, 0.4, 1.0)
+    tables = {}
+    grid = nm.build_kernel_grid(kept, 1.0, 2.0, 0.05, tables)
+    with pytest.raises(error):
+        nm.build_kernel_grid(nm.BathSpec(0.01, 0.4, temperature), 1.0, 2.0, 0.05, tables)
+    assert tables == {(kept, 0.05, 41): grid.D1}
+
+
+def test_a_phase_run_keeps_one_noise_table_per_distinct_bath(tmp_path):
+    # 2 x 3 ratio cells on a two-block t_box grid, every stroke at step 0.05.
+    # The cells share their D1 tables: the hot one and one per T ratio, held
+    # to the run's end.  With a D1 per stroke the run peaked at 15.59 t_box
+    # table sizes; the last cold bath's build, beside the hot D1 and the two
+    # earlier cold D1s, peaks at 18.58.
+    config = replace(nm.parse_config(phase_config_dict(
+        omega_ratio={"min": 0.3, "max": 0.7, "n": 2}, T_ratio={"min": 0.15, "max": 0.75, "n": 3},
+        t_box={"t_max": 3250.0, "n": 2})), workers=1)
+    tracemalloc.start()
+    try:
+        sweep.run_phase(config, str(tmp_path / "phase.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = 65001
+    assert nm.build_kernel_grid(*config.stroke("hot"), 3250.0, config.h).n_points == n
+    assert len(special.cache_blocks(n)) == 2
+    assert (tmp_path / "phase.csv").read_text().count("\n") == 1 + 6
+    assert peak <= (15.59 + 3 + 0.5) * 8 * n
 
 
 def test_cache_blocks_cover_the_grid_in_order(monkeypatch):
