@@ -42,10 +42,10 @@ import numpy as np
 
 from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, transition_traces
-from .kernels import (BathSpec, KernelGrid, bose_occupation, build_kernel_grid, dissipation_kernel,
-                      gibbs_populations, node_times, spectral_density)
+from .kernels import (BathSpec, KernelGrid, _d2_cos_sin, bose_occupation, build_kernel_grid,
+                      dissipation_kernel, gibbs_populations, node_times, spectral_density)
 from .limit_cycle import LimitCycleState, _new
-from .special import cache_blocks, cumulative_simpson, simpson
+from .special import BlockBuffers, cache_blocks, cumulative_simpson, simpson
 
 __all__ = ["MarkovStroke", "StrokeTables", "bath_flow_tables", "eq_interaction_integral",
            "stroke_energetics", "markov_rate"]
@@ -140,6 +140,25 @@ class StrokeTables(StrokeSource):
         return reads
 
 
+def _fill_flow_integrands(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,
+                          from_ground: np.ndarray, from_excited: np.ndarray, base: np.ndarray,
+                          pop: np.ndarray) -> None:
+    """Fill the integrands of base and pop, one cache block at a time with one buffer set."""
+    buffers = BlockBuffers()
+    for block in cache_blocks(noise.shape[0]):
+        d1 = noise[block]
+        d2, cos_w, sin_w = _d2_cos_sin(node_times(block, step, buffers), bath, omega0, buffers)
+        f1 = buffers.take(1, d1.size)
+        excited, flow, coefficient = from_excited[block], base[block], pop[block]
+        # (2 rho_1 - 1) D1 sin + D2 cos, its products in base's block and slot 1.
+        p = np.subtract(np.multiply(2.0, excited, out=flow), 1.0, out=flow)
+        p = np.multiply(np.multiply(p, d1, out=f1), sin_w, out=flow)
+        np.add(p, np.multiply(d2, cos_w, out=f1), out=flow)
+        # 2 (rho_0 - rho_1) D1 sin, its products in pop's block and slot 1.
+        p = np.multiply(2.0, np.subtract(from_ground[block], excited, out=f1), out=coefficient)
+        np.multiply(np.multiply(p, d1, out=f1), sin_w, out=coefficient)
+
+
 def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,
                      from_ground: np.ndarray, from_excited: np.ndarray) -> StrokeTables:
     """The stroke of a grid whose noise kernel D1 is `noise`: its two traces
@@ -151,12 +170,7 @@ def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarr
     # keeps its prefix.
     n = noise.shape[0]
     base, pop = np.empty(n), np.empty(n)
-    for block in cache_blocks(n):
-        d1, tau = noise[block], node_times(block, step)
-        sin_w = np.sin(omega0 * tau)
-        cos_w = np.cos(omega0 * tau)
-        base[block] = (2.0 * from_excited[block] - 1.0) * d1 * sin_w + dissipation_kernel(tau, bath) * cos_w
-        pop[block] = 2.0 * (from_ground[block] - from_excited[block]) * d1 * sin_w
+    _fill_flow_integrands(bath, omega0, step, noise, from_ground, from_excited, base, pop)
     cumulative_simpson(base, step)
     cumulative_simpson(pop, step)
     base.setflags(write=False)

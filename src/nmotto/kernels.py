@@ -25,7 +25,9 @@ The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1 and
 the two rate integrands are filled block by block, each integrand into the
 table that then takes its prefix in place, and A is taken in place over the
 prefix a, so a long grid's peak memory is three tables and not the
-temporaries of their products.  D1 depends on the bath, step and node count
+temporaries of their products.  Those temporaries live in one
+`special.BlockBuffers` set per fill, which `noise_kernel` (and trigamma
+under it), `dissipation_kernel` and `node_times` accept.  D1 depends on the bath, step and node count
 alone, so a batch run's grids may share it (`noise_tables`).  A grid is its
 D1, b and A, the tables the population solve and the flow prefixes read.
 The node times tau, D2 and a are not kept: the dumps and the
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .special import cache_blocks, cumulative_simpson, trigamma_values
+from .special import BlockBuffers, cache_blocks, cumulative_simpson, trigamma_values
 
 __all__ = [
     "BathSpec",
@@ -114,22 +116,52 @@ def gibbs_populations(omega: float, temperature: float) -> tuple[float, float]:
     return (1.0 + n) / (1.0 + 2.0 * n), n / (1.0 + 2.0 * n)
 
 
-def noise_kernel(tau, bath: BathSpec):
-    """Noise kernel D1(tau); agrees with the defining cosine transform."""
+def noise_kernel(tau, bath: BathSpec, buffers: BlockBuffers | None = None):
+    """Noise kernel D1(tau); agrees with the defining cosine transform.
+
+    The work is done in float slots 1-3 of `buffers` (a set of its own
+    without them) and in trigamma's, and float slot 3 holds the result.
+    Trigamma's argument is formed in its slot, where it works on it.
+    """
     t = _as_nonnegative_array(tau, "tau")
     lam, cut, temp = bath.coupling, bath.cutoff, bath.temperature
-    x = cut * t
-    x2 = x * x
-    vacuum = cut * cut * (x2 - 1.0) / (x2 + 1.0) ** 2
-    psi = trigamma_values(temp * (1.0 + 1j * x) / cut)
-    return 2.0 * lam * (vacuum + 2.0 * temp * temp * psi.real)
+    if buffers is None:
+        buffers = BlockBuffers()
+    n = t.size
+    f1, f2, f3 = (buffers.take(slot, n) for slot in (1, 2, 3))
+    x = np.multiply(cut, t.reshape(-1), out=f1)
+    # T(1 + i x)/cut, in trigamma's complex slot 0 by way of its slot 1.
+    z = np.multiply(1j, x, out=buffers.take(0, n, np.complex128))
+    z = np.add(1.0, z, out=z)
+    z = np.divide(np.multiply(temp, z, out=buffers.take(1, n, np.complex128)), cut, out=z)
+    x2 = np.multiply(x, x, out=f2)
+    # cut^2 (x^2 - 1)/(x^2 + 1)^2
+    vacuum = np.multiply(cut * cut, np.subtract(x2, 1.0, out=f1), out=f3)
+    vacuum = np.divide(vacuum, np.square(np.add(x2, 1.0, out=f1), out=f2), out=f1)
+    psi = trigamma_values(z, buffers)
+    d1 = np.add(vacuum, np.multiply(2.0 * temp * temp, psi.real, out=f2), out=f2)
+    d1 = np.multiply(2.0 * lam, d1, out=f3)
+    return d1.reshape(t.shape)[()]
 
 
-def dissipation_kernel(tau, bath: BathSpec):
-    """Dissipation kernel D2(tau) (odd in tau; evaluated for tau >= 0)."""
+def dissipation_kernel(tau, bath: BathSpec, buffers: BlockBuffers | None = None):
+    """Dissipation kernel D2(tau) (odd in tau; evaluated for tau >= 0).
+
+    The work is done in float slots 1-3 of `buffers` (a set of its own
+    without them), and slot 3 holds the result.
+    """
     t = _as_nonnegative_array(tau, "tau")
     lam, cut = bath.coupling, bath.cutoff
-    return 4.0 * lam * cut**3 * t / (1.0 + (cut * t) ** 2) ** 2
+    if buffers is None:
+        buffers = BlockBuffers()
+    n = t.size
+    f1, f2, f3 = (buffers.take(slot, n) for slot in (1, 2, 3))
+    # 4 lam cut^3 tau / (1 + (cut tau)^2)^2
+    d2 = np.multiply(4.0 * lam * cut**3, t.reshape(-1), out=f1)
+    y = np.square(np.multiply(cut, t.reshape(-1), out=f2), out=f3)
+    y = np.square(np.add(1.0, y, out=y), out=f2)
+    d2 = np.divide(d2, y, out=f3)
+    return d2.reshape(t.shape)[()]
 
 
 def default_grid_step(omega0: float, cutoff: float) -> float:
@@ -137,9 +169,36 @@ def default_grid_step(omega0: float, cutoff: float) -> float:
     return min(0.05, (2.0 * math.pi / omega0) / 64.0, (2.0 * math.pi / cutoff) / 64.0)
 
 
-def node_times(block: slice, step: float) -> np.ndarray:
-    """tau[i] = i*step at the grid nodes of `block`."""
-    return np.arange(block.start, block.stop, dtype=np.float64) * step
+def node_times(block: slice, step: float, buffers: BlockBuffers | None = None) -> np.ndarray:
+    """tau[i] = i*step at the grid nodes of `block`, in float slot 0 of
+    `buffers` if given."""
+    nodes = np.arange(block.start, block.stop, dtype=np.float64)
+    return np.multiply(nodes, step, out=None if buffers is None else buffers.take(0, nodes.size))
+
+
+def _d2_cos_sin(t: np.ndarray, bath: BathSpec, omega0: float, buffers: BlockBuffers):
+    """D2(t), cos(omega0 t) and sin(omega0 t) for node times t in float slot 0
+    of `buffers`: in slots 3, 2 and 0 (over t).  Slot 1 is left free."""
+    d2 = dissipation_kernel(t, bath, buffers)
+    phase = np.multiply(omega0, t, out=buffers.take(1, t.size))
+    return d2, np.cos(phase, out=buffers.take(2, t.size)), np.sin(phase, out=t)
+
+
+def _fill_integrands(bath: BathSpec, omega0: float, step: float, d1: np.ndarray, big_a: np.ndarray,
+                     b: np.ndarray, fill_noise: bool) -> None:
+    """Fill D1 (if `fill_noise`), then the integrands of a and b into `big_a`
+    and `b`, one cache block at a time with one buffer set."""
+    buffers = BlockBuffers()
+    for block in cache_blocks(big_a.shape[0]):
+        t = node_times(block, step, buffers)
+        if fill_noise:
+            d1[block] = noise_kernel(t, bath, buffers)
+        d2, cos_w, sin_w = _d2_cos_sin(t, bath, omega0, buffers)
+        f1, d1_block, rate = buffers.take(1, t.size), d1[block], b[block]
+        np.multiply(np.multiply(-2.0, d1_block, out=f1), cos_w, out=big_a[block])
+        # -(D1 cos + D2 sin), D2 sin formed in b's block.
+        rate = np.add(np.multiply(d1_block, cos_w, out=f1), np.multiply(d2, sin_w, out=rate), out=rate)
+        np.negative(rate, out=rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +257,7 @@ def build_kernel_grid(bath: BathSpec, omega0: float, t_max: float, step: float |
         # table that keeps its prefix; A then replaces the prefix a.
         d1 = np.empty(n) if noise is None else noise
         big_a, b = np.empty(n), np.empty(n)
-        for block in cache_blocks(n):
-            t = node_times(block, step)
-            if noise is None:
-                d1[block] = noise_kernel(t, bath)
-            d2 = dissipation_kernel(t, bath)
-            cos_w = np.cos(omega0 * t)
-            sin_w = np.sin(omega0 * t)
-            big_a[block] = -2.0 * d1[block] * cos_w
-            b[block] = -(d1[block] * cos_w + d2 * sin_w)
+        _fill_integrands(bath, omega0, step, d1, big_a, b, noise is None)
         cumulative_simpson(big_a, step)
         cumulative_simpson(b, step)
         cumulative_simpson(big_a, step)

@@ -17,7 +17,9 @@ kernel and flow tables fill their integrands the same way.  The prefix is
 taken in place, over its integrand: a table holds its integrand and then
 its prefix, and no second full-length table is needed.  Neither trigamma
 nor the prefix depends on where the blocks fall, so a table has the bits of
-a one-pass build.
+a one-pass build.  A fill's temporaries live in one `BlockBuffers` set,
+allocated at its first block and reused by the rest, so the allocator does
+not hand them back and fault them in again at every block.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .errors import PoleError
 
 __all__ = [
+    "BlockBuffers",
     "trigamma_values",
     "simpson",
     "cumulative_simpson",
@@ -53,7 +56,34 @@ _ASYMPTOTIC_ABS = 10.0
 CACHE_BLOCK = 1 << 15
 
 
-def trigamma_values(z) -> np.ndarray:
+class BlockBuffers:
+    """Scratch arrays of one cache-blocked fill, allocated at its first block
+    and reused by every later one, so that a fill does not return its
+    temporaries to the allocator and fault them back in, block after block.
+
+    `take(slot, n, dtype)` is the first n elements of the numbered array of
+    that dtype; the same slot, n and dtype give the same view object, so a
+    callee can tell its own array from an argument.  Each function that
+    takes a set says which slots it writes and which one holds its result,
+    until the slot's next writer.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+        self._views: dict = {}
+
+    def take(self, slot: int, n: int, dtype=np.float64) -> np.ndarray:
+        key = (slot, np.dtype(dtype), n)
+        view = self._views.get(key)
+        if view is None:
+            whole = self._arrays.get(key[:2])
+            if whole is None or whole.shape[0] < n:
+                whole = self._arrays[key[:2]] = np.empty(n, dtype)
+            view = self._views[key] = whole[:n]
+        return view
+
+
+def trigamma_values(z, buffers: BlockBuffers | None = None) -> np.ndarray:
     """psi'(z) = sum_{k>=0} 1/(z+k)^2 elementwise, in z's shape (0-d for a scalar).
 
     Every argument must be finite with Re z > 0, else PoleError is raised
@@ -61,9 +91,18 @@ def trigamma_values(z) -> np.ndarray:
     with at most 10 recurrence steps, so a batch gives the same bits as
     per-point calls.  Within 1.1e-14 relative of mpmath (the series
     truncation at |z| = 10 sets it).
+
+    The work is done in complex slots 0-3 of `buffers` (a set of its own
+    without them), and slot 0 holds the result.  An argument that is
+    `buffers.take(0, z.size, np.complex128)` is worked on there, not copied.
     """
     zc = np.asarray(z, dtype=np.complex128)
-    w = zc.flatten()
+    if buffers is None:
+        buffers = BlockBuffers()
+    m = zc.size
+    w = buffers.take(0, m, np.complex128)
+    if w is not zc:
+        np.copyto(w, zc.reshape(-1))
     if not np.isfinite(w).all():
         raise PoleError("trigamma arguments must be finite")
     outside = ~(w.real > 0.0)
@@ -79,20 +118,19 @@ def trigamma_values(z) -> np.ndarray:
         shift[below] += 1.0 / (wb * wb)
         wn[below] = wb + 1.0
     w[near] = wn
-    # Out-of-place products only: numpy rounds an in-place complex multiply
-    # of a one-element array differently, which would break batch invariance.
-    # Each full-length temporary is dropped once spent, to bound peak memory.
-    r = 1.0 / w
-    del w
-    r2 = r * r
-    poly = _B12 * r2
+    # A product may write into a separate out= array but never over one of
+    # its own operands: numpy rounds an in-place complex multiply
+    # differently, which would break batch invariance.  Sums are taken in
+    # place.  Once r is formed, slots 0 and 3 take the polynomial in turn.
+    r = np.divide(1.0, w, out=buffers.take(1, m, np.complex128))
+    r2 = np.multiply(r, r, out=buffers.take(2, m, np.complex128))
+    poly, spare = np.multiply(_B12, r2, out=w), buffers.take(3, m, np.complex128)
     for b in (_B10, _B8, _B6, _B4):
         poly += b
-        poly = poly * r2
+        poly, spare = np.multiply(poly, r2, out=spare), poly
     poly += _B2
-    out = poly * r2 * r
-    del poly
-    out += 0.5 * r2
+    out = np.multiply(np.multiply(poly, r2, out=spare), r, out=poly)
+    out += np.multiply(0.5, r2, out=spare)
     out += r
     out[near] += shift
     if not np.all(np.isfinite(out.view(np.float64))):

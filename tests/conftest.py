@@ -74,9 +74,9 @@ def noise_builds(monkeypatch):
     """The bath of every `noise_kernel` call of a grid build (one per cache block)."""
     baths, noise_kernel = [], nm.kernels.noise_kernel
 
-    def counted(tau, bath):
+    def counted(tau, bath, buffers=None):
         baths.append(bath)
-        return noise_kernel(tau, bath)
+        return noise_kernel(tau, bath, buffers)
 
     monkeypatch.setattr(nm.kernels, "noise_kernel", counted)
     return baths

@@ -198,6 +198,79 @@ def test_a_shared_noise_table_gives_the_bits_of_a_fresh_build(monkeypatch, noise
             assert not getattr(grid, name).flags.writeable
 
 
+def _assert_same_bytes(got, want):
+    # Bit for bit, sign bits of zeros and of imaginary parts included.
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _fresh(fn, *args):
+    # A call with no buffer set, whose arrays are its own.
+    return np.array(fn(*args), copy=True)
+
+
+def test_reused_buffers_give_the_bits_of_fresh_calls():
+    # One buffer set serves a full block, a shorter last block, single
+    # points and a full block again, as a build's set serves its cache
+    # blocks.  Arguments lie on both sides of |z| = 10, where the recurrence
+    # stops, and in both half-planes of Im z; a noise kernel's trigamma
+    # argument T(1 + i cut tau)/cut has |z| < 10 for tau below ~9.7 here.
+    rng = np.random.default_rng(35)
+    bath = nm.BathSpec(0.01, 0.4, 1.0)
+    buffers = special.BlockBuffers()
+    points = [(64, 0.05, 20.0), (24, 0.05, 20.0), (1, 3.0, 3.0), (1, 15.0, 15.0), (64, 0.05, 20.0)]
+    for m, low, high in points:
+        z = rng.uniform(low, high, m) * np.exp(1j * rng.uniform(-1.5, 1.5, m))
+        tau = rng.uniform(0.0, 3.0 * high, m)
+        if m > 1:
+            assert (np.abs(z) < 10.0).any() and (np.abs(z) > 10.0).any()
+        want = _fresh(nm.trigamma_values, z)
+        _assert_same_bytes(nm.trigamma_values(z, buffers), want)
+        # An argument formed in trigamma's slot is worked on there, not copied.
+        slot = buffers.take(0, m, np.complex128)
+        slot[:] = z
+        got = nm.trigamma_values(slot, buffers)
+        assert np.shares_memory(got, slot)
+        _assert_same_bytes(got, want)
+        _assert_same_bytes(nm.noise_kernel(tau, bath, buffers), _fresh(nm.noise_kernel, tau, bath))
+        _assert_same_bytes(nm.dissipation_kernel(tau, bath, buffers), _fresh(nm.dissipation_kernel, tau, bath))
+
+
+@pytest.mark.parametrize("call", ["argument", "result", "noise"])
+def test_a_call_that_raises_leaves_the_next_calls_bits(call):
+    # A PoleError may leave a buffer set half written: its argument copied
+    # in, or every slot written before the non-finite check.
+    rng = np.random.default_rng(36)
+    bath = nm.BathSpec(0.01, 0.4, 1.0)
+    buffers = special.BlockBuffers()
+    z = rng.uniform(0.05, 20.0, 48) * np.exp(1j * rng.uniform(-1.5, 1.5, 48))
+    tau = rng.uniform(0.0, 60.0, 48)
+    nm.trigamma_values(z, buffers)
+    bad = z.copy()
+    # The build's errstate: the pole is reported once, as the PoleError.
+    with pytest.raises(nm.PoleError), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if call == "argument":  # outside Re z > 0
+            bad[5] = -1.0 + 1.0j
+            nm.trigamma_values(bad, buffers)
+        elif call == "result":  # 1/z^2 overflows
+            bad[5] = 1e-170
+            nm.trigamma_values(bad, buffers)
+        else:  # the argument's square underflows to 0
+            nm.noise_kernel(tau, nm.BathSpec(0.01, 0.4, 1e-310), buffers)
+    _assert_same_bytes(nm.trigamma_values(z, buffers), _fresh(nm.trigamma_values, z))
+    _assert_same_bytes(nm.noise_kernel(tau, bath, buffers), _fresh(nm.noise_kernel, tau, bath))
+
+
+def test_a_buffer_slot_is_one_view_per_length_and_dtype():
+    buffers = special.BlockBuffers()
+    full = buffers.take(1, 8)
+    assert buffers.take(1, 8) is full
+    assert buffers.take(1, 3).base is full.base
+    assert buffers.take(1, 8, np.complex128) is not full
+    assert buffers.take(1, 8, np.complex128).dtype == np.complex128
+    assert buffers.take(2, 8).base is not full.base
+
+
 def test_builds_of_another_bath_step_or_node_count_share_no_noise_table():
     bath = nm.BathSpec(0.01, 0.4, 1.0)
     tables = {}
@@ -229,7 +302,8 @@ def test_a_phase_run_keeps_one_noise_table_per_distinct_bath(tmp_path):
     # The cells share their D1 tables: the hot one and one per T ratio, held
     # to the run's end.  With a D1 per stroke the run peaked at 15.59 t_box
     # table sizes; the last cold bath's build, beside the hot D1 and the two
-    # earlier cold D1s, peaks at 18.58.
+    # earlier cold D1s, peaked at 18.58 with a build's temporaries allocated
+    # per cache block, and at 16.73 with one buffer set per fill.
     config = replace(nm.parse_config(phase_config_dict(
         omega_ratio={"min": 0.3, "max": 0.7, "n": 2}, T_ratio={"min": 0.15, "max": 0.75, "n": 3},
         t_box={"t_max": 3250.0, "n": 2})), workers=1)
@@ -274,10 +348,11 @@ def test_the_transition_traces_peak_near_their_two_tables():
 def test_a_long_stroke_peaks_at_the_tables_it_keeps():
     # A stroke peaks at five tables (D1, b, A and the two traces) and keeps
     # four (the two traces, base and pop): b and A go once the traces are
-    # solved, D1 once the flow prefixes are taken.  5.82 hot table sizes
-    # measured on this grid.  Strokes that kept their grid's D1, a, b and A
-    # peaked at 8.83, and a build that also filled its integrands into tables
-    # of their own and stored tau and D2 at ~11.4.
+    # solved, D1 once the flow prefixes are taken.  5.69 hot table sizes
+    # measured on this grid, with each fill's temporaries in one buffer set
+    # (5.82 with them allocated per cache block).  Strokes that kept their
+    # grid's D1, a, b and A peaked at 8.83, and a build that also filled its
+    # integrands into tables of their own and stored tau and D2 at ~11.4.
     config = nm.load_config(str(DATA / "multiblock_cycle.json"))
     tracemalloc.start()
     try:
@@ -295,10 +370,11 @@ def test_a_dump_peaks_near_the_tables_of_its_grid(tmp_path, command):
     # A dump forms its node times, D2 and the mix of the traces one cache
     # block of rows at a time, and their CSV text 4096 rows at a time.  The
     # kernels dump holds D1, b, A and the rate a, and the stroke dump the
-    # two traces once the grid is dropped: 5.34 and 5.41 hot table sizes
-    # measured on this grid.  A kernels dump that formed the text of a whole
-    # cache block at once peaked at 10.69, and dumps that formed tau, D2, a
-    # and the mix as whole tables at 14.03 and 9.78.
+    # two traces once the grid is dropped: 4.84 and 5.41 hot table sizes
+    # measured on this grid (the kernels dump 5.34 with the build's
+    # temporaries allocated per cache block).  A kernels dump that formed
+    # the text of a whole cache block at once peaked at 10.69, and dumps
+    # that formed tau, D2, a and the mix as whole tables at 14.03 and 9.78.
     config = nm.load_config(str(DATA / "multiblock_cycle.json"))
     path = tmp_path / f"{command}.csv"
     tracemalloc.start()
