@@ -154,11 +154,11 @@ def dissipation_kernel(tau, bath: BathSpec, buffers: BlockBuffers | None = None)
     lam, cut = bath.coupling, bath.cutoff
     if buffers is None:
         buffers = BlockBuffers()
-    n = t.size
-    f1, f2, f3 = (buffers.take(slot, n) for slot in (1, 2, 3))
+    flat = t.reshape(-1)
+    f1, f2, f3 = (buffers.take(slot, flat.size) for slot in (1, 2, 3))
     # 4 lam cut^3 tau / (1 + (cut tau)^2)^2
-    d2 = np.multiply(4.0 * lam * cut**3, t.reshape(-1), out=f1)
-    y = np.square(np.multiply(cut, t.reshape(-1), out=f2), out=f3)
+    d2 = np.multiply(4.0 * lam * cut**3, flat, out=f1)
+    y = np.square(np.multiply(cut, flat, out=f2), out=f3)
     y = np.square(np.add(1.0, y, out=y), out=f2)
     d2 = np.divide(d2, y, out=f3)
     return d2.reshape(t.shape)[()]
