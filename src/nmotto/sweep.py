@@ -13,10 +13,13 @@ t_c only, and either stroke source reads once per stroke time
 reads each stroke once per distinct stroke time of its axis.  Every
 batch is one lazy ordered map (`_map`): a sweep maps over its t_h values,
 each to one block of CSV text holding that row's t_c cells, and a phase
-diagram over its (omega ratio, T ratio) cells, each to its CSV line.  The
-map runs serially or across a process pool; the text comes back in input
-order and is written as it arrives, so parallel runs are byte-identical to
-serial ones and a serial sweep holds one t_h row in memory.  Every file is
+diagram over its (omega ratio, T ratio) cells, each to its CSV line.  A
+report's line is one "%" operation (`_report_line`), for a sweep's cell and
+for a single cycle alike; a sweep formats each t_c once per run and each t_h
+once per row, and passes that text in.  The map runs serially or across a
+process pool; the text comes back in input order and is written as it
+arrives, so parallel runs are byte-identical to serial ones and a serial
+sweep holds one t_h row in memory.  Every file is
 written to `<out>.part` and renamed onto `<out>` once complete: a run that
 raises leaves `<out>` as it was.  The file is the run's only result (the
 runners return nothing), and the pool size is the config's `workers`.  A
@@ -78,14 +81,29 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-# A CycleReport tuple holds its always-present numbers first, then the ones
-# that may be None (alpha, eta, cop: an empty field), then its Enum labels; a
-# None or a label among the first would fail loudly in the format.
-_N_LABELS = len(LABEL_FIELDS)
-_N_FLOATS = len(REPORT_FIELDS) - _N_LABELS - sum(
-    hint == Optional[float] for hint in get_type_hints(CycleReport).values())
-# "%.17g" % x is format(x, ".17g") byte for byte, nan, inf and -0 included.
-_FLOATS_FORMAT = ",".join(["%.17g"] * _N_FLOATS)
+# A report's CSV line is one "%" operation: a format per pattern of empty
+# optional fields (alpha_h, alpha_c, eta, cop), keyed by which of them are
+# None.  An empty field's "%.0s" takes its None and writes nothing.  The
+# stroke times go in as text with their comma, formatted once per axis value
+# by a sweep; dE_I_h, dE_I_c and the W_detach columns go in as text, since
+# assemble_report passes each dE_I float as its W_detach too.  The labels go
+# in as their values.  "%.17g" % x is format(x, ".17g") byte for byte, nan,
+# inf and -0 included.
+_OPTIONAL_FIELDS = tuple(name for name, hint in get_type_hints(CycleReport).items()
+                         if hint == Optional[float])
+_TEXT_FIELDS = ("dE_I_h", "dE_I_c", "W_detach_h", "W_detach_c")
+
+
+def _line_format(empty: tuple[bool, ...]) -> str:
+    """The line format of the report fields, given which optional fields are empty."""
+    absent = {name for name, is_empty in zip(_OPTIONAL_FIELDS, empty) if is_empty}
+    fields = ["%.0s" if name in absent else "%s" if name in _TEXT_FIELDS + LABEL_FIELDS
+              else "%.17g" for name in REPORT_FIELDS[2:]]
+    return "%s%s" + ",".join(fields) + ",\n"
+
+
+_LINE_FORMATS = {empty: _line_format(empty)
+                 for empty in product((False, True), repeat=len(_OPTIONAL_FIELDS))}
 
 
 @dataclass(frozen=True)
@@ -150,14 +168,26 @@ def run_cycle(config: RunConfig) -> CycleReport:
     return evaluate_cycle(ctx, t_h, t_c)
 
 
-def _report_line(report: CycleReport) -> str:
+def _report_line(report: CycleReport, t_h_text: Optional[str] = None,
+                 t_c_text: Optional[str] = None) -> str:
     """One report's CSV line, error column empty.
 
-    The labels are str Enum members, which str.join writes as their values.
+    `t_h_text` and `t_c_text`, when given, are the stroke times as
+    `"%.17g,"` text, formatted once per axis by a sweep.  A W_detach column
+    reuses its dE_I text only while it holds the same float, so a report
+    edited with `_replace` still writes what it holds.  Each label is
+    written as its value (`_value_`: `"%s" % Mode.ENGINE` is "Mode.ENGINE").
     """
-    return ",".join([_FLOATS_FORMAT % report[:_N_FLOATS],
-                     *map(_fmt, report[_N_FLOATS:-_N_LABELS]),
-                     *report[-_N_LABELS:], "\n"])
+    (t_h, t_c, s_h, b_h, i_h, s_c, b_c, i_c, ad_h, ad_c, det_h, det_c, total,
+     alpha_h, alpha_c, eta, cop, mode, flow_h, flow_c) = report
+    i_h_text = "%.17g" % i_h
+    i_c_text = "%.17g" % i_c
+    return _LINE_FORMATS[alpha_h is None, alpha_c is None, eta is None, cop is None] % (
+        t_h_text or "%.17g," % t_h, t_c_text or "%.17g," % t_c,
+        s_h, b_h, i_h_text, s_c, b_c, i_c_text, ad_h, ad_c,
+        i_h_text if det_h is i_h else "%.17g" % det_h,
+        i_c_text if det_c is i_c else "%.17g" % det_c,
+        total, alpha_h, alpha_c, eta, cop, mode._value_, flow_h._value_, flow_c._value_)
 
 
 def _csv_line(row: list[str]) -> str:
@@ -173,16 +203,18 @@ def _error_line(t_h: float, t_c: float, exc: Exception) -> str:
     return _csv_line(row)
 
 
-def _sweep_chunk(ctx: CycleContext, t_c_values: list[float], t_h: float) -> str:
-    """The CSV text of one t_h row of the sweep, t_c in axis order."""
+def _sweep_chunk(ctx: CycleContext, t_c_items: list[tuple[float, str]], t_h: float) -> str:
+    """The CSV text of one t_h row of the sweep, t_c in axis order; each
+    (t_c, text) of `t_c_items` holds the stroke time and its line text."""
+    t_h_text = "%.17g," % t_h
     lines = []
-    for t_c in t_c_values:
+    for t_c, t_c_text in t_c_items:
         try:
             report = evaluate_cycle(ctx, t_h, t_c)
         except NmottoError as exc:  # per-cell failure: record and continue
             lines.append(_error_line(t_h, t_c, exc))
         else:
-            lines.append(_report_line(report))
+            lines.append(_report_line(report, t_h_text, t_c_text))
     return "".join(lines)
 
 
@@ -287,8 +319,9 @@ def run_sweep(config: RunConfig, out_path: str) -> None:
     """Row-major (t_h outer, t_c inner) sweep written as CSV, one t_h row at a time."""
     t_h_values, t_c_values = sweep_axes(config)
     ctx = build_context(config, max(t_h_values), max(t_c_values))
+    t_c_items = [(t_c, "%.17g," % t_c) for t_c in t_c_values]
     _write_csv((out_path, CSV_HEADER,
-                _map(partial(_sweep_chunk, ctx, t_c_values), t_h_values, config.workers)))
+                _map(partial(_sweep_chunk, ctx, t_c_items), t_h_values, config.workers)))
 
 
 def _phase_line(config: RunConfig, t_values: list[float], noise_tables: dict,

@@ -8,7 +8,9 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from enum import Enum
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -588,16 +590,71 @@ class TestCsvText:
 
     def test_report_line_matches_the_field_by_field_row(self, small_cfg):
         # the one-format line against the csv.writer row of _fmt fields, on
-        # a real report and on reports with nan, inf, -0 and absent values
+        # a real report and on reports with nan, inf, -0 and absent values,
+        # and with W_detach columns that no longer hold their dE_I floats;
+        # with the stroke-time texts a sweep passes and without them
         report = nm.evaluate_cycle(nm.build_context(small_cfg, 60.0, 10.0), 60.0, 10.0)
+        assert report.W_detach_h is report.dE_I_h and report.W_detach_c is report.dE_I_c
         reports = [report, report._replace(dE_S_h=float("nan"), dE_B_h=float("inf"),
                                            dE_I_h=float("-inf"), W_total=-0.0, t_c=5e-324),
-                   report._replace(eta=None), report._replace(alpha_h=None, cop=None)]
+                   report._replace(eta=None), report._replace(alpha_h=None, cop=None),
+                   report._replace(W_detach_h=0.25), report._replace(W_detach_c=-0.0),
+                   report._replace(dE_I_c=1.5)]
         for rep in reports:
             row = [nm.sweep._fmt(getattr(rep, name)) for name in REPORT_FIELDS
                    if name not in LABEL_FIELDS]
             row += [getattr(rep, name).value for name in LABEL_FIELDS] + [""]
-            assert nm.sweep._report_line(rep) == nm.sweep._csv_line(row)
+            expected = nm.sweep._csv_line(row)
+            assert nm.sweep._report_line(rep) == expected
+            texts = (format(rep.t_h, ".17g") + ",", format(rep.t_c, ".17g") + ",")
+            assert nm.sweep._report_line(rep, *texts) == expected
+
+    @pytest.mark.parametrize("dynamics", ["tcl2", "markov"])
+    def test_sweep_bytes_match_a_field_by_field_oracle(self, tmp_path, dynamics):
+        config = replace(load_config(str(CONFIGS / "sweep_small.json")), dynamics=dynamics)
+        out = tmp_path / "small.csv"
+        run_sweep(config, str(out))
+        assert out.read_bytes() == _field_by_field_sweep(config)
+
+    def test_off_node_sweep_with_a_failed_cell_matches_the_oracle(self, tmp_path, monkeypatch):
+        config = parse_config(base_config_dict(t_h={"min": 3.33, "max": 97.01, "n": 5},
+                                               t_c={"min": 1.17, "max": 55.55, "n": 4}))
+        evaluate = nm.sweep.evaluate_cycle
+        t_h_values, t_c_values = sweep_axes(config)
+
+        def one_cell_fails(ctx, t_h, t_c):
+            if (t_h, t_c) == (t_h_values[1], t_c_values[2]):
+                raise nm.SingularMapError(_QUOTED_MESSAGE)
+            return evaluate(ctx, t_h, t_c)
+
+        monkeypatch.setattr(nm.sweep, "evaluate_cycle", one_cell_fails)
+        out = tmp_path / "off_node.csv"
+        run_sweep(config, str(out))
+        expected = _field_by_field_sweep(config)
+        assert expected.count(b"SingularMapError") == 1
+        assert out.read_bytes() == expected
+
+
+def _field_by_field_sweep(config) -> bytes:
+    """A sweep's file built without the emitter: a csv.writer row per cell of
+    `evaluate_cycle`'s report, each number as format(x, ".17g"), None as "",
+    each label as its .value and an empty error column; a cell that raises a
+    package error writes its stroke times and the error's text."""
+    t_h_values, t_c_values = sweep_axes(config)
+    ctx = nm.build_context(config, max(t_h_values), max(t_c_values))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_HEADER.split(","))
+    for t_h, t_c in product(t_h_values, t_c_values):
+        try:
+            report = nm.sweep.evaluate_cycle(ctx, t_h, t_c)
+        except nm.NmottoError as exc:
+            writer.writerow([format(t_h, ".17g"), format(t_c, ".17g")]
+                            + [""] * (len(REPORT_FIELDS) - 2) + [f"{type(exc).__name__}: {exc}"])
+        else:
+            writer.writerow(["" if value is None else value.value if isinstance(value, Enum)
+                             else format(value, ".17g") for value in report] + [""])
+    return buf.getvalue().encode()
 
 
 class TestOutputFile:
