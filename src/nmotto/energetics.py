@@ -17,8 +17,8 @@ transition traces with the limit-cycle weight P, and
 
 closes the balance exactly.  The integral is linear in P, so each stroke's
 StrokeTables carries two cumulative prefix tables and a stroke evaluation is
-O(1).  Each prefix is taken in place over its integrand, which is filled one
-cache block at a time with that block's node times and D2.  A StrokeTables
+O(1).  Each prefix is taken in place over its integrand, filled one cache
+block at a time from `kernels.trig_blocks`.  A StrokeTables
 is the four tables a cycle reads, the two transition traces and the two
 prefixes, and its kernel grid's inputs, none of the grid's tables; its one
 read (`_read`, see dynamics.StrokeSource) validates a stroke time and
@@ -42,10 +42,10 @@ import numpy as np
 
 from .cycle import StrokeEnergetics
 from .dynamics import StrokeSource, transition_traces
-from .kernels import (BathSpec, KernelGrid, _d2_cos_sin, bose_occupation, build_kernel_grid,
-                      dissipation_kernel, gibbs_populations, node_times, spectral_density)
+from .kernels import (BathSpec, KernelGrid, bose_occupation, build_kernel_grid, dissipation_kernel,
+                      gibbs_populations, node_times, spectral_density, trig_blocks)
 from .limit_cycle import LimitCycleState, _new
-from .special import BlockBuffers, cache_blocks, cumulative_simpson, simpson
+from .special import cumulative_simpson, simpson
 
 __all__ = ["MarkovStroke", "StrokeTables", "bath_flow_tables", "eq_interaction_integral",
            "stroke_energetics", "markov_rate"]
@@ -143,20 +143,16 @@ class StrokeTables(StrokeSource):
 def _fill_flow_integrands(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,
                           from_ground: np.ndarray, from_excited: np.ndarray, base: np.ndarray,
                           pop: np.ndarray) -> None:
-    """Fill the integrands of base and pop, one cache block at a time with one buffer set."""
-    buffers = BlockBuffers()
-    for block in cache_blocks(noise.shape[0]):
-        d1 = noise[block]
-        d2, cos_w, sin_w = _d2_cos_sin(node_times(block, step, buffers), bath, omega0, buffers)
-        f1 = buffers.take(1, d1.size)
+    """Fill the integrands of base and pop, one cache block at a time."""
+    for block, d1, d2, cos_w, sin_w, scratch in trig_blocks(bath, omega0, step, noise):
         excited, flow, coefficient = from_excited[block], base[block], pop[block]
-        # (2 rho_1 - 1) D1 sin + D2 cos, its products in base's block and slot 1.
+        # (2 rho_1 - 1) D1 sin + D2 cos, its products in base's block and the scratch.
         p = np.subtract(np.multiply(2.0, excited, out=flow), 1.0, out=flow)
-        p = np.multiply(np.multiply(p, d1, out=f1), sin_w, out=flow)
-        np.add(p, np.multiply(d2, cos_w, out=f1), out=flow)
-        # 2 (rho_0 - rho_1) D1 sin, its products in pop's block and slot 1.
-        p = np.multiply(2.0, np.subtract(from_ground[block], excited, out=f1), out=coefficient)
-        np.multiply(np.multiply(p, d1, out=f1), sin_w, out=coefficient)
+        p = np.multiply(np.multiply(p, d1, out=scratch), sin_w, out=flow)
+        np.add(p, np.multiply(d2, cos_w, out=scratch), out=flow)
+        # 2 (rho_0 - rho_1) D1 sin, its products in pop's block and the scratch.
+        p = np.multiply(2.0, np.subtract(from_ground[block], excited, out=scratch), out=coefficient)
+        np.multiply(np.multiply(p, d1, out=scratch), sin_w, out=coefficient)
 
 
 def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,

@@ -25,9 +25,11 @@ The tables are built in cache blocks (`special.CACHE_BLOCK` nodes): D1 and
 the two rate integrands are filled block by block, each integrand into the
 table that then takes its prefix in place, and A is taken in place over the
 prefix a, so a long grid's peak memory is three tables and not the
-temporaries of their products.  Those temporaries live in one
-`special.BlockBuffers` set per fill, which `noise_kernel` (and trigamma
-under it), `dissipation_kernel` and `node_times` accept.  D1 depends on the bath, step and node count
+temporaries of their products.  One blocked pass, `trig_blocks`, yields each
+block's D1, D2, cos(w0 tau) and sin(w0 tau), and every fill (the rate and
+flow integrands, the dump's a) iterates it.  It owns the fill's one
+`special.BlockBuffers` set, in which `node_times` and the kernels (trigamma
+under the noise kernel) work.  D1 depends on the bath, step and node count
 alone, so a batch run's grids may share it (`noise_tables`).  A grid is its
 D1, b and A, the tables the population solve and the flow prefixes read.
 The node times tau, D2 and a are not kept: the dumps and the
@@ -55,6 +57,7 @@ __all__ = [
     "default_grid_step",
     "build_kernel_grid",
     "node_times",
+    "trig_blocks",
     "MAX_GRID_NODES",
 ]
 
@@ -121,7 +124,7 @@ def noise_kernel(tau, bath: BathSpec, buffers: BlockBuffers | None = None):
 
     The work is done in float slots 1-3 of `buffers` (a set of its own
     without them) and in trigamma's, and float slot 3 holds the result.
-    Trigamma's argument is formed in its slot, where it works on it.
+    Trigamma's argument is formed in trigamma's slot 0, so it copies nothing.
     """
     t = _as_nonnegative_array(tau, "tau")
     lam, cut, temp = bath.coupling, bath.cutoff, bath.temperature
@@ -176,28 +179,32 @@ def node_times(block: slice, step: float, buffers: BlockBuffers | None = None) -
     return np.multiply(nodes, step, out=None if buffers is None else buffers.take(0, nodes.size))
 
 
-def _d2_cos_sin(t: np.ndarray, bath: BathSpec, omega0: float, buffers: BlockBuffers):
-    """D2(t), cos(omega0 t) and sin(omega0 t) for node times t in float slot 0
-    of `buffers`: in slots 3, 2 and 0 (over t).  Slot 1 is left free."""
-    d2 = dissipation_kernel(t, bath, buffers)
-    phase = np.multiply(omega0, t, out=buffers.take(1, t.size))
-    return d2, np.cos(phase, out=buffers.take(2, t.size)), np.sin(phase, out=t)
+def trig_blocks(bath: BathSpec, omega0: float, step: float, d1: np.ndarray, fill_noise: bool = False):
+    """Per cache block of the grid whose D1 table is `d1` (filled first if
+    `fill_noise`), yield (block, D1, D2, cos(omega0 t), sin(omega0 t), a free
+    scratch array) at its node times t: arrays of one buffer set, which the
+    next block overwrites.  Each caller loops in a function of its own, so
+    that the set goes before a prefix is taken."""
+    buffers = BlockBuffers()
+    for block in cache_blocks(d1.shape[0]):
+        t = node_times(block, step, buffers)
+        if fill_noise:
+            d1[block] = noise_kernel(t, bath, buffers)
+        d2 = dissipation_kernel(t, bath, buffers)
+        phase = np.multiply(omega0, t, out=buffers.take(1, t.size))
+        cos_w = np.cos(phase, out=buffers.take(2, t.size))
+        yield block, d1[block], d2, cos_w, np.sin(phase, out=t), phase
 
 
 def _fill_integrands(bath: BathSpec, omega0: float, step: float, d1: np.ndarray, big_a: np.ndarray,
                      b: np.ndarray, fill_noise: bool) -> None:
     """Fill D1 (if `fill_noise`), then the integrands of a and b into `big_a`
-    and `b`, one cache block at a time with one buffer set."""
-    buffers = BlockBuffers()
-    for block in cache_blocks(big_a.shape[0]):
-        t = node_times(block, step, buffers)
-        if fill_noise:
-            d1[block] = noise_kernel(t, bath, buffers)
-        d2, cos_w, sin_w = _d2_cos_sin(t, bath, omega0, buffers)
-        f1, d1_block, rate = buffers.take(1, t.size), d1[block], b[block]
-        np.multiply(np.multiply(-2.0, d1_block, out=f1), cos_w, out=big_a[block])
+    and `b`, one cache block at a time."""
+    for block, d1_block, d2, cos_w, sin_w, scratch in trig_blocks(bath, omega0, step, d1, fill_noise):
+        np.multiply(np.multiply(-2.0, d1_block, out=scratch), cos_w, out=big_a[block])
         # -(D1 cos + D2 sin), D2 sin formed in b's block.
-        rate = np.add(np.multiply(d1_block, cos_w, out=f1), np.multiply(d2, sin_w, out=rate), out=rate)
+        rate = b[block]
+        np.add(np.multiply(d1_block, cos_w, out=scratch), np.multiply(d2, sin_w, out=rate), out=rate)
         np.negative(rate, out=rate)
 
 

@@ -17,9 +17,9 @@ kernel and flow tables fill their integrands the same way.  The prefix is
 taken in place, over its integrand: a table holds its integrand and then
 its prefix, and no second full-length table is needed.  Neither trigamma
 nor the prefix depends on where the blocks fall, so a table has the bits of
-a one-pass build.  A fill's temporaries live in one `BlockBuffers` set,
-allocated at its first block and reused by the rest, so the allocator does
-not hand them back and fault them in again at every block.
+a one-pass build.  A fill's temporaries live in one `BlockBuffers` set
+(owned by `kernels.trig_blocks`), allocated at its first block and reused by
+the rest, so the allocator does not fault them in again at every block.
 """
 
 from __future__ import annotations
@@ -62,25 +62,20 @@ class BlockBuffers:
     temporaries to the allocator and fault them back in, block after block.
 
     `take(slot, n, dtype)` is the first n elements of the numbered array of
-    that dtype; the same slot, n and dtype give the same view object, so a
-    callee can tell its own array from an argument.  Each function that
-    takes a set says which slots it writes and which one holds its result,
-    until the slot's next writer.
+    that dtype, grown to n if it is shorter.  Each function that takes a set
+    says which slots it writes and which one holds its result, until the
+    slot's next writer.
     """
 
     def __init__(self):
         self._arrays: dict = {}
-        self._views: dict = {}
 
     def take(self, slot: int, n: int, dtype=np.float64) -> np.ndarray:
-        key = (slot, np.dtype(dtype), n)
-        view = self._views.get(key)
-        if view is None:
-            whole = self._arrays.get(key[:2])
-            if whole is None or whole.shape[0] < n:
-                whole = self._arrays[key[:2]] = np.empty(n, dtype)
-            view = self._views[key] = whole[:n]
-        return view
+        key = (slot, np.dtype(dtype))
+        whole = self._arrays.get(key)
+        if whole is None or whole.shape[0] < n:
+            whole = self._arrays[key] = np.empty(n, dtype)
+        return whole[:n]
 
 
 def trigamma_values(z, buffers: BlockBuffers | None = None) -> np.ndarray:
@@ -93,16 +88,15 @@ def trigamma_values(z, buffers: BlockBuffers | None = None) -> np.ndarray:
     truncation at |z| = 10 sets it).
 
     The work is done in complex slots 0-3 of `buffers` (a set of its own
-    without them), and slot 0 holds the result.  An argument that is
-    `buffers.take(0, z.size, np.complex128)` is worked on there, not copied.
+    without them), and slot 0 holds the result.  The argument is copied into
+    slot 0, which costs nothing when it is already there.
     """
     zc = np.asarray(z, dtype=np.complex128)
     if buffers is None:
         buffers = BlockBuffers()
     m = zc.size
     w = buffers.take(0, m, np.complex128)
-    if w is not zc:
-        np.copyto(w, zc.reshape(-1))
+    np.copyto(w, zc.reshape(-1))
     if not np.isfinite(w).all():
         raise PoleError("trigamma arguments must be finite")
     outside = ~(w.real > 0.0)

@@ -33,7 +33,7 @@ The dumps write one stroke's grid: `write_kernel_csv` its tables and
 of the two transition traces is formed.  A dump forms its node times, and
 whatever else the grid does not keep (D2, the mix), and writes their text,
 one slice of rows at a time; the rate a, whose prefix needs the whole
-integrand, is its one extra table, filled one cache block at a time.
+integrand, is its one extra table, filled from `kernels.trig_blocks`.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .config import RunConfig, _time_axis, parse_config, require_scalar_times, s
 from .cycle import LABEL_FIELDS, REPORT_FIELDS, CycleReport, Mode, assemble_report
 from .dynamics import StrokeSource, transition_traces
 from .errors import ConfigError, NmottoError
-from .kernels import BathSpec, KernelGrid, build_kernel_grid, dissipation_kernel, node_times
-from .special import cache_blocks, cumulative_simpson
+from .kernels import BathSpec, KernelGrid, build_kernel_grid, dissipation_kernel, node_times, trig_blocks
+from .special import cumulative_simpson
 
 __all__ = [
     "CSV_HEADER",
@@ -75,10 +75,6 @@ __all__ = [
 
 CSV_HEADER = ",".join(REPORT_FIELDS + ("error",))
 PHASE_HEADER = "omega_ratio,T_ratio,engine,heater,heat_pump,other,classification,error"
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".17g")
 
 
 # A report's CSV line is one "%" operation: a format per pattern of empty
@@ -198,7 +194,7 @@ def _csv_line(row: list[str]) -> str:
 
 
 def _error_line(t_h: float, t_c: float, exc: Exception) -> str:
-    row = [_fmt(t_h), _fmt(t_c)] + [""] * (len(REPORT_FIELDS) - 2)
+    row = ["%.17g" % t_h, "%.17g" % t_c] + [""] * (len(REPORT_FIELDS) - 2)
     row.append(f"{type(exc).__name__}: {exc}")
     return _csv_line(row)
 
@@ -340,7 +336,7 @@ def _phase_line(config: RunConfig, t_values: list[float], noise_tables: dict,
         error = f"{type(exc).__name__}: {exc}"
     else:
         classification = "engine_only" if counts[Mode.ENGINE] == len(t_values) ** 2 else "mixed"
-    return _csv_line([_fmt(r_omega), _fmt(r_temp), *map(str, counts.values()),
+    return _csv_line(["%.17g" % r_omega, "%.17g" % r_temp, *map(str, counts.values()),
                       classification, error])
 
 
@@ -372,15 +368,18 @@ def _stroke_grid(config: RunConfig, bath_label: str) -> tuple[KernelGrid, float]
     return build_kernel_grid(bath, omega, t_max, config.h), t_max
 
 
+def _rate_integrand(grid: KernelGrid) -> np.ndarray:
+    """The build's integrand of a, whose prefix is the table the build took A from."""
+    a = np.empty(grid.n_points)
+    for block, d1, _, cos_w, _, scratch in trig_blocks(grid.bath, grid.omega0, grid.step, grid.D1):
+        np.multiply(np.multiply(-2.0, d1, out=scratch), cos_w, out=a[block])
+    return a
+
+
 def write_kernel_csv(config: RunConfig, path: str, bath_label: str) -> None:
     """Dump tau, D1, D2, a, b, A for one bath's grid (for plotting)."""
     grid, _ = _stroke_grid(config, bath_label)
-    # The build's integrand of a, cache block by cache block, and its prefix
-    # in place: the table the build took A from, bit for bit.
-    a = np.empty(grid.n_points)
-    for block in cache_blocks(grid.n_points):
-        a[block] = -2.0 * grid.D1[block] * np.cos(grid.omega0 * node_times(block, grid.step))
-    cumulative_simpson(a, grid.step)
+    a = cumulative_simpson(_rate_integrand(grid), grid.step)
     _write_csv((path, "tau,D1,D2,a,b,A", _column_blocks(grid.n_points, grid.step, lambda rows, tau: (
         grid.D1[rows], dissipation_kernel(tau, grid.bath), a[rows], grid.b[rows], grid.A[rows]))))
 

@@ -94,6 +94,12 @@ def read_records(path):
     return [dict(zip(header, row)) for row in rows]
 
 
+def csv_field(value):
+    """A float's CSV field, format(value, ".17g"), and "" for None: the
+    field-by-field oracle of the emitter's "%" lines."""
+    return "" if value is None else format(value, ".17g")
+
+
 def dump_columns(path):
     """A `kernels` or `stroke` dump as {column name: array}.  Its "%.17g" text
     parses back to the same floats, signs of zeros included."""

@@ -18,10 +18,10 @@ import pytest
 import nmotto as nm
 from nmotto.config import parse_config, sweep_axes
 from nmotto.cycle import Mode
-from nmotto.sweep import (CSV_HEADER, PHASE_HEADER, _csv_line, _error_line, _fmt, _report_line,
-                          run_phase, run_sweep)
+from nmotto.sweep import (CSV_HEADER, PHASE_HEADER, _csv_line, _error_line, _report_line, run_phase,
+                          run_sweep)
 
-from conftest import CONFIGS, T_HOT_STROKE, base_config_dict, phase_config_dict
+from conftest import CONFIGS, T_HOT_STROKE, base_config_dict, csv_field, phase_config_dict
 
 # Axes off the grid nodes (step 0.05): every read interpolates between nodes.
 OFF_NODE = {"t_h": {"min": 3.33, "max": 97.01, "n": 5}, "t_c": {"min": 1.17, "max": 55.55, "n": 4}}
@@ -63,7 +63,8 @@ def _per_cell_phase_text(config):
         modes = [nm.evaluate_cycle(ctx, t_h, t_c).mode for t_h, t_c in product(t_values, t_values)]
         counts = [modes.count(mode) for mode in Mode]
         classification = "engine_only" if counts[0] == len(modes) else "mixed"
-        lines.append(_csv_line([_fmt(r_omega), _fmt(r_temp), *map(str, counts), classification, ""]))
+        fields = [csv_field(r_omega), csv_field(r_temp), *map(str, counts), classification, ""]
+        lines.append(_csv_line(fields))
     return "".join(lines)
 
 

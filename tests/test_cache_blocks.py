@@ -261,14 +261,22 @@ def test_a_call_that_raises_leaves_the_next_calls_bits(call):
     _assert_same_bytes(nm.noise_kernel(tau, bath, buffers), _fresh(nm.noise_kernel, tau, bath))
 
 
-def test_a_buffer_slot_is_one_view_per_length_and_dtype():
+def test_a_buffer_slot_is_one_array_per_dtype():
+    # A take is the first n elements of its slot's array: a shorter take
+    # shares its memory, and once a longer take has grown the slot, every
+    # later take reads the new array and none keeps the old one.
     buffers = special.BlockBuffers()
+    short = buffers.take(1, 3)
     full = buffers.take(1, 8)
-    assert buffers.take(1, 8) is full
-    assert buffers.take(1, 3).base is full.base
-    assert buffers.take(1, 8, np.complex128) is not full
-    assert buffers.take(1, 8, np.complex128).dtype == np.complex128
-    assert buffers.take(2, 8).base is not full.base
+    assert full.shape == (8,) and not np.shares_memory(full, short)
+    for n in (3, 8, 5):
+        view = buffers.take(1, n)
+        assert view.shape == (n,) and view.dtype == np.float64
+        assert view.base is full.base and view.ctypes.data == full.ctypes.data
+    assert short.base is not full.base
+    complex_slot = buffers.take(1, 8, np.complex128)
+    assert complex_slot.dtype == np.complex128 and not np.shares_memory(complex_slot, full)
+    assert not np.shares_memory(buffers.take(2, 8), full)
 
 
 def test_builds_of_another_bath_step_or_node_count_share_no_noise_table():

@@ -235,10 +235,14 @@ def test_the_explicit_integral_reads_only_at_a_node(hot_grid, cold_grid):
 ])
 def test_stroke_sources_reject_the_same_times(source, t, error, hot_grid, hot_bath):
     stroke = hot_grid if source == "tables" else nm.MarkovStroke(hot_bath, OMEGA_H)
-    for read in (stroke.populations, stroke.flow):
+    kept = dict(stroke._reads)
+    # A read that raises keeps nothing, so the next read of t raises again.
+    for read in 2 * (stroke.populations, stroke.flow):
         if error is None:
             assert t > stroke.t_max
             assert read(t) == read(stroke.t_max)
         else:
             with pytest.raises(ValueError, match=error):
                 read(t)
+    if error is not None:
+        assert stroke._reads == kept
