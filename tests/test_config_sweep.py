@@ -44,8 +44,7 @@ _JSON_VALUES = st.recursive(
 _CONFIG_KEYS = st.sampled_from([f.name for f in fields(nm.RunConfig)])
 
 # Exceptions that are not package errors: raised in a cell, each stops the run.
-# TestOutputFile raises a TypeError, at every worker count of both runners.
-PROGRAM_BUGS = [ValueError, ZeroDivisionError]
+PROGRAM_BUGS = [TypeError, ValueError, ZeroDivisionError]
 
 
 class TestConfigParsing:

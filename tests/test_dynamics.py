@@ -232,6 +232,22 @@ class TestStrokeEndRead:
         assert _outcome(nm.transition_populations, hot_grid, t) \
             == _outcome(hot_grid.populations, t)
 
+    # Markov strokes have no t_max: 131 is a time they read.
+    @pytest.mark.parametrize("source, t", [
+        *(pytest.param(source, t, id=f"{prefix}{t}")
+          for source, prefix in (("tables", ""), ("markov", "markov-"))
+          for t in (float("nan"), float("inf"), -float("inf"), -1.0)),
+        pytest.param("tables", 131.0, id="131.0"),
+    ])
+    def test_error_texts(self, hot_grid, hot_bath, source, t):
+        stroke = hot_grid if source == "tables" else nm.MarkovStroke(hot_bath, OMEGA_H)
+        text = "t must be finite and >= 0" if t != 131.0 else "t=131 exceeds grid t_max=130"
+        kept = dict(stroke._reads)
+        # A read that raises keeps nothing, so the next read of t raises again.
+        for read in 2 * (stroke.populations, stroke.flow):
+            assert _outcome(read, t) == f"ValueError: {text}"
+        assert stroke._reads == kept
+
     # On a node and between nodes, up to 1e-9 steps past the last node (10 on
     # a TCL2 stroke of step 0.05), and at 0.0 and -0.0, one key of the
     # stroke's dict; a decoupled TCL2 stroke (lambda 0) and a Markov stroke
