@@ -15,10 +15,12 @@ other start is their mix (formed only by the `stroke` dump,
 of a stroke at a stroke time from one `_read(t)` per distinct time, which
 each source in `energetics` supplies.  C takes the cumulative Simpson rule
 of the tables, in cache blocks (`special.CACHE_BLOCK` nodes), in place in
-the first trace.  Where |A| would overflow exp (beyond 500), the stroke is
-solved in guard segments, each with A rebased to its first node and chained
-through the segment end values; a guard segment is as long as the exp range
-allows, whatever the cache block, and is found one cache block at a time.
+the first trace, which is written over a copy of b, or over the grid's own
+b for an owner that drops the grid (`overwrite_b`).  Where |A| would
+overflow exp (beyond 500), the stroke is solved in guard segments, each
+with A rebased to its first node and chained through the segment end
+values; a guard segment is as long as the exp range allows, whatever the
+cache block, and is found one cache block at a time.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _guard_end(big_a: np.ndarray, start: int) -> int:
     return n - 1
 
 
-def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
+def transition_traces(grid: KernelGrid, overwrite_b: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid populations from the two pure initial states (rho00 = 1, 0),
     solved per call in one pass: C and exp(A) do not depend on rho00(0).
 
@@ -87,13 +89,19 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
     its value at s; the first odd node takes the backward quadratic through
     s-1, as the one-shot rule does.
     Since A[0] == 0, max|A| <= _EXP_GUARD is one segment: the plain form.
-    The segment's C is taken in place in the first trace's slice, and the
-    growth exp(A - A[s]) is applied one cache block at a time.
+    The first trace holds b until its segment is solved: C's integrand is
+    formed in place there, its exponential in the second trace's slice, and
+    b at a segment's last two nodes is held for the next segment.  The
+    growth exp(A - A[s]) is applied one cache block at a time.  The first
+    trace is a copy of b, or with `overwrite_b` the grid's own b, which the
+    grid's owner then no longer reads as b; D1 and A are left as they are.
     """
-    big_a, b, step = grid.A, grid.b, grid.step
+    big_a, step = grid.A, grid.step
     n = big_a.shape[0]
-    traces = (np.empty(n), np.empty(n))
-    start, starts = 0, (1.0, 0.0)
+    if overwrite_b:
+        grid.b.setflags(write=True)
+    traces = (grid.b if overwrite_b else grid.b.copy(), np.empty(n))
+    start, starts, held = 0, (1.0, 0.0), (0.0, traces[0].item(0))
     # Where A alone drifts past the exp range within one Simpson pair, the
     # grid is too coarse: numpy's overflow becomes a GridError, not NaN.
     try:
@@ -101,10 +109,12 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
             while True:
                 a_start = big_a[start]
                 end = _guard_end(big_a, start)
-                c = traces[0][start:end + 1]
-                np.subtract(a_start, big_a[start:end + 1], out=c)
-                np.exp(c, out=c)
-                c *= b[start:end + 1]
+                c, decay = traces[0][start:end + 1], traces[1][start:end + 1]
+                ends = c.item(-2), c.item(-1)
+                np.subtract(a_start, big_a[start:end + 1], out=decay)
+                np.exp(decay, out=decay)
+                c[0] = held[1]
+                c *= decay
                 y0, y1 = c[0], c[1]
                 # A two-node segment (the grid's last, odd node) has no pair: C is
                 # 0 at its start and the backward quadratic below at its end.
@@ -112,7 +122,7 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
                     cumulative_simpson(c, step)
                 c[0] = 0.0
                 if start > 0:
-                    c[1] = step / 12.0 * (-b[start - 1] * math.exp(a_start - big_a[start - 1])
+                    c[1] = step / 12.0 * (-held[0] * math.exp(a_start - big_a[start - 1])
                                           + 8.0 * y0 + 5.0 * y1)
                 # The second trace is written from C before the first overwrites it.
                 for block in cache_blocks(end + 1 - start):
@@ -123,7 +133,7 @@ def transition_traces(grid: KernelGrid) -> tuple[np.ndarray, np.ndarray]:
                         trace[nodes] *= growth
                 if end == n - 1:
                     break
-                start, starts = end, (traces[0].item(end), traces[1].item(end))
+                start, starts, held = end, (traces[0].item(end), traces[1].item(end)), ends
     except (FloatingPointError, OverflowError) as exc:
         raise GridError(f"A leaves the exp range within one Simpson pair (step {step:g});"
                         " decrease h") from exc

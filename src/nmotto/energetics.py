@@ -18,10 +18,10 @@ transition traces with the limit-cycle weight P, and
 closes the balance exactly.  The integral is linear in P, so each stroke's
 StrokeTables carries two cumulative prefix tables and a stroke evaluation is
 O(1).  Each prefix is taken in place over its integrand, filled one cache
-block at a time from `kernels.trig_blocks`.  A StrokeTables
-is the four tables a cycle reads, the two transition traces and the two
-prefixes, and its kernel grid's inputs, none of the grid's tables; its one
-read (`_read`, see dynamics.StrokeSource) validates a stroke time and
+block at a time from `kernels.trig_blocks` into a table its caller gives
+(`stroke_tables` gives the grid's A and, unless a phase run keeps it, D1).
+A StrokeTables is the four tables a cycle reads, the two transition traces
+and the two prefixes, and its kernel grid's inputs; its one read (`_read`, see dynamics.StrokeSource) validates a stroke time and
 brackets it once for all four.  The explicit-integral route for dE_I
 survives as a cross-check; it rebuilds the grid from those inputs once per
 call and forms tau and D2 at the nodes it integrates.  The stroke-time rules
@@ -150,22 +150,22 @@ def _fill_flow_integrands(bath: BathSpec, omega0: float, step: float, noise: np.
         p = np.subtract(np.multiply(2.0, excited, out=flow), 1.0, out=flow)
         p = np.multiply(np.multiply(p, d1, out=scratch), sin_w, out=flow)
         np.add(p, np.multiply(d2, cos_w, out=scratch), out=flow)
-        # 2 (rho_0 - rho_1) D1 sin, its products in pop's block and the scratch.
-        p = np.multiply(2.0, np.subtract(from_ground[block], excited, out=scratch), out=coefficient)
+        # 2 (rho_0 - rho_1) D1 sin, its products in the scratch: pop's block may be D1's.
+        p = np.multiply(2.0, np.subtract(from_ground[block], excited, out=scratch), out=scratch)
         np.multiply(np.multiply(p, d1, out=scratch), sin_w, out=coefficient)
 
 
 def bath_flow_tables(bath: BathSpec, omega0: float, step: float, noise: np.ndarray,
-                     from_ground: np.ndarray, from_excited: np.ndarray) -> StrokeTables:
+                     from_ground: np.ndarray, from_excited: np.ndarray, base: np.ndarray,
+                     pop: np.ndarray) -> StrokeTables:
     """The stroke of a grid whose noise kernel D1 is `noise`: its two traces
-    and the cumulative prefixes of the counting-statistics integrand.  base(t)
+    and the cumulative prefixes of the counting-statistics integrand, written
+    over the writeable tables `base` and `pop` (`pop` may be `noise` itself:
+    each block's D1 is read before pop's block is written).  base(t)
     collects the P-independent part, pop(t) the coefficient of P; the stroke
     integral is base + P * pop.
     """
-    # Each integrand is filled one cache block at a time into the table that
-    # keeps its prefix.
     n = noise.shape[0]
-    base, pop = np.empty(n), np.empty(n)
     _fill_flow_integrands(bath, omega0, step, noise, from_ground, from_excited, base, pop)
     cumulative_simpson(base, step)
     cumulative_simpson(pop, step)
@@ -180,9 +180,9 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid | 
     """Explicit-integral route for dE_I; independent of the stroke tables.
 
     Rebuilds the kernel grid from its inputs (one build per call),
-    re-solves the traces from it, forms tau and D2 at its first k + 1 nodes,
-    applies the limit-cycle weight pointwise and integrates with the one-shot
-    composite rule.  t is expected to sit on the grid node k.
+    re-solves the traces from it over its b, forms tau and D2 at its first
+    k + 1 nodes, applies the limit-cycle weight pointwise and integrates with
+    the one-shot composite rule.  t is expected to sit on the grid node k.
     """
     t = _validate_t(grid, t)
     p_enter, _, _ = _entry(lc, label)
@@ -190,7 +190,7 @@ def eq_interaction_integral(lc: LimitCycleState, label: str, grid: KernelGrid | 
     if abs(k * grid.step - t) > 1e-9 * grid.step:
         raise ValueError("the explicit-integral route requires t on a grid node")
     grid = _kernel_grid(grid)
-    from_ground, from_excited = transition_traces(grid)
+    from_ground, from_excited = transition_traces(grid, overwrite_b=True)
     tau = node_times(slice(0, k + 1), grid.step)
     mixed = p_enter * from_ground[: k + 1] + (1.0 - p_enter) * from_excited[: k + 1]
     integrand = (2.0 * mixed - 1.0) * grid.D1[: k + 1] * np.sin(grid.omega0 * tau) \

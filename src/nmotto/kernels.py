@@ -214,7 +214,8 @@ class KernelGrid:
 
     The grid has n_points nodes tau[i] = i*step up to t_max.  D1 is the noise
     kernel, b the time-local rate and A the running integral of the rate a.
-    Shareable read-only across workers.
+    Shareable read-only across workers; a stroke that owns its grid writes
+    over the tables once it has read them (`sweep.stroke_tables`).
     """
 
     bath: BathSpec

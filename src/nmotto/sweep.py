@@ -4,13 +4,13 @@ The kernel grids depend only on (bath, qubit frequency, t_max, step), so one
 pair of strokes is built per sweep and per phase cell (`stroke_tables`: a
 grid, its traces and its flow prefixes).  D1 does not depend on the qubit
 frequency, so a phase run's cells share one dict of D1 tables and compute
-D1 once per distinct bath (a pool worker fills its own).  A stroke lets each
-grid table go as soon as nothing more is taken from it: b and A once the
-traces are solved, D1 once the flow prefixes are taken (unless a phase run
-keeps it).  A cell reads the hot stroke at t_h only and the cold stroke at
-t_c only, and either stroke source reads once per stroke time
-(`dynamics.StrokeSource`), so a sweep, and each phase cell over its t_box,
-reads each stroke once per distinct stroke time of its axis.  Every
+D1 once per distinct bath (a pool worker fills its own).  A stroke writes
+what it keeps over the grid tables it has read: the first trace over b, and
+the flow prefixes base and pop over A and D1 (pop in a table of its own
+where a phase run keeps D1).  A cell reads the hot stroke at t_h only and
+the cold stroke at t_c only, and either stroke source reads once per stroke
+time (`dynamics.StrokeSource`), so a sweep, and each phase cell over its
+t_box, reads each stroke once per distinct stroke time of its axis.  Every
 batch is one lazy ordered map (`_map`): a sweep maps over its t_h values,
 each to one block of CSV text holding that row's t_c cells, and a phase
 diagram over its (omega ratio, T ratio) cells, each to its CSV line.  A
@@ -122,17 +122,20 @@ def stroke_tables(bath: BathSpec, omega0: float, t_max: float, step: Optional[fl
     """One TCL2 stroke on the kernel grid of these inputs (`build_kernel_grid`'s):
     its transition traces, solved once, and its flow prefixes.
 
-    The stroke holds the only reference to the grid, and drops it once the
-    traces are solved: b and A go before the flow prefixes are allocated,
-    and D1 once they are taken.  The stroke peaks at five tables and keeps
-    four.  `noise_tables`, D1 arrays keyed by (bath, step, n_points), goes
-    to the build; only `run_phase` passes one, and then D1 outlives the grid.
+    The stroke holds the only reference to the grid and writes over its
+    tables once nothing more reads them: the first trace over b, base over
+    A and pop over D1, so it peaks at the four tables it keeps: the grid's
+    three and the second trace.  `noise_tables`, D1 arrays keyed by (bath,
+    step, n_points), goes to the build; only `run_phase` passes one, and
+    then D1 belongs to the dict and pop is a table of its own.
     """
     grid = build_kernel_grid(bath, omega0, t_max, step, noise_tables)
-    traces = transition_traces(grid)
-    bath, omega0, step, d1 = grid.bath, grid.omega0, grid.step, grid.D1
-    del grid
-    return energetics.bath_flow_tables(bath, omega0, step, d1, *traces)
+    traces = transition_traces(grid, overwrite_b=True)
+    base, pop = grid.A, grid.D1 if noise_tables is None else np.empty(grid.n_points)
+    base.setflags(write=True)
+    pop.setflags(write=True)
+    return energetics.bath_flow_tables(grid.bath, grid.omega0, grid.step, grid.D1, *traces,
+                                       base, pop)
 
 
 def build_context(config: RunConfig, t_max_h: float, t_max_c: float,
@@ -393,9 +396,9 @@ def write_trace_csv(config: RunConfig, path: str, bath_label: str, initial_rho00
     if config.dynamics != "tcl2":
         raise ConfigError(f"dynamics: the stroke dump traces tcl2 dynamics only, got {config.dynamics!r}")
     grid, t = _stroke_grid(config, bath_label)
-    from_ground, from_excited = transition_traces(grid)
+    from_ground, from_excited = transition_traces(grid, overwrite_b=True)
     step, n = grid.step, grid.n_points
-    del grid  # the traces are all the dump reads: D1, b and A go before the text is formed
+    del grid  # the traces are all the dump reads: D1 and A go before the text is formed
     k = min(int(math.floor(t / step + 1e-9)), n - 1)
     _write_csv((path, "tau,rho00", _column_blocks(k + 1, step, lambda rows, tau: (
         initial_rho00 * from_ground[rows] + (1.0 - initial_rho00) * from_excited[rows],))))
